@@ -1,7 +1,9 @@
 // Microbenchmarks for the shared range-bounding engine: per-query interval
 // range bounds (naive Poly::eval_range vs the power-table-backed
-// RangeEngine), derivative-range bounds, bounding the models of a real
-// validated Taylor-model step, and end-to-end ACC learning / oscillator
+// RangeEngine), derivative-range bounds, bounds over the TM step domain
+// [-1,1]^2 x [0,h] (whose -denorm_min power bounds take the exact
+// subnormal product path), bounding the models of a real validated
+// Taylor-model step, and end-to-end ACC learning / oscillator
 // verification wall clock. Results are printed as a table and written to
 // BENCH_range_bound.json.
 //
@@ -10,7 +12,10 @@
 // numbers quoted in the PR (only the naive and end-to-end rows run there).
 //
 //   $ ./bench_range_bound
+#include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <random>
@@ -92,7 +97,10 @@ double g_sink = 0.0;  // defeat dead-code elimination
 bool g_identical = true;  // every engine result must match naive bit-for-bit
 
 bool bits_equal(const interval::Interval& a, const interval::Interval& b) {
-  return a.lo() == b.lo() && a.hi() == b.hi();
+  return std::bit_cast<std::uint64_t>(a.lo()) ==
+             std::bit_cast<std::uint64_t>(b.lo()) &&
+         std::bit_cast<std::uint64_t>(a.hi()) ==
+             std::bit_cast<std::uint64_t>(b.hi());
 }
 
 // ----------------------------------------------------------------------
@@ -161,6 +169,57 @@ void bench_derivative_range(Results& out) {
   });
   out.add("deriv3_range_engine_ns", engine_ns, "ns/query");
   out.add("deriv3_range_speedup", naive_ns / engine_ns, "x");
+#endif
+}
+
+// ----------------------------------------------------------------------
+// Step-domain bounds: the time-extended box [-1,1]^2 x [0,0.05] that every
+// validated TM step bounds its tube models over, with polys of step-sized
+// degree (order 4 in the set variables and tau) and coefficients spanning
+// TM magnitudes. Every power of [0,h] and every even power of [-1,1] has
+// the lower bound -denorm_min, so Poly::eval_range pays a hardware
+// subnormal assist per such multiply while the engine takes the exact
+// integer path. Memo off (fresh models); median of 5 timing rounds.
+// ----------------------------------------------------------------------
+
+void bench_step_domain(Results& out) {
+  interval::IVec dom(3, interval::Interval(-1.0, 1.0));
+  dom[2] = interval::Interval(0.0, 0.05);
+  std::vector<poly::Poly> polys;
+  std::mt19937_64 rng(2026);
+  std::uniform_real_distribution<double> unit(-1.0, 1.0);
+  for (int k = 0; k < 16; ++k) {
+    poly::Poly p(3);
+    for (int t = 0; t < 20; ++t) {
+      poly::Exponents e(3);
+      for (auto& x : e) x = static_cast<std::uint32_t>(rng() % 5);
+      p.add_term(e, std::ldexp(unit(rng), static_cast<int>(rng() % 30) - 24));
+    }
+    polys.push_back(p);
+  }
+  const auto median_ns = [](auto&& fn) {
+    std::vector<double> ns;
+    for (int round = 0; round < 5; ++round) ns.push_back(time_ns(2000, fn));
+    std::sort(ns.begin(), ns.end());
+    return ns[2] / 16.0;  // per query
+  };
+
+  const double naive_ns = median_ns([&] {
+    for (const poly::Poly& p : polys) g_sink += p.eval_range(dom).hi();
+  });
+  out.add("step_domain_range_naive_ns", naive_ns, "ns/query");
+
+#ifdef DWV_HAVE_RANGE_ENGINE
+  poly::RangeEngine engine;
+  engine.set_result_memo(false);
+  for (const poly::Poly& p : polys)
+    g_identical =
+        g_identical && bits_equal(engine.eval_range(p, dom), p.eval_range(dom));
+  const double engine_ns = median_ns([&] {
+    for (const poly::Poly& p : polys) g_sink += engine.eval_range(p, dom).hi();
+  });
+  out.add("step_domain_range_engine_ns", engine_ns, "ns/query");
+  out.add("step_domain_range_speedup", naive_ns / engine_ns, "x");
 #endif
 }
 
@@ -306,6 +365,7 @@ int main() {
   bench_per_query(out, "poly3", 11, 3, 10, 3);
   bench_per_query(out, "poly6", 19, 6, 30, 3);
   bench_derivative_range(out);
+  bench_step_domain(out);
   bench_step_bound(out);
   bench_end_to_end(out);
 #ifdef DWV_HAVE_RANGE_ENGINE

@@ -19,6 +19,75 @@ Interval& Interval::operator/=(const Interval& o) {
   return *this;
 }
 
+// Exactness: a finite double is f * 2^(E - 1075) with an integer
+// significand f < 2^53 (hidden bit set for normals, E = 1 for subnormals),
+// so a * b = fa * fb * 2^(Ea + Eb - 2150) exactly, with fa * fb < 2^106 in
+// an unsigned __int128. Rounding that integer to the result's quantum
+// (2^(lead - 52) for a normal result, 2^-1074 for a subnormal one) with
+// round-half-even is the IEEE rule by definition. Adding the quantum
+// count to the exponent field lets a carry out of the significand bump the
+// exponent, which covers both the round-up to 2^(lead + 1) and the
+// round-up of the largest subnormals to DBL_MIN. A subnormal operand is
+// below 2^-1022 and any double below 2^1024, so the product cannot
+// overflow.
+double mul_exact(double a, double b) {
+  if (!detail::is_subnormal(a) && !detail::is_subnormal(b)) return a * b;
+  if (!std::isfinite(a) || !std::isfinite(b)) return a * b;
+  constexpr std::uint64_t kSign = std::uint64_t{1} << 63;
+  constexpr std::uint64_t kHidden = std::uint64_t{1} << 52;
+  const std::uint64_t ua = std::bit_cast<std::uint64_t>(a);
+  const std::uint64_t ub = std::bit_cast<std::uint64_t>(b);
+  const std::uint64_t sign = (ua ^ ub) & kSign;
+  const std::uint64_t ma = ua & ~kSign;
+  const std::uint64_t mb = ub & ~kSign;
+
+  // Fast case: +-denorm_min * x is |x| * 2^-1074, i.e. RNE(|x|) quanta of
+  // the subnormal grid; below 2^52 that integer is (|x| + 2^52) - 2^52,
+  // and its bits are the result's magnitude bits (2^52 quanta = DBL_MIN).
+  if (ma == 1 || mb == 1) {
+    const double x = std::bit_cast<double>(ma == 1 ? mb : ma);
+    if (x < 0x1p52) {
+      const double n = (x + 0x1p52) - 0x1p52;
+      return std::bit_cast<double>(sign | static_cast<std::uint64_t>(n));
+    }
+  }
+
+  // Significand and biased exponent of a nonzero finite magnitude.
+  const auto split = [](std::uint64_t m, std::uint64_t& f) {
+    const int e = static_cast<int>(m >> 52);
+    f = e == 0 ? m : (m & (kHidden - 1)) | kHidden;
+    return e == 0 ? 1 : e;
+  };
+  std::uint64_t fa = 0;
+  std::uint64_t fb = 0;
+  const int k = split(ma, fa) + split(mb, fb) - 2150;
+  if (fa == 0 || fb == 0) return std::bit_cast<double>(sign);  // +-0
+
+  // prod * 2^k is the exact product.
+  using u128 = unsigned __int128;
+  const u128 prod = static_cast<u128>(fa) * fb;
+  const std::uint64_t hi = static_cast<std::uint64_t>(prod >> 64);
+  const std::uint64_t lo = static_cast<std::uint64_t>(prod);
+  const int len =
+      hi != 0 ? 128 - std::countl_zero(hi) : 64 - std::countl_zero(lo);
+  // Exponent of the result's leading significand position and the number
+  // of low product bits below its quantum.
+  const int top = std::max(len - 1 + k, -1022);
+  const int shift = top - 52 - k;
+  std::uint64_t q = 0;
+  if (shift <= 0) {
+    q = lo << -shift;
+  } else if (shift < 128) {
+    q = static_cast<std::uint64_t>(prod >> shift);
+    const u128 rem = prod - (static_cast<u128>(q) << shift);
+    const u128 half = static_cast<u128>(1) << (shift - 1);
+    if (rem > half || (rem == half && (q & 1) != 0)) ++q;
+  }  // else prod * 2^k < 2^-1075: rounds to zero
+  const std::uint64_t mag =
+      (static_cast<std::uint64_t>(top + 1022) << 52) + q;
+  return std::bit_cast<double>(sign | mag);
+}
+
 IntersectResult intersect(const Interval& a, const Interval& b) {
   const double lo = std::max(a.lo(), b.lo());
   const double hi = std::min(a.hi(), b.hi());

@@ -144,6 +144,46 @@ inline Interval& Interval::operator*=(const Interval& o) {
   return *this;
 }
 
+/// The IEEE-754 double product a * b, rounded to nearest-even, bit for bit
+/// (signed zeros, the subnormal grid and NaN payloads included). When an
+/// operand is subnormal the product is formed in integer arithmetic,
+/// because the hardware multiply takes a microcode assist on such operands
+/// (~100+ cycles on x86 cores); otherwise it is the hardware multiply.
+/// Assumes the default round-to-nearest mode. DESIGN.md §10.
+double mul_exact(double a, double b);
+
+namespace detail {
+
+/// True for nonzero doubles with a zero exponent field (either sign).
+inline bool is_subnormal(double x) {
+  const std::uint64_t mag = std::bit_cast<std::uint64_t>(x) << 1;
+  return mag - 1 < (std::uint64_t{1} << 53) - 1;
+}
+
+}  // namespace detail
+
+/// x *= o, bit-identical to Interval::operator*=, without subnormal
+/// assists: when one of the four bounds is subnormal the endpoint products
+/// go through mul_exact, otherwise this IS operator*=. Returns whether the
+/// exact path ran. Range-bounding kernels use it because outward rounding
+/// of a zero bound (every power of [0, h], every even power of [-1, 1])
+/// leaves the lower bound at -denorm_min.
+inline bool mul_assign_exact(Interval& x, const Interval& o) {
+  if (!(detail::is_subnormal(x.lo()) | detail::is_subnormal(x.hi()) |
+        detail::is_subnormal(o.lo()) | detail::is_subnormal(o.hi())))
+      [[likely]] {
+    x *= o;
+    return false;
+  }
+  const double p1 = mul_exact(x.lo(), o.lo());
+  const double p2 = mul_exact(x.lo(), o.hi());
+  const double p3 = mul_exact(x.hi(), o.lo());
+  const double p4 = mul_exact(x.hi(), o.hi());
+  x = outward(Interval(std::min({p1, p2, p3, p4}),
+                       std::max({p1, p2, p3, p4})));
+  return true;
+}
+
 /// Intersection; empty results are reported via `ok = false`.
 struct IntersectResult {
   Interval value;

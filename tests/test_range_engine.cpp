@@ -5,6 +5,8 @@
 //  * domain-table reuse and exact-bits invalidation,
 //  * soundness (containment) of the opt-in centered form,
 //  * derivative_range bit-identity vs derivative(i).eval_range(dom),
+//  * the TM step domains, whose -denorm_min power bounds run the exact
+//    subnormal product path (interval::mul_assign_exact),
 //  * the binomial overflow guard and the hoisted bernstein_range_1d,
 //  * thread-privacy of per-scratch engines (run under TSan via the
 //    `parallel` label).
@@ -398,6 +400,69 @@ TEST(RangeEngine, PinnedDomainIsBitIdenticalToClassicPath) {
     EXPECT_TRUE(bit_equal(pinned.eval_range(p, dom_a, opt),
                           classic.eval_range(p, dom_a, opt)));
   }
+}
+
+// The domains TM verifiers actually bound over: the unit set-variable box
+// [-1,1]^n and the time-extended box [-1,1]^n x [0,h]. Every power of
+// [0,h] and every even power of [-1,1] has the lower bound outward(0) =
+// -denorm_min, so the walks take the exact subnormal product path; the
+// classic, pinned and derivative results must still be the seed's bits.
+TEST(RangeEngine, StepDomainsMatchSeedBitForBit) {
+  std::mt19937_64 rng(20261016);
+  std::uniform_real_distribution<double> unit_coeff(-1.0, 1.0);
+  RangeEngine classic;
+  RangeEngine pinned;
+  for (const double h : {0.05, 0x1p-1, 0x1p-4, 0x1p-10, 0x1p-20}) {
+    for (std::size_t n = 1; n <= 4; ++n) {
+      const IVec unit(n, Interval(-1.0, 1.0));
+      IVec step(n + 1, Interval(-1.0, 1.0));
+      step[n] = Interval(0.0, h);
+      pinned.pin_domain(unit, 3);
+      pinned.pin_domain(step, 3);
+      for (int iter = 0; iter < 40; ++iter) {
+        const IVec& dom = iter % 2 == 0 ? unit : step;
+        const std::size_t nv = dom.size();
+        // Step-sized degrees, and coefficients spanning TM magnitudes
+        // (including |c| < 0.5, whose products with -denorm_min round
+        // to zero).
+        Poly p(nv);
+        for (std::size_t t = 0, terms = 1 + rng() % 12; t < terms; ++t) {
+          dwv::poly::Exponents e(nv);
+          for (auto& x : e) x = static_cast<std::uint32_t>(rng() % 7);
+          p.add_term(e, std::ldexp(unit_coeff(rng),
+                                   static_cast<int>(rng() % 40) - 30));
+        }
+        const Interval direct = p.eval_range(dom);
+        const Interval oracle = dwv::poly::ref::to_ref(p).eval_range(dom);
+        ASSERT_TRUE(bit_equal(direct, oracle))
+            << "h " << h << " n " << n << " iter " << iter;
+        ASSERT_TRUE(bit_equal(classic.eval_range(p, dom), direct))
+            << "classic, h " << h << " n " << n << " iter " << iter;
+        ASSERT_TRUE(bit_equal(pinned.eval_range(p, dom), direct))
+            << "pinned, h " << h << " n " << n << " iter " << iter;
+        for (std::size_t v = 0; v < nv; ++v) {
+          const Poly d = p.derivative(v);
+          const Interval expect = d.eval_range(dom);
+          ASSERT_TRUE(
+              bit_equal(expect, dwv::poly::ref::to_ref(d).eval_range(dom)));
+          ASSERT_TRUE(bit_equal(classic.derivative_range(p, v, dom), expect))
+              << "derivative " << v << ", h " << h << " n " << n << " iter "
+              << iter;
+        }
+      }
+      pinned.unpin_all();
+    }
+  }
+  EXPECT_GT(classic.stats().exact_products, 0u);
+  EXPECT_GT(pinned.stats().exact_products, 0u);
+  EXPECT_GT(pinned.stats().pin_hits, 0u);
+
+  // Away from zero no bound is subnormal: the exact path never runs.
+  RangeEngine normal;
+  const Poly p = random_poly(rng, 3, 10, 4);
+  EXPECT_TRUE(bit_equal(normal.eval_range(p, IVec(3, Interval(0.5, 2.0))),
+                        p.eval_range(IVec(3, Interval(0.5, 2.0)))));
+  EXPECT_EQ(normal.stats().exact_products, 0u);
 }
 
 // Pinned tables are exempt from MRU eviction: churning through many

@@ -11,6 +11,9 @@
 //                                        (name, dimension, X0, goal box)
 //
 // Benchmarks: acc, oscillator, sys3d, b1, b2, b3, b4.
+// Integer option values are parsed strictly (whole string, base 10, within
+// the option's range; see kIntOptions): a malformed value prints
+// "error: --opt expects ..." and exits with status 2 before any work.
 // Common options:
 //   --verifier linear|polar|reachnn|interval   (default: linear for acc,
 //                                               polar otherwise)
@@ -92,9 +95,12 @@
 //                             (default 256)
 //   --progress                print the growing certified coverage at
 //                             every round boundary (anytime output)
+#include <charconv>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <map>
+#include <stdexcept>
 #include <string>
 
 #include "core/initial_set.hpp"
@@ -115,6 +121,46 @@ namespace {
 
 using namespace dwv;
 
+/// A malformed command line: reported as "error: ..." with exit code 2.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+// Every integer option and the values it accepts. A value must be a whole
+// base-10 integer within the range (no sign prefix '+', no whitespace, no
+// trailing characters); anything else is a usage error, never a guess.
+struct IntRange {
+  long lo;
+  long hi;
+};
+const std::map<std::string, IntRange> kIntOptions = {
+    {"--batch", {0, 4096}},
+    {"--checkpoint-every", {1, 1'000'000'000}},
+    {"--depth", {0, static_cast<long>(core::kMaxSearchDepth)}},
+    {"--iters", {0, 1'000'000'000}},
+    {"--order", {1, 32}},
+    {"--samples", {1, 1'000'000'000}},
+    {"--seed", {0, std::numeric_limits<long>::max()}},
+    {"--shard-grain", {1, 1'000'000}},
+    {"--shards", {1, 4096}},
+    {"--substeps", {1, 1 << 20}},
+    {"--sym-queue", {1, 1'000'000}},
+    {"--threads", {0, 1024}},
+};
+
+/// Strictly parses `value` as integer option `key` (see kIntOptions).
+long parse_int_option(const std::string& key, const std::string& value) {
+  const IntRange r = kIntOptions.at(key);
+  long v = 0;
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, v);
+  if (ec != std::errc() || ptr != end || v < r.lo || v > r.hi) {
+    throw UsageError(key + " expects an integer in [" + std::to_string(r.lo) +
+                     ", " + std::to_string(r.hi) + "], got '" + value + "'");
+  }
+  return v;
+}
+
 struct Args {
   std::string command;
   std::string benchmark;
@@ -126,8 +172,7 @@ struct Args {
   }
   long get_long(const std::string& key, long dflt) const {
     const auto it = options.find(key);
-    return it == options.end() ? dflt : std::strtol(it->second.c_str(),
-                                                    nullptr, 10);
+    return it == options.end() ? dflt : parse_int_option(key, it->second);
   }
   double get_double(const std::string& key, double dflt) const {
     const auto it = options.find(key);
@@ -669,6 +714,10 @@ int main(int argc, char** argv) {
   }
 
   try {
+    // Validate every integer option up front, before any work starts.
+    for (const auto& [key, value] : args.options) {
+      if (kIntOptions.count(key) != 0) (void)parse_int_option(key, value);
+    }
     if (args.command == "list") return cmd_list();
     if (args.command == "cache-compact") return cmd_cache_compact(args);
     if (args.benchmark.empty()) return usage();
@@ -676,6 +725,9 @@ int main(int argc, char** argv) {
     if (args.command == "verify") return cmd_verify(args);
     if (args.command == "search") return cmd_search(args);
     if (args.command == "simulate") return cmd_simulate(args);
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
