@@ -1,7 +1,7 @@
 // Bringing your own system: defines a custom 2-D polynomial system (a
 // damped Duffing-style oscillator), its reach-avoid spec, and runs the full
 // design-while-verify pipeline on it. Demonstrates everything a user needs
-// to implement: the System interface (numeric f, Jacobians, polynomial
+// to implement: the System interface (numeric f_into, Jacobians, polynomial
 // face) and a ReachAvoidSpec.
 //
 //   $ ./custom_system
@@ -25,9 +25,9 @@ class DuffingSystem final : public ode::System {
   std::size_t state_dim() const override { return 2; }
   std::size_t input_dim() const override { return 1; }
 
-  linalg::Vec f(const linalg::Vec& x, const linalg::Vec& u) const override {
-    return linalg::Vec{x[1],
-                       -0.5 * x[1] - x[0] - x[0] * x[0] * x[0] + u[0]};
+  void f_into(const double* x, const double* u, double* dx) const override {
+    dx[0] = x[1];
+    dx[1] = -0.5 * x[1] - x[0] - x[0] * x[0] * x[0] + u[0];
   }
   linalg::Mat dfdx(const linalg::Vec& x,
                    const linalg::Vec&) const override {

@@ -79,14 +79,17 @@ Learner::MetricPair Learner::measure(const reach::Flowpipe& fp) const {
     // Larger-is-better orientation: repel from Xu, attract to Xg.
     m.d_u = w.w_unsafe;
     m.d_g = -w.w_goal;
-    const FlowpipeFacts facts = analyze_flowpipe(fp, spec_);
-    m.feasible = facts.touches_goal && facts.safe_certified;
+    m.feasible = wasserstein_feasible(fp);
   }
   return m;
 }
 
-IterationRecord Learner::evaluate(const nn::Controller& ctrl) const {
-  const reach::Flowpipe fp = verifier_->compute(spec_.x0, ctrl);
+bool Learner::wasserstein_feasible(const reach::Flowpipe& fp) const {
+  const FlowpipeFacts facts = analyze_flowpipe(fp, spec_);
+  return facts.touches_goal && facts.safe_certified;
+}
+
+IterationRecord Learner::record(const reach::Flowpipe& fp) const {
   IterationRecord rec;
   if (fp.valid) {
     rec.geo = geometric_metrics(fp, spec_);
@@ -95,7 +98,20 @@ IterationRecord Learner::evaluate(const nn::Controller& ctrl) const {
     rec.geo = geometric_penalty(spec_, fp);
     rec.wass = wasserstein_penalty(spec_, fp);
   }
-  rec.feasible = measure(fp).feasible;
+  return rec;
+}
+
+bool Learner::feasible(const IterationRecord& rec,
+                       const reach::Flowpipe& fp) const {
+  if (!fp.valid) return false;  // penalty metrics are never feasible
+  return opt_.metric == MetricKind::kGeometric ? rec.geo.feasible()
+                                               : wasserstein_feasible(fp);
+}
+
+IterationRecord Learner::evaluate(const nn::Controller& ctrl) const {
+  const reach::Flowpipe fp = verifier_->compute(spec_.x0, ctrl);
+  IterationRecord rec = record(fp);
+  rec.feasible = feasible(rec, fp);
   return rec;
 }
 
@@ -201,8 +217,7 @@ LearnResult Learner::learn_grad(nn::Controller& ctrl,
         r.gu[i] = wm.w_unsafe.grad[i];
         r.gg[i] = -wm.w_goal.grad[i];
       }
-      const FlowpipeFacts facts = analyze_flowpipe(g.fp, spec_);
-      r.m.feasible = facts.touches_goal && facts.safe_certified;
+      r.m.feasible = wasserstein_feasible(g.fp);
     }
     return r;
   };
@@ -249,15 +264,8 @@ LearnResult Learner::learn_grad(nn::Controller& ctrl,
       const reach::GradFlowpipe& g = timed_grad(ctrl);
       const reach::Flowpipe& fp = g.fp;
 
-      IterationRecord rec;
+      IterationRecord rec = record(fp);
       rec.iter = global_iter;
-      if (fp.valid) {
-        rec.geo = geometric_metrics(fp, spec_);
-        rec.wass = wasserstein_metrics(fp, spec_, opt_.wopt);
-      } else {
-        rec.geo = geometric_penalty(spec_, fp);
-        rec.wass = wasserstein_penalty(spec_, fp);
-      }
       const MeasureGrad mg = measure_grad(g);
       rec.feasible = mg.m.feasible;
       if (mg.m.feasible && opt_.require_containment) {
@@ -560,18 +568,12 @@ LearnResult Learner::learn(nn::Controller& ctrl) const {
     for (; global_iter <= last_of_attempt; ++global_iter) {
       const reach::Flowpipe fp = timed_compute(ctrl);
 
-      IterationRecord rec;
+      // Both metric families go into the history; feasibility of the
+      // active one is read off the record, not recomputed.
+      IterationRecord rec = record(fp);
       rec.iter = global_iter;
-      if (fp.valid) {
-        rec.geo = geometric_metrics(fp, spec_);
-        rec.wass = wasserstein_metrics(fp, spec_, opt_.wopt);
-      } else {
-        rec.geo = geometric_penalty(spec_, fp);
-        rec.wass = wasserstein_penalty(spec_, fp);
-      }
-      const MetricPair m = measure(fp);
-      rec.feasible = m.feasible;
-      if (m.feasible && opt_.require_containment) {
+      rec.feasible = feasible(rec, fp);
+      if (rec.feasible && opt_.require_containment) {
         rec.feasible = analyze_flowpipe(fp, spec_).goal_certified;
       }
       res.history.push_back(rec);

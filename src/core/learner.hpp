@@ -161,6 +161,14 @@ class Learner {
     bool feasible = false;
   };
   MetricPair measure(const reach::Flowpipe& fp) const;
+  /// Wasserstein-mode feasibility: the pipe touches Xg and is certified
+  /// safe.
+  bool wasserstein_feasible(const reach::Flowpipe& fp) const;
+  /// Both metric families of one iterate (penalties for an invalid pipe);
+  /// `feasible` is left for the caller.
+  IterationRecord record(const reach::Flowpipe& fp) const;
+  /// measure(fp).feasible, read off an already computed record.
+  bool feasible(const IterationRecord& rec, const reach::Flowpipe& fp) const;
 
   /// The TmVerifier the gradient engine would differentiate through (the
   /// inner verifier when wrapped in a CachingVerifier); null when the

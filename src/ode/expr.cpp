@@ -74,32 +74,32 @@ ExprPtr cos(ExprPtr a) { return node(ExprOp::kCos, std::move(a)); }
 ExprPtr tanh(ExprPtr a) { return node(ExprOp::kTanh, std::move(a)); }
 ExprPtr exp(ExprPtr a) { return node(ExprOp::kExp, std::move(a)); }
 
-double Expr::eval(const linalg::Vec& xu) const {
+double Expr::eval(const double* x, std::size_t n, const double* u) const {
   switch (op) {
     case ExprOp::kConst:
       return value;
     case ExprOp::kVar:
-      return xu[var];
+      return var < n ? x[var] : u[var - n];
     case ExprOp::kAdd:
-      return a->eval(xu) + b->eval(xu);
+      return a->eval(x, n, u) + b->eval(x, n, u);
     case ExprOp::kMul:
-      return a->eval(xu) * b->eval(xu);
+      return a->eval(x, n, u) * b->eval(x, n, u);
     case ExprOp::kNeg:
-      return -a->eval(xu);
+      return -a->eval(x, n, u);
     case ExprOp::kPow: {
-      const double base = a->eval(xu);
+      const double base = a->eval(x, n, u);
       double r = 1.0;
       for (unsigned i = 0; i < power; ++i) r *= base;
       return r;
     }
     case ExprOp::kSin:
-      return std::sin(a->eval(xu));
+      return std::sin(a->eval(x, n, u));
     case ExprOp::kCos:
-      return std::cos(a->eval(xu));
+      return std::cos(a->eval(x, n, u));
     case ExprOp::kTanh:
-      return std::tanh(a->eval(xu));
+      return std::tanh(a->eval(x, n, u));
     case ExprOp::kExp:
-      return std::exp(a->eval(xu));
+      return std::exp(a->eval(x, n, u));
   }
   return 0.0;
 }

@@ -42,7 +42,12 @@ class Expr {
   ExprPtr b;                // second operand (kAdd/kMul)
 
   /// Numeric evaluation over the combined vector (x..., u...).
-  double eval(const linalg::Vec& xu) const;
+  double eval(const linalg::Vec& xu) const {
+    return eval(xu.data(), xu.size(), nullptr);
+  }
+  /// Numeric evaluation over the split vector: variable i reads x[i] for
+  /// i < n and u[i - n] otherwise, so no combined copy is built.
+  double eval(const double* x, std::size_t n, const double* u) const;
   /// Sound interval evaluation.
   interval::Interval eval(const interval::IVec& xu) const;
   /// Symbolic partial derivative with respect to variable i.

@@ -27,11 +27,8 @@ ExprSystem::ExprSystem(std::string name, std::size_t state_dim,
   }
 }
 
-Vec ExprSystem::f(const Vec& x, const Vec& u) const {
-  const Vec xu = linalg::concat(x, u);
-  Vec out(n_);
-  for (std::size_t i = 0; i < n_; ++i) out[i] = f_[i]->eval(xu);
-  return out;
+void ExprSystem::f_into(const double* x, const double* u, double* dx) const {
+  for (std::size_t i = 0; i < n_; ++i) dx[i] = f_[i]->eval(x, n_, u);
 }
 
 Mat ExprSystem::dfdx(const Vec& x, const Vec& u) const {

@@ -20,7 +20,7 @@ class ExprSystem final : public System {
   std::string name() const override { return name_; }
   std::size_t state_dim() const override { return n_; }
   std::size_t input_dim() const override { return m_; }
-  linalg::Vec f(const linalg::Vec& x, const linalg::Vec& u) const override;
+  void f_into(const double* x, const double* u, double* dx) const override;
   linalg::Mat dfdx(const linalg::Vec& x,
                    const linalg::Vec& u) const override;
   linalg::Mat dfdu(const linalg::Vec& x,

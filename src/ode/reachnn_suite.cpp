@@ -25,9 +25,9 @@ Poly mono(std::size_t nvars, std::initializer_list<std::uint32_t> exps,
 
 // ------------------------------------------------------------------ B1 ----
 
-Vec B1System::f(const Vec& x, const Vec& u) const {
-  assert(x.size() == 2 && u.size() == 1);
-  return Vec{x[1], u[0] * x[1] * x[1] - x[0]};
+void B1System::f_into(const double* x, const double* u, double* dx) const {
+  dx[0] = x[1];
+  dx[1] = u[0] * x[1] * x[1] - x[0];
 }
 
 Mat B1System::dfdx(const Vec& x, const Vec& u) const {
@@ -48,9 +48,9 @@ std::vector<Poly> B1System::poly_dynamics() const {
 
 // ------------------------------------------------------------------ B2 ----
 
-Vec B2System::f(const Vec& x, const Vec& u) const {
-  assert(x.size() == 2 && u.size() == 1);
-  return Vec{x[1] - x[0] * x[0] * x[0], u[0]};
+void B2System::f_into(const double* x, const double* u, double* dx) const {
+  dx[0] = x[1] - x[0] * x[0] * x[0];
+  dx[1] = u[0];
 }
 
 Mat B2System::dfdx(const Vec& x, const Vec&) const {
@@ -71,10 +71,10 @@ std::vector<Poly> B2System::poly_dynamics() const {
 
 // ------------------------------------------------------------------ B3 ----
 
-Vec B3System::f(const Vec& x, const Vec& u) const {
-  assert(x.size() == 2 && u.size() == 1);
+void B3System::f_into(const double* x, const double* u, double* dx) const {
   const double q = 0.1 + (x[0] + x[1]) * (x[0] + x[1]);
-  return Vec{-x[0] * q, (u[0] + x[0]) * q};
+  dx[0] = -x[0] * q;
+  dx[1] = (u[0] + x[0]) * q;
 }
 
 Mat B3System::dfdx(const Vec& x, const Vec& u) const {
@@ -102,10 +102,10 @@ std::vector<Poly> B3System::poly_dynamics() const {
 
 // ------------------------------------------------------------------ B4 ----
 
-Vec B4System::f(const Vec& x, const Vec& u) const {
-  assert(x.size() == 3 && u.size() == 1);
-  return Vec{-x[0] + x[1] - x[2], -x[0] * (x[2] + 1.0) - x[1],
-             -x[0] + u[0]};
+void B4System::f_into(const double* x, const double* u, double* dx) const {
+  dx[0] = -x[0] + x[1] - x[2];
+  dx[1] = -x[0] * (x[2] + 1.0) - x[1];
+  dx[2] = -x[0] + u[0];
 }
 
 Mat B4System::dfdx(const Vec& x, const Vec&) const {

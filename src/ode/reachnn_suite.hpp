@@ -20,7 +20,7 @@ class B1System final : public System {
   std::string name() const override { return "b1"; }
   std::size_t state_dim() const override { return 2; }
   std::size_t input_dim() const override { return 1; }
-  linalg::Vec f(const linalg::Vec& x, const linalg::Vec& u) const override;
+  void f_into(const double* x, const double* u, double* dx) const override;
   linalg::Mat dfdx(const linalg::Vec& x,
                    const linalg::Vec& u) const override;
   linalg::Mat dfdu(const linalg::Vec& x,
@@ -34,7 +34,7 @@ class B2System final : public System {
   std::string name() const override { return "b2"; }
   std::size_t state_dim() const override { return 2; }
   std::size_t input_dim() const override { return 1; }
-  linalg::Vec f(const linalg::Vec& x, const linalg::Vec& u) const override;
+  void f_into(const double* x, const double* u, double* dx) const override;
   linalg::Mat dfdx(const linalg::Vec& x,
                    const linalg::Vec& u) const override;
   linalg::Mat dfdu(const linalg::Vec& x,
@@ -48,7 +48,7 @@ class B3System final : public System {
   std::string name() const override { return "b3"; }
   std::size_t state_dim() const override { return 2; }
   std::size_t input_dim() const override { return 1; }
-  linalg::Vec f(const linalg::Vec& x, const linalg::Vec& u) const override;
+  void f_into(const double* x, const double* u, double* dx) const override;
   linalg::Mat dfdx(const linalg::Vec& x,
                    const linalg::Vec& u) const override;
   linalg::Mat dfdu(const linalg::Vec& x,
@@ -62,7 +62,7 @@ class B4System final : public System {
   std::string name() const override { return "b4"; }
   std::size_t state_dim() const override { return 3; }
   std::size_t input_dim() const override { return 1; }
-  linalg::Vec f(const linalg::Vec& x, const linalg::Vec& u) const override;
+  void f_into(const double* x, const double* u, double* dx) const override;
   linalg::Mat dfdx(const linalg::Vec& x,
                    const linalg::Vec& u) const override;
   linalg::Mat dfdu(const linalg::Vec& x,

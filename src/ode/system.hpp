@@ -1,11 +1,12 @@
 // Continuous-time control system interface: x' = f(x, u).
 //
 // Every system exposes three faces of the same dynamics:
-//  * numeric f (simulation),
+//  * numeric f (simulation), written in place through f_into,
 //  * analytic Jacobians df/dx, df/du (model-based baselines, SVG),
 //  * polynomial form (symbolic reachability with Taylor models).
 #pragma once
 
+#include <cassert>
 #include <memory>
 #include <optional>
 #include <string>
@@ -33,8 +34,19 @@ class System {
   virtual std::size_t state_dim() const = 0;
   virtual std::size_t input_dim() const = 0;
 
-  /// Vector field f(x, u).
-  virtual linalg::Vec f(const linalg::Vec& x, const linalg::Vec& u) const = 0;
+  /// Vector field f(x, u) written to dx: x holds state_dim() entries, u
+  /// input_dim(), dx state_dim(). dx must not alias x or u. This is the
+  /// one copy of each system's numeric dynamics; it must not allocate, so
+  /// the simulator's RK4 loop runs without heap traffic (DESIGN.md §17).
+  virtual void f_into(const double* x, const double* u, double* dx) const = 0;
+
+  /// Vector field f(x, u) as a new vector (wraps f_into).
+  linalg::Vec f(const linalg::Vec& x, const linalg::Vec& u) const {
+    assert(x.size() == state_dim() && u.size() == input_dim());
+    linalg::Vec dx(state_dim());
+    f_into(x.data(), u.data(), dx.data());
+    return dx;
+  }
 
   /// Jacobian of f with respect to the state (n x n).
   virtual linalg::Mat dfdx(const linalg::Vec& x,

@@ -21,9 +21,9 @@ Poly mono(std::size_t nvars, std::initializer_list<std::uint32_t> exps,
 
 // ---------------------------------------------------------------- ACC ----
 
-Vec AccSystem::f(const Vec& x, const Vec& u) const {
-  assert(x.size() == 2 && u.size() == 1);
-  return Vec{v_front_ - x[1], k_ * x[1] + u[0]};
+void AccSystem::f_into(const double* x, const double* u, double* dx) const {
+  dx[0] = v_front_ - x[1];
+  dx[1] = k_ * x[1] + u[0];
 }
 
 Mat AccSystem::dfdx(const Vec&, const Vec&) const {
@@ -50,9 +50,10 @@ std::optional<LtiForm> AccSystem::lti() const {
 
 // ---------------------------------------------------------- oscillator ----
 
-Vec VanDerPolSystem::f(const Vec& x, const Vec& u) const {
-  assert(x.size() == 2 && u.size() == 1);
-  return Vec{x[1], gamma_ * (1.0 - x[0] * x[0]) * x[1] - x[0] + u[0]};
+void VanDerPolSystem::f_into(const double* x, const double* u,
+                             double* dx) const {
+  dx[0] = x[1];
+  dx[1] = gamma_ * (1.0 - x[0] * x[0]) * x[1] - x[0] + u[0];
 }
 
 Mat VanDerPolSystem::dfdx(const Vec& x, const Vec&) const {
@@ -77,9 +78,10 @@ std::vector<Poly> VanDerPolSystem::poly_dynamics() const {
 
 // ------------------------------------------------------------- 3-D sys ----
 
-Vec Sys3d::f(const Vec& x, const Vec& u) const {
-  assert(x.size() == 3 && u.size() == 1);
-  return Vec{x[2] * x[2] * x[2] - x[1], x[2], u[0]};
+void Sys3d::f_into(const double* x, const double* u, double* dx) const {
+  dx[0] = x[2] * x[2] * x[2] - x[1];
+  dx[1] = x[2];
+  dx[2] = u[0];
 }
 
 Mat Sys3d::dfdx(const Vec& x, const Vec&) const {

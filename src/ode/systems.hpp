@@ -16,7 +16,7 @@ class AccSystem final : public System {
   std::string name() const override { return "acc"; }
   std::size_t state_dim() const override { return 2; }
   std::size_t input_dim() const override { return 1; }
-  linalg::Vec f(const linalg::Vec& x, const linalg::Vec& u) const override;
+  void f_into(const double* x, const double* u, double* dx) const override;
   linalg::Mat dfdx(const linalg::Vec& x,
                    const linalg::Vec& u) const override;
   linalg::Mat dfdu(const linalg::Vec& x,
@@ -41,7 +41,7 @@ class VanDerPolSystem final : public System {
   std::string name() const override { return "oscillator"; }
   std::size_t state_dim() const override { return 2; }
   std::size_t input_dim() const override { return 1; }
-  linalg::Vec f(const linalg::Vec& x, const linalg::Vec& u) const override;
+  void f_into(const double* x, const double* u, double* dx) const override;
   linalg::Mat dfdx(const linalg::Vec& x,
                    const linalg::Vec& u) const override;
   linalg::Mat dfdu(const linalg::Vec& x,
@@ -61,7 +61,7 @@ class Sys3d final : public System {
   std::string name() const override { return "sys3d"; }
   std::size_t state_dim() const override { return 3; }
   std::size_t input_dim() const override { return 1; }
-  linalg::Vec f(const linalg::Vec& x, const linalg::Vec& u) const override;
+  void f_into(const double* x, const double* u, double* dx) const override;
   linalg::Mat dfdx(const linalg::Vec& x,
                    const linalg::Vec& u) const override;
   linalg::Mat dfdu(const linalg::Vec& x,

@@ -12,10 +12,14 @@ McStats monte_carlo_rates(const ode::System& sys, const nn::Controller& ctrl,
   std::size_t safe = 0;
   std::size_t reached = 0;
   double reach_steps = 0.0;
+  // One rollout scratch for every sample; no Trace is built.
+  linalg::Vec x;
+  Rk4Work work(sys.state_dim());
   for (std::size_t i = 0; i < samples; ++i) {
-    const linalg::Vec x0 = spec.x0.sample(rng);
-    const Trace tr = simulate(sys, ctrl, x0, spec.delta, spec.steps, opt);
-    const TraceVerdict v = evaluate_trace(tr, spec);
+    x = spec.x0.sample(rng);
+    VerdictStream stream(spec, spec.steps, opt.substeps);
+    rollout(sys, ctrl, x, spec.delta, spec.steps, opt, work, stream);
+    const TraceVerdict v = stream.verdict();
     if (v.safe) ++safe;
     if (v.reached) {
       ++reached;

@@ -1,7 +1,8 @@
-// The dwv command line rejects malformed integer options loudly: a bad
+// The dwv command line rejects malformed numeric options loudly: a bad
 // value prints "error: --opt expects ..." and exits with status 2 before
 // any work starts, instead of being guessed (strtol garbage -> 0 -> auto,
-// negative values wrapping through size_t, unchecked narrowing).
+// negative values wrapping through size_t, unchecked narrowing, strtod
+// garbage -> 0.0, sscanf ignoring trailing characters).
 #include <sys/wait.h>
 
 #include <cstdio>
@@ -59,6 +60,51 @@ TEST(Cli, RejectsMalformedIntegerOptions) {
               std::string::npos)
         << c.args << "\n" << run.output;
   }
+}
+
+TEST(Cli, RejectsMalformedRtolAndShard) {
+  const struct {
+    const char* args;
+    const char* option;
+  } cases[] = {
+      {"verify acc --adaptive-rtol abc", "--adaptive-rtol"},
+      {"verify acc --adaptive-rtol 0", "--adaptive-rtol"},
+      {"verify acc --adaptive-rtol -1e-3", "--adaptive-rtol"},
+      {"verify acc --adaptive-rtol 1e-3x", "--adaptive-rtol"},
+      {"verify acc --adaptive-rtol ' 1e-3'", "--adaptive-rtol"},
+      {"verify acc --adaptive-rtol inf", "--adaptive-rtol"},
+      {"verify acc --adaptive-rtol nan", "--adaptive-rtol"},
+      {"verify acc --adaptive-rtol ''", "--adaptive-rtol"},
+      {"search acc --shard 1/2x", "--shard"},
+      {"search acc --shard 2/2", "--shard"},
+      {"search acc --shard 0/0", "--shard"},
+      {"search acc --shard 1", "--shard"},
+      {"search acc --shard /2", "--shard"},
+      {"search acc --shard 1/", "--shard"},
+      {"search acc --shard +0/2", "--shard"},
+      {"search acc --shard 0/+2", "--shard"},
+      {"search acc --shard ' 0/2'", "--shard"},
+      {"search acc --shard 0/2/3", "--shard"},
+      {"search acc --shard 0/99999999999999999999999", "--shard"},
+  };
+  for (const auto& c : cases) {
+    const CliRun run = run_cli(c.args);
+    EXPECT_EQ(run.status, 2) << c.args << "\n" << run.output;
+    EXPECT_NE(run.output.find(std::string("error: ") + c.option + " expects"),
+              std::string::npos)
+        << c.args << "\n" << run.output;
+  }
+}
+
+TEST(Cli, AcceptsWellFormedRtolAndShard) {
+  // Both values parse; each run then stops at its own, later check.
+  const CliRun rtol = run_cli("verify acc --adaptive-rtol 1e-3");
+  EXPECT_NE(rtol.output.find("verify requires --controller"),
+            std::string::npos)
+      << rtol.output;
+  const CliRun shard = run_cli("search acc --depth 1 --shard 1/2");
+  EXPECT_NE(shard.output.find("--shard requires --out"), std::string::npos)
+      << shard.output;
 }
 
 TEST(Cli, AcceptsWellFormedIntegerOptions) {

@@ -12,8 +12,10 @@
 //
 // Benchmarks: acc, oscillator, sys3d, b1, b2, b3, b4.
 // Integer option values are parsed strictly (whole string, base 10, within
-// the option's range; see kIntOptions): a malformed value prints
-// "error: --opt expects ..." and exits with status 2 before any work.
+// the option's range; see kIntOptions), and so are --adaptive-rtol (a
+// finite number > 0) and --shard (I/K, digits only, I < K): a malformed
+// value prints "error: --opt expects ..." and exits with status 2 before
+// any work.
 // Common options:
 //   --verifier linear|polar|reachnn|interval   (default: linear for acc,
 //                                               polar otherwise)
@@ -96,12 +98,16 @@
 //   --progress                print the growing certified coverage at
 //                             every round boundary (anytime output)
 #include <charconv>
+#include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <limits>
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <tuple>
+#include <utility>
 
 #include "core/initial_set.hpp"
 #include "core/learner.hpp"
@@ -161,6 +167,44 @@ long parse_int_option(const std::string& key, const std::string& value) {
   return v;
 }
 
+/// Strictly parses `value` as a finite number > 0 (--adaptive-rtol).
+double parse_positive_double(const std::string& key,
+                             const std::string& value) {
+  double v = 0.0;
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, v);
+  if (ec != std::errc() || ptr != end || !std::isfinite(v) || !(v > 0.0)) {
+    throw UsageError(key + " expects a finite number > 0, got '" + value +
+                     "'");
+  }
+  return v;
+}
+
+/// Strictly parses a --shard value "I/K": two base-10 digit strings with
+/// I < K <= 4096 (the --shards range).
+std::pair<std::size_t, std::size_t> parse_shard(const std::string& value) {
+  // from_chars takes no sign, space or prefix; the whole part must parse.
+  const auto digits = [](const std::string& t, std::size_t& out) {
+    const auto [ptr, ec] = std::from_chars(t.data(), t.data() + t.size(), out);
+    return ec == std::errc() && ptr == t.data() + t.size();
+  };
+  const std::size_t slash = value.find('/');
+  std::size_t i = 0, k = 0;
+  if (slash == std::string::npos || !digits(value.substr(0, slash), i) ||
+      !digits(value.substr(slash + 1), k) || i >= k || k > 4096) {
+    throw UsageError("--shard expects I/K with digits only and I < K <= "
+                     "4096, got '" + value + "'");
+  }
+  return {i, k};
+}
+
+/// Wall seconds elapsed since `start`.
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
 struct Args {
   std::string command;
   std::string benchmark;
@@ -174,10 +218,10 @@ struct Args {
     const auto it = options.find(key);
     return it == options.end() ? dflt : parse_int_option(key, it->second);
   }
-  double get_double(const std::string& key, double dflt) const {
+  double get_positive_double(const std::string& key, double dflt) const {
     const auto it = options.find(key);
-    return it == options.end() ? dflt : std::strtod(it->second.c_str(),
-                                                    nullptr);
+    return it == options.end() ? dflt
+                               : parse_positive_double(key, it->second);
   }
 };
 
@@ -226,7 +270,8 @@ reach::TmReachOptions tm_options(const Args& args) {
   if (args.options.count("--adaptive") ||
       args.options.count("--adaptive-rtol")) {
     opt.adaptive = true;
-    opt.adaptive_rtol = args.get_double("--adaptive-rtol", opt.adaptive_rtol);
+    opt.adaptive_rtol =
+        args.get_positive_double("--adaptive-rtol", opt.adaptive_rtol);
   }
   return opt;
 }
@@ -447,11 +492,13 @@ int cmd_learn(const Args& args) {
   }
   if (!res.success) return 1;
 
+  const auto mc_start = std::chrono::steady_clock::now();
   const sim::McStats mc = sim::monte_carlo_rates(
       *bench.system, *ctrl, bench.spec,
       static_cast<std::size_t>(args.get_long("--samples", 500)), 99);
-  std::printf("simulation: SC %.1f%%  GR %.1f%%\n", 100.0 * mc.safe_rate,
-              100.0 * mc.goal_rate);
+  std::printf("simulation: SC %.1f%%  GR %.1f%%  (%zu rollouts, %.3fs)\n",
+              100.0 * mc.safe_rate, 100.0 * mc.goal_rate, mc.samples,
+              seconds_since(mc_start));
 
   const std::string out = args.get("--controller", "");
   if (!out.empty()) {
@@ -552,15 +599,7 @@ int cmd_search(const Args& args) {
 
   const std::string shard_arg = args.get("--shard", "");
   if (!shard_arg.empty()) {
-    std::size_t i = 0, k = 0;
-    if (std::sscanf(shard_arg.c_str(), "%zu/%zu", &i, &k) != 2 || k == 0 ||
-        i >= k) {
-      std::fprintf(stderr, "--shard expects I/K with I < K (got '%s')\n",
-                   shard_arg.c_str());
-      return 2;
-    }
-    sopt.shard_index = i;
-    sopt.shards = k;
+    std::tie(sopt.shard_index, sopt.shards) = parse_shard(shard_arg);
   }
   const bool one_shard =
       sopt.shard_index != core::ShardSearchOptions::kAllShards;
@@ -684,12 +723,14 @@ int cmd_simulate(const Args& args) {
   const nn::ControllerPtr ctrl = nn::load_controller_file(path);
   const std::size_t samples =
       static_cast<std::size_t>(args.get_long("--samples", 500));
+  const auto mc_start = std::chrono::steady_clock::now();
   const sim::McStats mc = sim::monte_carlo_rates(
       *bench.system, *ctrl, bench.spec, samples,
       static_cast<std::uint64_t>(args.get_long("--seed", 1)));
-  std::printf("%zu runs: SC %.1f%%  GR %.1f%%  mean reach step %.1f\n",
-              mc.samples, 100.0 * mc.safe_rate, 100.0 * mc.goal_rate,
-              mc.mean_reach_step);
+  std::printf(
+      "%zu runs: SC %.1f%%  GR %.1f%%  mean reach step %.1f  (%.3fs)\n",
+      mc.samples, 100.0 * mc.safe_rate, 100.0 * mc.goal_rate,
+      mc.mean_reach_step, seconds_since(mc_start));
   return 0;
 }
 
@@ -714,9 +755,11 @@ int main(int argc, char** argv) {
   }
 
   try {
-    // Validate every integer option up front, before any work starts.
+    // Validate every numeric option up front, before any work starts.
     for (const auto& [key, value] : args.options) {
       if (kIntOptions.count(key) != 0) (void)parse_int_option(key, value);
+      if (key == "--adaptive-rtol") (void)parse_positive_double(key, value);
+      if (key == "--shard") (void)parse_shard(value);
     }
     if (args.command == "list") return cmd_list();
     if (args.command == "cache-compact") return cmd_cache_compact(args);
