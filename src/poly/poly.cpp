@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 namespace dwv::poly {
 
@@ -61,12 +63,13 @@ void decode_key(std::uint64_t key, std::size_t nvars, Exponents& out) {
   for (std::size_t i = 0; i < nvars; ++i) out[i] = key_exp(key, nvars, i);
 }
 
-void stable_sort_terms(std::vector<Term>& v, std::vector<Term>& tmp) {
+void stable_sort_terms(std::vector<Term>& v, std::vector<Term>& tmp,
+                       std::size_t run) {
   const std::size_t total = v.size();
   if (total < 2) return;
   std::vector<Term>* src = &v;
   std::vector<Term>* dst = &tmp;
-  for (std::size_t width = 1; width < total; width *= 2) {
+  for (std::size_t width = run; width < total; width *= 2) {
     dst->resize(total);
     for (std::size_t start = 0; start < total; start += 2 * width) {
       const std::size_t mid = std::min(start + width, total);
@@ -187,7 +190,7 @@ Poly& Poly::operator+=(const Poly& o) {
   thread_local Poly tmp;
   merge_into(*this, o, false, tmp);
   nvars_ = tmp.nvars_;
-  terms_ = tmp.terms_;
+  terms_.swap(tmp.terms_);
   return *this;
 }
 
@@ -195,7 +198,7 @@ Poly& Poly::operator-=(const Poly& o) {
   thread_local Poly tmp;
   merge_into(*this, o, true, tmp);
   nvars_ = tmp.nvars_;
-  terms_ = tmp.terms_;
+  terms_.swap(tmp.terms_);
   return *this;
 }
 
@@ -227,17 +230,35 @@ void Poly::coalesce_into(const std::vector<Term>& in, Poly& out) {
 
 namespace {
 
-// Conservative overflow guard for key addition: when the per-variable max
-// exponents of a and b can sum past the field capacity, adding keys could
-// silently corrupt neighbouring fields — a documented hard error instead.
+// Calls fn with the variable count as a compile-time constant for the
+// verifiers' shapes (2-4 variables), so the per-field loops unroll.
+template <typename Fn>
+void with_nvars(std::size_t nv, Fn&& fn) {
+  switch (nv) {
+    case 2: return fn(std::integral_constant<std::size_t, 2>{});
+    case 3: return fn(std::integral_constant<std::size_t, 3>{});
+    case 4: return fn(std::integral_constant<std::size_t, 4>{});
+    default: return fn(nv);
+  }
+}
+
+// Total degree of a packed key, free of key_degree's 32-bit wrap (two
+// 32-bit fields can sum past 2^32).
+template <typename N>
+std::uint64_t degree64(std::uint64_t key, N nv) {
+  const std::uint32_t b = key_bits(nv);
+  if (b == 0) return 0;
+  const std::uint64_t mask = key_field_mask(nv);
+  std::uint64_t d = 0;
+  for (std::size_t i = 0; i < nv; ++i, key >>= b) d += key & mask;
+  return d;
+}
+
+// Exact overflow guard for key addition: when some variable's exponents in
+// a and b can sum past its field, adding keys could silently corrupt the
+// neighbouring field — a documented hard error instead.
 void check_mul_overflow(const Poly& a, const Poly& b, std::size_t nv) {
-  if (key_bits(nv) == 0) return;  // constants only: keys are all zero
   const std::uint32_t cap = key_max_exp(nv);
-  std::uint32_t da = 0, db = 0;
-  for (const Term& t : a.terms()) da = std::max(da, key_degree(t.key, nv));
-  for (const Term& t : b.terms()) db = std::max(db, key_degree(t.key, nv));
-  if (da <= cap && db <= cap && da + db <= cap) return;  // common fast path
-  // Exact per-variable check before giving up.
   assert(nv <= 64);
   std::array<std::uint32_t, 64> ma{}, mb{};
   for (const Term& t : a.terms()) {
@@ -257,51 +278,152 @@ void check_mul_overflow(const Poly& a, const Poly& b, std::size_t nv) {
 
 }  // namespace
 
-void Poly::mul_into(const Poly& a, const Poly& b, Poly& out, PolyScratch& s) {
-  assert(&out != &a && &out != &b);
+void Poly::mul_trunc_into(const Poly& a, const Poly& b,
+                          std::uint32_t max_degree, Poly& out, Poly* dropped,
+                          PolyScratch& s) {
+  assert(&out != &a && &out != &b && &out != dropped);
+  assert(dropped != &a && dropped != &b);
   assert(a.nvars_ == b.nvars_ || a.is_zero() || b.is_zero());
-  out.reset(std::max(a.nvars_, b.nvars_));
+  const std::size_t nv = std::max(a.nvars_, b.nvars_);
+  out.reset(nv);
+  if (dropped) dropped->reset(nv);
   if (a.terms_.empty() || b.terms_.empty()) return;
-  check_mul_overflow(a, b, out.nvars_);
 
-  // Row-major products: run ia is key-sorted (b's keys ascend and key
-  // addition with a fixed a-key preserves order), so the buffer is |a|
-  // sorted runs of length |b| — in exactly the (ia, ib) order the old
-  // nested add_term loop accumulated in.
+  // Term degrees (the truncation test) and the operands' maximum degrees
+  // (the overflow fast path and the slot radix), once per term.
   const std::size_t na = a.terms_.size(), nb = b.terms_.size();
-  const std::size_t total = na * nb;
-  s.prod.resize(total);
-  std::size_t w = 0;
+  s.deg.resize(na + nb);
+  std::uint64_t da = 0, db = 0;
+  with_nvars(nv, [&](auto n) {
+    for (std::size_t i = 0; i < na; ++i) {
+      const std::uint64_t d = degree64(a.terms_[i].key, n);
+      s.deg[i] = static_cast<std::uint32_t>(d);
+      da = std::max(da, d);
+    }
+    for (std::size_t i = 0; i < nb; ++i) {
+      const std::uint64_t d = degree64(b.terms_[i].key, n);
+      s.deg[na + i] = static_cast<std::uint32_t>(d);
+      db = std::max(db, d);
+    }
+  });
+  // No variable's exponent exceeds the total degree, so only a degree sum
+  // past the field capacity needs the exact per-variable check.
+  if (key_bits(nv) != 0 && da + db > key_max_exp(nv))
+    check_mul_overflow(a, b, nv);
+  const bool cut = max_degree < da + db;  // some product may be truncated
+
+  // A one-term operand makes the products' keys ascend strictly: one
+  // contribution per key, emitted as formed. Zero products are skipped,
+  // like every accumulation path skips zero contributions.
+  if (na == 1 || nb == 1) {
+    for (std::size_t ia = 0; ia < na; ++ia) {
+      const Term& ta = a.terms_[ia];
+      for (std::size_t ib = 0; ib < nb; ++ib) {
+        const Term& tb = b.terms_[ib];
+        const double c = ta.coeff * tb.coeff;
+        if (c == 0.0) continue;
+        const std::uint64_t key = ta.key + tb.key;
+        // Wrapping degree sums equal key_degree(key): no field overflows.
+        if (cut && s.deg[ia] + s.deg[na + ib] > max_degree) {
+          if (dropped) dropped->terms_.push_back({key, c});
+        } else {
+          out.terms_.push_back({key, c});
+        }
+      }
+    }
+    return;
+  }
+
+  // Dense slots: a mixed-radix exponent index, variable 0 most significant,
+  // with a radix above every accumulated product's per-variable exponent —
+  // so slot order is key order and slot(a-term) + slot(b-term) is the
+  // product's slot. Products that are never formed do not bound the radix.
+  const std::uint64_t top =
+      dropped ? da + db : std::min<std::uint64_t>(da + db, max_degree);
+  const std::size_t radix = static_cast<std::size_t>(top) + 1;
+  bool dense = da + db < kMulSlotCap;
+  std::size_t slots = 1;
+  for (std::size_t i = 0; dense && i < nv; ++i) {
+    slots *= radix;
+    dense = slots <= kMulSlotCap;
+  }
+  if (!dense) {
+    // Exponent box above the table cap: the row-major products are |a|
+    // key-sorted runs; a stable merge keeps equal keys in ascending a-term
+    // order. Coalesce, then split.
+    s.prod.clear();
+    for (const Term& ta : a.terms_) {
+      for (const Term& tb : b.terms_)
+        s.prod.push_back({ta.key + tb.key, ta.coeff * tb.coeff});
+    }
+    stable_sort_terms(s.prod, s.tmp, nb);
+    coalesce_into(s.prod, out);
+    if (cut && dropped) out.split_by_degree_into(max_degree, *dropped);
+    else if (cut) out.truncate_discard(max_degree, 0.0);
+    return;
+  }
+
+  s.slot.resize(na + nb);
+  with_nvars(nv, [&](auto n) {
+    const std::uint32_t bits = key_bits(n);
+    const std::uint64_t mask = key_field_mask(n);
+    const auto slot_of = [&](std::uint64_t key) {
+      std::size_t k = 0;
+      for (std::size_t i = 0; i < n; ++i)
+        k = k * radix + ((key >> (bits * (n - 1 - i))) & mask);
+      return k;  // out of range only for terms above `top`: never formed
+    };
+    for (std::size_t i = 0; i < na; ++i) s.slot[i] = slot_of(a.terms_[i].key);
+    for (std::size_t i = 0; i < nb; ++i)
+      s.slot[na + i] = slot_of(b.terms_[i].key);
+  });
+  if (s.table.size() < slots) s.table.resize(slots);
+  // Two touched bitmaps: slots of kept products, then of products above
+  // max_degree (only with `dropped`; a slot's degree is fixed).
+  const std::size_t words = (slots + 63) / 64;
+  if (s.touched.size() < 2 * words) s.touched.resize(2 * words);
+
+  // Row-major accumulation: per slot the contributions arrive in ascending
+  // ia, the stable merge's order. A slot starts at +0.0 and 0.0 + x == x
+  // for every nonzero x, so accumulating from zero — also after an exact
+  // cancellation — is the merge's erase-and-reinsert bit for bit.
+  Term* const tab = s.table.data();
+  std::uint64_t* const touched = s.touched.data();
+  const std::uint32_t* const deg_b = s.deg.data() + na;
+  const std::size_t* const slot_b = s.slot.data() + na;
+  const bool skip = cut && !dropped;
   for (std::size_t ia = 0; ia < na; ++ia) {
     const Term& ta = a.terms_[ia];
+    const std::uint32_t dga = s.deg[ia];
+    const std::size_t sa = s.slot[ia];
     for (std::size_t ib = 0; ib < nb; ++ib) {
+      if (skip && dga + deg_b[ib] > max_degree) continue;
       const Term& tb = b.terms_[ib];
-      s.prod[w++] = {ta.key + tb.key, ta.coeff * tb.coeff};
+      const double c = ta.coeff * tb.coeff;
+      if (c == 0.0) continue;
+      const std::size_t k = sa + slot_b[ib];
+      tab[k].key = ta.key + tb.key;
+      tab[k].coeff += c;
+      const std::size_t high = dga + deg_b[ib] > max_degree ? words : 0;
+      touched[high + (k >> 6)] |= 1ull << (k & 63);
     }
   }
 
-  // Stable bottom-up merge of the runs: equal keys keep run order (lower
-  // ia first), i.e. the map's accumulation order per output monomial.
-  std::vector<Term>* src = &s.prod;
-  std::vector<Term>* dst = &s.tmp;
-  for (std::size_t width = nb; width < total; width *= 2) {
-    dst->resize(total);
-    for (std::size_t start = 0; start < total; start += 2 * width) {
-      const std::size_t mid = std::min(start + width, total);
-      const std::size_t end = std::min(start + 2 * width, total);
-      std::size_t i = start, j = mid, k = start;
-      while (i < mid && j < end) {
-        if ((*src)[i].key <= (*src)[j].key)
-          (*dst)[k++] = (*src)[i++];
-        else
-          (*dst)[k++] = (*src)[j++];
+  // Emit the nonzero slots in slot (= key) order, re-zeroing as we go.
+  const auto emit = [&](std::uint64_t* bitmap, std::vector<Term>& dst) {
+    for (std::size_t w = 0; w < words; ++w) {
+      std::uint64_t m = bitmap[w];
+      bitmap[w] = 0;
+      while (m != 0) {
+        Term& t = tab[w * 64 + static_cast<std::size_t>(std::countr_zero(m))];
+        m &= m - 1;
+        if (t.coeff != 0.0) dst.push_back(t);
+        t.coeff = 0.0;
       }
-      while (i < mid) (*dst)[k++] = (*src)[i++];
-      while (j < end) (*dst)[k++] = (*src)[j++];
     }
-    std::swap(src, dst);
-  }
-  coalesce_into(*src, out);
+  };
+  emit(touched, out.terms_);
+  if (dropped) emit(touched + words, dropped->terms_);
 }
 
 Poly operator*(const Poly& a, const Poly& b) {
@@ -422,10 +544,11 @@ void Poly::prune_small_into(double tol, Poly& dropped) {
 }
 
 void Poly::truncate_discard(std::uint32_t max_degree, double tol) {
+  const bool by_degree = max_degree != kNoDegreeCap;
   std::size_t w = 0;
   for (std::size_t i = 0; i < terms_.size(); ++i) {
     const Term& t = terms_[i];
-    if (key_degree(t.key, nvars_) > max_degree) continue;
+    if (by_degree && key_degree(t.key, nvars_) > max_degree) continue;
     if (tol > 0.0 && std::abs(t.coeff) <= tol && t.key != 0) continue;
     terms_[w++] = t;
   }

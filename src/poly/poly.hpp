@@ -102,17 +102,34 @@ inline std::uint32_t key_degree(std::uint64_t key, std::size_t nvars) {
 /// Unpacks a key into an exponent vector (resized to nvars).
 void decode_key(std::uint64_t key, std::size_t nvars, Exponents& out);
 
+/// Degree cap of Poly::mul_trunc_into that keeps every product.
+inline constexpr std::uint32_t kNoDegreeCap = 0xffffffffu;
+
+/// Largest exponent box (radix^nvars slots) the dense-slot multiply
+/// accumulates in; larger boxes take the stable-merge fallback.
+inline constexpr std::size_t kMulSlotCap = 4096;
+
 /// Reusable buffers for the multiply kernel (and stable key sorts). One
 /// per computation context; see TmScratch ownership rules in DESIGN.md §9.
 struct PolyScratch {
   std::vector<Term> prod;
   std::vector<Term> tmp;
+  /// Dense-slot multiply: per-term total degree and slot, a's terms first
+  /// and then b's.
+  std::vector<std::uint32_t> deg;
+  std::vector<std::size_t> slot;
+  /// Slot table and its touched bitmaps (kept slots, then slots above the
+  /// degree cap); all-zero between calls.
+  std::vector<Term> table;
+  std::vector<std::uint64_t> touched;
 };
 
 /// Stable bottom-up merge sort of terms by key (equal keys keep their
 /// input order — the property the bit-identity argument rests on). Uses
-/// `tmp` as scratch; no allocation once both vectors are warm.
-void stable_sort_terms(std::vector<Term>& v, std::vector<Term>& tmp);
+/// `tmp` as scratch; no allocation once both vectors are warm. When v is
+/// already made of key-sorted runs of length `run`, merging starts there.
+void stable_sort_terms(std::vector<Term>& v, std::vector<Term>& tmp,
+                       std::size_t run = 1);
 
 /// Sparse polynomial in `nvars` real variables.
 class Poly {
@@ -189,11 +206,23 @@ class Poly {
   static void add_into(const Poly& a, const Poly& b, Poly& out);
   /// out = a - b.
   static void sub_into(const Poly& a, const Poly& b, Poly& out);
-  /// out = a * b via key addition: the row-major product terms form |a|
-  /// key-sorted runs that are stable-merged and coalesced in lex order —
-  /// the exact accumulation order of the old nested add_term loop.
+  /// out = a * b: mul_trunc_into without a degree cap.
   static void mul_into(const Poly& a, const Poly& b, Poly& out,
-                       PolyScratch& s);
+                       PolyScratch& s) {
+    mul_trunc_into(a, b, kNoDegreeCap, out, nullptr, s);
+  }
+  /// Truncated product: out receives the terms of a * b of total degree
+  /// <= max_degree. With `dropped` the terms above it land there; without,
+  /// products above it are never formed. Bit-identical to mul_into
+  /// followed by split_by_degree_into(max_degree, *dropped) (or a degree
+  /// discard): the row-major products accumulate per key in ascending
+  /// a-term order, the exact order of the old nested add_term loop
+  /// (DESIGN.md section 9). Throws std::overflow_error when some variable's
+  /// exponents can sum past its key field, truncated or not. out and
+  /// dropped must not alias a, b or each other.
+  static void mul_trunc_into(const Poly& a, const Poly& b,
+                             std::uint32_t max_degree, Poly& out,
+                             Poly* dropped, PolyScratch& s);
   /// Appends a key-sorted contribution stream to out's terms, accumulating
   /// equal keys with add_term semantics (skip zero contributions, drop
   /// exact-zero running sums). The stream must be sorted with equal keys in

@@ -27,6 +27,26 @@ TaylorModel tm_add_const(const TaylorModel& a, double c) {
   return r;
 }
 
+namespace {
+
+// The full-channel tail of tm_truncate_inplace, for a kernel that already
+// left tm's terms above env.order in s.dropped: ranges the degree tail, then
+// the cutoff sweep of tm.poly, and folds both into tm.rem (same queries and
+// tape push, in the same order, as the sweep-based truncation).
+void fold_truncation_tail(const TmEnv& env, TaylorModel& tm) {
+  TmScratch& s = env.scratch();
+  Interval extra(0.0);
+  if (!s.dropped.is_zero()) extra += env.poly_range(s.dropped);
+  if (env.cutoff > 0.0) {
+    tm.poly.prune_small_into(env.cutoff, s.small);
+    if (!s.small.is_zero()) extra += env.poly_range(s.small);
+  }
+  if (s.rem_tape.mode == RemTape::kRecord) s.rem_tape.push(extra);
+  tm.rem += extra;
+}
+
+}  // namespace
+
 void tm_truncate_inplace(const TmEnv& env, TaylorModel& tm) {
   TmScratch& s = env.scratch();
   if (s.rem_tape.mode == RemTape::kReplay) {
@@ -44,14 +64,7 @@ void tm_truncate_inplace(const TmEnv& env, TaylorModel& tm) {
     return;
   }
   tm.poly.split_by_degree_into(env.order, s.dropped);
-  Interval extra(0.0);
-  if (!s.dropped.is_zero()) extra += env.poly_range(s.dropped);
-  if (env.cutoff > 0.0) {
-    tm.poly.prune_small_into(env.cutoff, s.small);
-    if (!s.small.is_zero()) extra += env.poly_range(s.small);
-  }
-  if (s.rem_tape.mode == RemTape::kRecord) s.rem_tape.push(extra);
-  tm.rem += extra;
+  fold_truncation_tail(env, tm);
 }
 
 TaylorModel tm_truncate(const TmEnv& env, TaylorModel tm) {
@@ -70,14 +83,18 @@ void tm_mul_into(const TmEnv& env, const TaylorModel& a, const TaylorModel& b,
     tm_truncate_inplace(env, out);
     return;
   }
+  // The kernel truncates while it multiplies: products above env.order
+  // are never formed (poly_only) or land straight in s.dropped.
   if (s.poly_only) {
-    Poly::mul_into(a.poly, b.poly, out.poly, s.pscratch);
+    Poly::mul_trunc_into(a.poly, b.poly, env.order, out.poly, nullptr,
+                         s.pscratch);
     out.rem = Interval(0.0);
-    tm_truncate_inplace(env, out);
+    out.poly.truncate_discard(poly::kNoDegreeCap, env.cutoff);  // prune only
     return;
   }
   // (pa + Ia)(pb + Ib) = pa pb + pa Ib + pb Ia + Ia Ib.
-  Poly::mul_into(a.poly, b.poly, out.poly, s.pscratch);
+  Poly::mul_trunc_into(a.poly, b.poly, env.order, out.poly, &s.dropped,
+                       s.pscratch);
   const Interval ra = env.poly_range(a.poly);
   const Interval rb = env.poly_range(b.poly);
   if (s.rem_tape.mode == RemTape::kRecord) {
@@ -85,7 +102,7 @@ void tm_mul_into(const TmEnv& env, const TaylorModel& a, const TaylorModel& b,
     s.rem_tape.push(rb);
   }
   out.rem = ra * b.rem + rb * a.rem + a.rem * b.rem;
-  tm_truncate_inplace(env, out);
+  fold_truncation_tail(env, out);
 }
 
 TaylorModel tm_mul(const TmEnv& env, const TaylorModel& a,
@@ -208,12 +225,16 @@ void tm_integrate_time_into(const TmEnv& env, const TaylorModel& tm,
     tm_truncate_inplace(env, out);
     return;
   }
+  TmScratch& s = env.scratch();
   const std::size_t nv = tm.poly.nvars();
   out.poly.reset(nv);
+  s.dropped.reset(nv);
   const std::uint64_t unit = 1ull << poly::key_shift(nv, time_var);
   const std::uint32_t cap = poly::key_max_exp(nv);
   // Adding `unit` to every key preserves order and injectivity, so terms
   // can be appended directly; zero quotients are skipped like add_term.
+  // Terms the +1 degree lifts past env.order go straight to the truncation
+  // tail (poly_only: nowhere), sparing tm_truncate_inplace's split sweep.
   for (const auto& [key, c] : tm.poly.terms()) {
     const std::uint32_t e2t = poly::key_exp(key, nv, time_var) + 1;
     if (e2t > cap) {
@@ -222,16 +243,20 @@ void tm_integrate_time_into(const TmEnv& env, const TaylorModel& tm,
     }
     const double q = c / static_cast<double>(e2t);
     if (q == 0.0) continue;
-    out.poly.push_term(key + unit, q);
+    if (poly::key_degree(key + unit, nv) <= env.order)
+      out.poly.push_term(key + unit, q);
+    else if (!s.poly_only)
+      s.dropped.push_term(key + unit, q);
   }
   // integral_0^tau e dtau' for |tau| <= tmax: contained in hull(0, rem*tmax).
-  if (env.scratch().poly_only) {
+  if (s.poly_only) {
     out.rem = Interval(0.0);
-  } else {
-    const double tmax = env.dom[time_var].mag();
-    out.rem = interval::hull(Interval(0.0), tm.rem * Interval(tmax));
+    out.poly.truncate_discard(poly::kNoDegreeCap, env.cutoff);  // prune only
+    return;
   }
-  tm_truncate_inplace(env, out);
+  const double tmax = env.dom[time_var].mag();
+  out.rem = interval::hull(Interval(0.0), tm.rem * Interval(tmax));
+  fold_truncation_tail(env, out);
 }
 
 TaylorModel tm_integrate_time(const TmEnv& env, const TaylorModel& tm,
