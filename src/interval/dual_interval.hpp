@@ -26,6 +26,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cassert>
 #include <cstddef>
 
@@ -118,46 +119,105 @@ inline DualInterval dual_neg(const DualInterval& a) {
   return r;
 }
 
-/// Product mirroring Interval::operator*= (min/max of the four endpoint
-/// products, then outward), with tie-averaged tangent selection.
-inline DualInterval dual_mul(const DualInterval& a, const DualInterval& b) {
-  assert(a.nd == b.nd);
-  const double al = a.v.lo(), ah = a.v.hi();
-  const double bl = b.v.lo(), bh = b.v.hi();
-  const double p[4] = {al * bl, al * bh, ah * bl, ah * bh};
+namespace detail {
+
+/// Tie-averaged tangents of one endpoint of a product: over the candidate
+/// products selected by `mask` (bit i: candidate i = (a side i >> 1, b side
+/// i & 1), 0 = lo, 1 = hi), folded in ascending candidate order, out[k] =
+/// 0.5 * (min + max) of the product-rule tangents
+/// da[k] * xb + xa * db[k]. An empty mask gives 0.5 * (0 + 0). `db` null
+/// means b's tangents are all zero: xa * 0.0 is then the same for every k.
+/// Exact: the products go through mul_exact (a value bound is subnormal).
+template <bool Exact>
+inline void tied_tangents(unsigned mask, const DualInterval& a,
+                          const double* const db[2], const double xa[2],
+                          const double xb[2], double* out) {
+  const auto mul = [](double x, double y) {
+    if constexpr (Exact) return mul_exact(x, y);
+    else return x * y;
+  };
+  const std::size_t nd = a.nd;
+  if (mask == 0) {
+    for (std::size_t k = 0; k < nd; ++k) out[k] = 0.5 * (0.0 + 0.0);
+    return;
+  }
+  double lo[DualInterval::kMaxDirs];
+  double hi[DualInterval::kMaxDirs];
+  for (bool first = true; mask != 0; mask &= mask - 1, first = false) {
+    const int i = std::countr_zero(mask);
+    const double* const da = (i >> 1) != 0 ? a.dhi.data() : a.dlo.data();
+    const double x_a = xa[i >> 1];
+    const double x_b = xb[i & 1];
+    const double* const d_b = db[i & 1];
+    const auto fold = [&](std::size_t k, double t) {
+      lo[k] = first ? t : std::min(lo[k], t);
+      hi[k] = first ? t : std::max(hi[k], t);
+    };
+    if (d_b == nullptr) {
+      const double z = mul(x_a, 0.0);
+      for (std::size_t k = 0; k < nd; ++k) fold(k, mul(da[k], x_b) + z);
+    } else {
+      for (std::size_t k = 0; k < nd; ++k)
+        fold(k, mul(da[k], x_b) + mul(x_a, d_b[k]));
+    }
+  }
+  for (std::size_t k = 0; k < nd; ++k) out[k] = 0.5 * (lo[k] + hi[k]);
+}
+
+/// a * [bl, bh] with b's tangent rows db (null: all zero). The value is
+/// Interval::operator*='s bits; when a value bound is subnormal every
+/// product, value and tangent, goes through mul_exact (no microcode
+/// assists, same bits). The tie masks are computed once per call.
+inline DualInterval dual_mul_rows(const DualInterval& a, double bl, double bh,
+                                  const double* const db[2]) {
+  const double xa[2] = {a.v.lo(), a.v.hi()};
+  const double xb[2] = {bl, bh};
+  const bool exact = is_subnormal(xa[0]) | is_subnormal(xa[1]) |
+                     is_subnormal(bl) | is_subnormal(bh);
+  double p[4];
+  if (exact) {
+    for (int i = 0; i < 4; ++i) p[i] = mul_exact(xa[i >> 1], xb[i & 1]);
+  } else {
+    for (int i = 0; i < 4; ++i) p[i] = xa[i >> 1] * xb[i & 1];
+  }
   const double mn = std::min({p[0], p[1], p[2], p[3]});
   const double mx = std::max({p[0], p[1], p[2], p[3]});
+  unsigned mn_mask = 0, mx_mask = 0;
+  for (int i = 0; i < 4; ++i) {
+    mn_mask |= static_cast<unsigned>(p[i] == mn) << i;
+    mx_mask |= static_cast<unsigned>(p[i] == mx) << i;
+  }
 
   DualInterval r;
   r.nd = a.nd;
   r.v = outward(Interval(mn, mx));
-  for (std::size_t k = 0; k < r.nd; ++k) {
-    // Product-rule tangents of the four candidates.
-    const double dp[4] = {
-        a.dlo[k] * bl + al * b.dlo[k], a.dlo[k] * bh + al * b.dhi[k],
-        a.dhi[k] * bl + ah * b.dlo[k], a.dhi[k] * bh + ah * b.dhi[k]};
-    double mn_lo = 0.0, mn_hi = 0.0, mx_lo = 0.0, mx_hi = 0.0;
-    bool mn_first = true, mx_first = true;
-    for (int i = 0; i < 4; ++i) {
-      if (p[i] == mn) {
-        mn_lo = mn_first ? dp[i] : std::min(mn_lo, dp[i]);
-        mn_hi = mn_first ? dp[i] : std::max(mn_hi, dp[i]);
-        mn_first = false;
-      }
-      if (p[i] == mx) {
-        mx_lo = mx_first ? dp[i] : std::min(mx_lo, dp[i]);
-        mx_hi = mx_first ? dp[i] : std::max(mx_hi, dp[i]);
-        mx_first = false;
-      }
-    }
-    r.dlo[k] = 0.5 * (mn_lo + mn_hi);
-    r.dhi[k] = 0.5 * (mx_lo + mx_hi);
+  if (exact) {
+    tied_tangents<true>(mn_mask, a, db, xa, xb, r.dlo.data());
+    tied_tangents<true>(mx_mask, a, db, xa, xb, r.dhi.data());
+  } else {
+    tied_tangents<false>(mn_mask, a, db, xa, xb, r.dlo.data());
+    tied_tangents<false>(mx_mask, a, db, xa, xb, r.dhi.data());
   }
   return r;
 }
 
+}  // namespace detail
+
+/// Product mirroring Interval::operator*= (min/max of the four endpoint
+/// products, then outward), with tie-averaged tangent selection: over the
+/// candidates equal to the min (max) product, the lower (upper) tangent
+/// is 0.5 * (min + max) of their product-rule tangents.
+inline DualInterval dual_mul(const DualInterval& a, const DualInterval& b) {
+  assert(a.nd == b.nd);
+  const double* const db[2] = {b.dlo.data(), b.dhi.data()};
+  return detail::dual_mul_rows(a, b.v.lo(), b.v.hi(), db);
+}
+
+/// dual_mul(a, DualInterval::constant(c, a.nd)), bit for bit, without
+/// forming the zero tangent rows.
 inline DualInterval dual_mul_const(const DualInterval& a, const Interval& c) {
-  return dual_mul(a, DualInterval::constant(c, a.nd));
+  const double* const db[2] = {nullptr, nullptr};
+  return detail::dual_mul_rows(a, c.lo(), c.hi(), db);
 }
 
 /// Mirrors interval::hull (no outward), tie-averaging equal endpoints.

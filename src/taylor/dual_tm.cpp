@@ -1,5 +1,6 @@
 #include "taylor/dual_tm.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 #include <utility>
@@ -66,16 +67,18 @@ DualTm dual_tm_scale(const DualTm& a, double s) {
   return dual_tm_scale_dir(a, s, kNoDir);
 }
 
-void dual_tm_truncate_inplace(const DualTmEnv& env, DualTm& tm) {
+namespace {
+
+// The tail of dual_tm_truncate_inplace, for a kernel that already left tm's
+// terms above env.order in s.dropped (every channel): ranges the degree
+// tail, then the value channel's cutoff sweep, and folds both into tm.rem
+// (the same queries, in the same order, as the sweep-based truncation).
+void fold_truncation_tail(const DualTmEnv& env, DualTm& tm) {
   DualTmScratch& s = env.scratch();
   const std::size_t nd = env.dirs;
-
-  // Degree split is structural (theta-independent), so both channels split.
-  tm.p.val.split_by_degree_into(env.order, s.dropped.val);
-  s.dropped.tan.resize(nd);
+  assert(s.dropped.dirs() == nd);
   bool tan_dropped = false;
   for (std::size_t k = 0; k < nd; ++k) {
-    tm.p.tan[k].split_by_degree_into(env.order, s.dropped.tan[k]);
     tan_dropped = tan_dropped || !s.dropped.tan[k].is_zero();
   }
 
@@ -106,17 +109,34 @@ void dual_tm_truncate_inplace(const DualTmEnv& env, DualTm& tm) {
   tm.rem = dual_add(tm.rem, extra);
 }
 
+}  // namespace
+
+void dual_tm_truncate_inplace(const DualTmEnv& env, DualTm& tm) {
+  DualTmScratch& s = env.scratch();
+  const std::size_t nd = env.dirs;
+  // Degree split is structural (theta-independent), so both channels split.
+  tm.p.val.split_by_degree_into(env.order, s.dropped.val);
+  s.dropped.tan.resize(nd);
+  for (std::size_t k = 0; k < nd; ++k) {
+    tm.p.tan[k].split_by_degree_into(env.order, s.dropped.tan[k]);
+  }
+  fold_truncation_tail(env, tm);
+}
+
 void dual_tm_mul_into(const DualTmEnv& env, const DualTm& a, const DualTm& b,
                       DualTm& out) {
   assert(&out != &a && &out != &b);
+  assert(a.p.dirs() == env.dirs);
   DualTmScratch& s = env.scratch();
-  poly::dual_mul_into(a.p, b.p, out.p, s.dps);
+  // The kernel truncates while it multiplies: every channel's products
+  // above env.order land straight in s.dropped.
+  poly::dual_mul_trunc_into(a.p, b.p, env.order, out.p, &s.dropped, s.dps);
   const DualInterval ra = dual_poly_range(env, a.p);
   const DualInterval rb = dual_poly_range(env, b.p);
   // ra * b.rem + rb * a.rem + a.rem * b.rem, left-associated as scalar.
   out.rem = dual_add(dual_add(dual_mul(ra, b.rem), dual_mul(rb, a.rem)),
                      dual_mul(a.rem, b.rem));
-  dual_tm_truncate_inplace(env, out);
+  fold_truncation_tail(env, out);
 }
 
 void dual_tm_pow_into(const DualTmEnv& env, const DualTm& a, std::uint32_t n,
@@ -174,9 +194,11 @@ void dual_tm_eval_poly_into(const DualTmEnv& env, const DualPoly& f,
 
   s.acc.assign_constant(env.nvars(), nd, 0.0, nullptr);
   double dc[DualInterval::kMaxDirs];
+  // Merge cursors into f's tangent channels: f's keys ascend.
+  std::size_t cur[DualInterval::kMaxDirs] = {};
   for (const auto& [key, c] : f.val.terms()) {
     for (std::size_t k = 0; k < nd; ++k) {
-      dc[k] = poly::coeff_of_key(f.tan[k], key);
+      dc[k] = poly::coeff_at_cursor(f.tan[k], cur[k], key);
     }
     s.term.assign_constant(env.nvars(), nd, c, dc);
     for (std::size_t i = 0; i < args.size(); ++i) {
@@ -218,6 +240,7 @@ void dual_tm_eval_poly_into(const DualTmEnv& env, const DualPoly& f,
       s.side_args[i].poly = args[i].p.val;
       s.side_args[i].rem = args[i].rem.v;
     }
+    std::fill(cur, cur + nd, 0);
     for (std::uint64_t key : s.fkeys) {
       s.side_term.assign_constant(env.nvars(), 1.0);
       for (std::size_t i = 0; i < args.size(); ++i) {
@@ -233,7 +256,7 @@ void dual_tm_eval_poly_into(const DualTmEnv& env, const DualPoly& f,
       }
       const double m2 = interval::mid2(s.side_term.rem);
       for (std::size_t k = 0; k < nd; ++k) {
-        const double d = poly::coeff_of_key(f.tan[k], key);
+        const double d = poly::coeff_at_cursor(f.tan[k], cur[k], key);
         if (d == 0.0) continue;
         s.dps.t1 = s.side_term.poly;
         s.dps.t1 *= d;
@@ -253,12 +276,16 @@ void dual_tm_integrate_time_into(const DualTmEnv& env, const DualTm& tm,
                                  std::size_t time_var, DualTm& out) {
   assert(time_var < env.nvars());
   assert(&out != &tm);
+  DualTmScratch& s = env.scratch();
   const std::size_t nd = env.dirs;
   const std::size_t nv = tm.p.val.nvars();
   out.p.reset(nv, nd);
+  s.dropped.reset(nv, nd);
   const std::uint64_t unit = 1ull << poly::key_shift(nv, time_var);
   const std::uint32_t cap = poly::key_max_exp(nv);
-  const auto integrate_channel = [&](const Poly& in, Poly& dst) {
+  // Terms the +1 degree lifts past env.order go straight to the truncation
+  // tail, sparing dual_tm_truncate_inplace's split sweep.
+  const auto integrate_channel = [&](const Poly& in, Poly& dst, Poly& drop) {
     for (const auto& [key, c] : in.terms()) {
       const std::uint32_t e2t = poly::key_exp(key, nv, time_var) + 1;
       if (e2t > cap) {
@@ -267,17 +294,20 @@ void dual_tm_integrate_time_into(const DualTmEnv& env, const DualTm& tm,
       }
       const double q = c / static_cast<double>(e2t);
       if (q == 0.0) continue;
-      dst.push_term(key + unit, q);
+      if (poly::key_degree(key + unit, nv) <= env.order)
+        dst.push_term(key + unit, q);
+      else
+        drop.push_term(key + unit, q);
     }
   };
-  integrate_channel(tm.p.val, out.p.val);
+  integrate_channel(tm.p.val, out.p.val, s.dropped.val);
   for (std::size_t k = 0; k < nd; ++k) {
-    integrate_channel(tm.p.tan[k], out.p.tan[k]);
+    integrate_channel(tm.p.tan[k], out.p.tan[k], s.dropped.tan[k]);
   }
   const double tmax = env.dom[time_var].mag();
   out.rem = dual_hull(DualInterval::constant(Interval(0.0), nd),
                       dual_mul_const(tm.rem, Interval(tmax)));
-  dual_tm_truncate_inplace(env, out);
+  fold_truncation_tail(env, out);
 }
 
 void dual_tm_subst_last_into(const DualTmEnv& env, const DualTm& tm, double c,

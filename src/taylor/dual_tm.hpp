@@ -6,7 +6,7 @@
 // bits are identical to the scalar pipeline's (tested bitwise in
 // tests/test_grad.cpp). Tangents ride along:
 //  - polynomial channel: exact product-rule arithmetic with the same
-//    mul_into/add_into kernels (d(ab) = (da)b + a(db));
+//    truncating multiply and add kernels (d(ab) = (da)b + a(db));
 //  - remainder channel: DualInterval ops with the central-difference tie
 //    convention of dual_interval.hpp;
 //  - zero-coefficient skips the scalar code makes (assign_constant drops
@@ -151,7 +151,9 @@ DualTm dual_tm_scale_dir(const DualTm& a, double s, std::size_t dir);
 /// perturbed runs keep the term (central-difference consistency).
 void dual_tm_truncate_inplace(const DualTmEnv& env, DualTm& tm);
 
-/// Mirrors tm_mul_into (same remainder formula, left-associated).
+/// Mirrors tm_mul_into (same remainder formula, left-associated): every
+/// channel's products above env.order go straight to the truncation tail
+/// (poly::dual_mul_trunc_into), no degree sweep.
 void dual_tm_mul_into(const DualTmEnv& env, const DualTm& a, const DualTm& b,
                       DualTm& out);
 
@@ -172,7 +174,8 @@ void dual_tm_eval_poly_into(const DualTmEnv& env, const poly::DualPoly& f,
                             const DualTmVec& args, DualTm& out);
 
 /// Mirrors tm_integrate_time_into (per-channel antiderivative; the
-/// remainder transport hull(0, rem * tmax) in dual arithmetic).
+/// remainder transport hull(0, rem * tmax) in dual arithmetic). Terms the
+/// time lift raises past env.order go straight to the truncation tail.
 void dual_tm_integrate_time_into(const DualTmEnv& env, const DualTm& tm,
                                  std::size_t time_var, DualTm& out);
 

@@ -2,10 +2,12 @@
 // value prints "error: --opt expects ..." and exits with status 2 before
 // any work starts, instead of being guessed (strtol garbage -> 0 -> auto,
 // negative values wrapping through size_t, unchecked narrowing, strtod
-// garbage -> 0.0, sscanf ignoring trailing characters).
+// garbage -> 0.0, sscanf ignoring trailing characters). Its --cache-stats
+// line counts the hits of both cache tiers.
 #include <sys/wait.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -112,6 +114,50 @@ TEST(Cli, AcceptsWellFormedIntegerOptions) {
       run_cli("search acc --depth 1 --threads 1 --batch 1 --shards 1");
   EXPECT_EQ(run.status, 0) << run.output;
   EXPECT_NE(run.output.find("X_I search:"), std::string::npos) << run.output;
+}
+
+// The "cache:" line of --cache-stats: total hits over both tiers, their
+// memory/disk split, the lookups and the hit rate. Returns false when the
+// line is missing or malformed.
+struct CacheLine {
+  unsigned long long hits = 0, memory = 0, disk = 0, lookups = 0;
+  double rate = -1.0;
+};
+bool parse_cache_line(const std::string& out, CacheLine& c) {
+  const std::size_t pos = out.find("cache: ");
+  if (pos == std::string::npos) return false;
+  return std::sscanf(out.c_str() + pos,
+                     "cache: %llu hits (%llu memory, %llu disk) / %llu "
+                     "lookups (%lf%%)",
+                     &c.hits, &c.memory, &c.disk, &c.lookups, &c.rate) == 5;
+}
+
+TEST(Cli, CacheStatsCountHitsOfBothTiers) {
+  // A warm --grad learn answers every lookup from the disk tier. The
+  // stats line must count those hits next to its 100.0% rate instead of
+  // printing the memory tier's 0.
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "dwv_cli_grad_cache";
+  std::filesystem::remove_all(dir);
+  const std::string cmd =
+      "learn acc --verifier linctrl --grad --samples 1 --cache-stats "
+      "--cache-dir '" + dir.string() + "'";
+  const CliRun cold = run_cli(cmd);
+  ASSERT_EQ(cold.status, 0) << cold.output;
+  const CliRun warm = run_cli(cmd);
+  ASSERT_EQ(warm.status, 0) << warm.output;
+  std::filesystem::remove_all(dir);
+
+  CacheLine c, w;
+  ASSERT_TRUE(parse_cache_line(cold.output, c)) << cold.output;
+  ASSERT_TRUE(parse_cache_line(warm.output, w)) << warm.output;
+  EXPECT_EQ(c.hits, c.memory + c.disk);
+  EXPECT_LT(c.hits, c.lookups);
+  EXPECT_EQ(w.hits, w.memory + w.disk);
+  EXPECT_EQ(w.hits, w.lookups);
+  EXPECT_EQ(w.lookups, c.lookups);
+  EXPECT_GT(w.disk, 0u);
+  EXPECT_NE(warm.output.find("(100.0%)"), std::string::npos) << warm.output;
 }
 
 }  // namespace

@@ -140,6 +140,55 @@ TEST(GradFlowpipeValue, BitIdenticalToScalarVerifier) {
   }
 }
 
+// FNV-1a over every value and tangent bit of the dual boxes: for each step
+// set, then each interval hull, every dimension's lo, hi, dlo[0..nd) and
+// dhi[0..nd).
+std::uint64_t dual_bits_digest(const GradFlowpipe& gfp) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](double x) {
+    std::uint64_t b;
+    std::memcpy(&b, &x, 8);
+    for (int i = 0; i < 8; ++i) {
+      h ^= (b >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const auto* sets : {&gfp.step_sets_d, &gfp.interval_hulls_d}) {
+    for (const std::vector<DualInterval>& box : *sets) {
+      for (const DualInterval& d : box) {
+        mix(d.v.lo());
+        mix(d.v.hi());
+        for (std::size_t k = 0; k < d.nd; ++k) mix(d.dlo[k]);
+        for (std::size_t k = 0; k < d.nd; ++k) mix(d.dhi[k]);
+      }
+    }
+  }
+  return h;
+}
+
+TEST(GradFlowpipeValue, TangentBitsPinned) {
+  // Golden digests of the dual pass's value and tangent bits per scenario,
+  // recorded before the dual kernels took exact products, tie masks, the
+  // range memo and the truncating multiply: those are pure speedups, so
+  // any moved bit is a regression. Learned parameters depend on the
+  // tangents, not only on the value channel BitIdenticalToScalarVerifier
+  // checks.
+  const std::uint64_t golden[] = {0x8e13c687b6517aebULL, 0xcf366f388d35c1bcULL,
+                                  0xf94d9ad2f62ecb63ULL};
+  const std::vector<Scenario> scenarios = all_scenarios();
+  ASSERT_EQ(scenarios.size(), std::size(golden));
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    const Scenario& s = scenarios[i];
+    SCOPED_TRACE(s.name);
+    const TmVerifier v = make_verifier(s);
+    const TmGradient g(v);
+    const GradFlowpipe gfp = g.compute(s.bench.spec.x0, *s.ctrl);
+    ASSERT_TRUE(gfp.fp.valid) << gfp.fp.failure;
+    EXPECT_EQ(dual_bits_digest(gfp), golden[i])
+        << std::hex << "0x" << dual_bits_digest(gfp);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Kernel-level finite differences: dual_tm_eval_poly_into with coefficient
 // tangents (including a tangent-only key whose value coefficient is zero).

@@ -17,8 +17,15 @@
 // value prints "error: --opt expects ..." and exits with status 2 before
 // any work.
 // Common options:
-//   --verifier linear|polar|reachnn|interval   (default: linear for acc,
-//                                               polar otherwise)
+//   --verifier linear|linctrl|poly|polar|reachnn|interval
+//                             linear: zonotope verifier (linear
+//                             controllers); the others are the TM engine
+//                             with a linear-feedback (linctrl), polynomial
+//                             (poly), POLAR, ReachNN or interval controller
+//                             abstraction. --grad needs linctrl or poly.
+//                             Default: linear for acc with a linear
+//                             controller, linctrl for other linear
+//                             controllers, polar otherwise
 //   --metric W|G              feedback metric for learning (default G)
 //   --controller FILE         controller file (learn: output; others: input)
 //   --seed N                  RNG seed (default 1)
@@ -400,10 +407,13 @@ void warn_if_sym_rem_ignored(const Args& args,
 }
 
 void print_cache_stats(const reach::CacheStats& s) {
+  // Total hits over both tiers, the numerator of the hit rate.
   std::printf(
-      "cache: %llu hits / %llu lookups (%.1f%%), %llu insertions, "
-      "%llu evictions\n",
+      "cache: %llu hits (%llu memory, %llu disk) / %llu lookups (%.1f%%), "
+      "%llu insertions, %llu evictions\n",
+      static_cast<unsigned long long>(s.hits + s.disk_hits),
       static_cast<unsigned long long>(s.hits),
+      static_cast<unsigned long long>(s.disk_hits),
       static_cast<unsigned long long>(s.lookups()), 100.0 * s.hit_rate(),
       static_cast<unsigned long long>(s.insertions),
       static_cast<unsigned long long>(s.evictions));
