@@ -292,7 +292,7 @@ void bench_sym_tightness(Results& out) {
   }
 }
 
-// --- search_initial_set: work-stealing + lanes vs level-synchronous ------
+// --- search_initial_set: lane groups vs one cell per call ----------------
 void bench_initial_set(Results& out) {
   const auto bm = ode::make_acc_benchmark();
   linalg::Mat k(1, 2);
@@ -304,10 +304,8 @@ void bench_initial_set(Results& out) {
   core::InitialSetOptions base;
   base.max_depth = 7;
   base.threads = 8;
-  base.work_steal = false;
   base.batch = 1;
   core::InitialSetOptions batched = base;
-  batched.work_steal = true;
   batched.batch = 0;
 
   core::InitialSetResult r_base, r_batch;
@@ -323,7 +321,7 @@ void bench_initial_set(Results& out) {
               std::bit_cast<std::uint64_t>(r_base.coverage) ==
                   std::bit_cast<std::uint64_t>(r_batch.coverage) &&
               r_base.verifier_calls == r_batch.verifier_calls,
-          "work-stealing X_I == level-synchronous X_I");
+          "lane-batched X_I == per-cell X_I");
   std::printf("initial_set: %zu calls, %zu certified, %zu rejected\n",
               r_base.verifier_calls, r_base.certified.size(),
               r_base.rejected.size());

@@ -14,8 +14,8 @@
 #include "core/learner.hpp"
 #include "core/verdict.hpp"
 #include "ode/benchmarks.hpp"
-#include "reach/linear_reach.hpp"
 #include "reach/tm_flowpipe.hpp"
+#include "reach/verifier_kinds.hpp"
 #include "rl/ddpg.hpp"
 #include "rl/svg.hpp"
 #include "sim/monte_carlo.hpp"
@@ -122,23 +122,12 @@ inline nn::MlpController make_nn_controller(const ode::Benchmark& bench,
   return ctrl;
 }
 
-/// Verifier factories by name ("linear", "polar", "reachnn", "interval").
+/// Verifier by kind name (reach::make_verifier: "linear", "linctrl",
+/// "poly", "polar", "reachnn", "interval"; unknown kinds throw).
 inline reach::VerifierPtr make_verifier(const ode::Benchmark& bench,
                                         const std::string& kind,
                                         reach::TmReachOptions tm_opt = {}) {
-  if (kind == "linear") {
-    return std::make_shared<reach::LinearVerifier>(bench.system, bench.spec);
-  }
-  reach::ControlAbstractionPtr abs;
-  if (kind == "polar") {
-    abs = std::make_shared<reach::PolarAbstraction>();
-  } else if (kind == "reachnn") {
-    abs = std::make_shared<reach::ReachNnAbstraction>();
-  } else {
-    abs = std::make_shared<reach::IntervalAbstraction>();
-  }
-  return std::make_shared<reach::TmVerifier>(bench.system, bench.spec, abs,
-                                             tm_opt);
+  return reach::make_verifier(kind, bench.system, bench.spec, tm_opt);
 }
 
 // ------------------------------------------------------------------------

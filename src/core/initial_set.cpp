@@ -1,137 +1,11 @@
 #include "core/initial_set.hpp"
 
-#include <algorithm>
-#include <atomic>
-#include <cstdint>
-#include <memory>
 #include <stdexcept>
 #include <string>
 
-#include "core/verdict.hpp"
-#include "parallel/pool.hpp"
-#include "parallel/work_steal.hpp"
-#include "reach/batch.hpp"
-#include "reach/cache.hpp"
-#include "reach/tm_flowpipe.hpp"
+#include "core/search_shard.hpp"
 
 namespace dwv::core {
-
-namespace {
-
-// The work-stealing frontier scheduler. Deterministic despite the
-// scheduling nondeterminism: every cell carries its heap sequence number
-// (root 1, children 2s and 2s+1), terminal decisions are recorded per
-// worker, and the merge sorts them by sequence number — which is exactly
-// the breadth-first emission order of the level-synchronous path, so the
-// certified/rejected lists and the volume accumulation order (hence every
-// bit of the coverage sum) are reproduced.
-InitialSetResult search_work_steal(const reach::Verifier& verifier,
-                                   const ode::ReachAvoidSpec& spec,
-                                   const nn::Controller& ctrl,
-                                   const InitialSetOptions& opt,
-                                   const reach::TmVerifier* tmv) {
-  struct Cell {
-    geom::Box box;
-    std::size_t depth;
-    std::uint64_t seq;
-    std::shared_ptr<const reach::TmSymbolicPrefix> parent;
-  };
-  struct Record {
-    std::uint64_t seq;
-    geom::Box box;
-    bool certified;
-  };
-
-  const std::size_t threads = parallel::resolve_threads(opt.threads);
-  const reach::BatchVerifier bv(&verifier, opt.batch);
-  // The symbolic prefix-reuse path goes through the TM lockstep driver
-  // (compute_symbolic_batch), which replays each cell's own parent prefix
-  // per lane; everything else goes through the batch engine.
-  const std::size_t width = bv.batch();
-
-  std::vector<std::vector<Record>> records(threads);
-  std::atomic<std::size_t> calls{0};
-
-  const auto body = [&](Cell* first,
-                        parallel::WorkStealContext<Cell*>& ctx) {
-    std::vector<Cell*> group{first};
-    Cell* extra = nullptr;
-    while (group.size() < width && ctx.try_pop(extra))
-      group.push_back(extra);
-
-    std::vector<reach::Flowpipe> fps(group.size());
-    std::vector<std::shared_ptr<const reach::TmSymbolicPrefix>> prefixes(
-        tmv != nullptr ? group.size() : 0);
-    if (tmv != nullptr) {
-      std::vector<reach::TmBatchJob> jobs;
-      jobs.reserve(group.size());
-      for (const Cell* c : group)
-        jobs.push_back({c->box, &ctrl, c->parent.get()});
-      std::vector<reach::TmComputeResult> rs =
-          tmv->compute_symbolic_batch(jobs, group.size());
-      for (std::size_t g = 0; g < group.size(); ++g) {
-        fps[g] = std::move(rs[g].fp);
-        prefixes[g] = std::move(rs[g].prefix);
-      }
-    } else {
-      std::vector<reach::BatchJob> jobs;
-      jobs.reserve(group.size());
-      for (const Cell* c : group) jobs.push_back({c->box, &ctrl});
-      fps = bv.compute(jobs);
-    }
-
-    for (std::size_t g = 0; g < group.size(); ++g) {
-      Cell* cell = group[g];
-      const FlowpipeFacts facts = analyze_flowpipe(fps[g], spec);
-      const bool safe_ok = !opt.check_safety || facts.safe_certified;
-      const bool certify =
-          fps[g].valid && safe_ok && facts.goal_certified;
-      if (certify) {
-        records[ctx.worker()].push_back({cell->seq, cell->box, true});
-      } else if (cell->depth < opt.max_depth) {
-        auto [lo, hi] = cell->box.bisect();
-        std::shared_ptr<const reach::TmSymbolicPrefix> prefix;
-        if (tmv != nullptr) prefix = std::move(prefixes[g]);
-        ctx.spawn(new Cell{std::move(lo), cell->depth + 1, 2 * cell->seq,
-                           prefix});
-        ctx.spawn(new Cell{std::move(hi), cell->depth + 1,
-                           2 * cell->seq + 1, std::move(prefix)});
-      } else {
-        records[ctx.worker()].push_back({cell->seq, cell->box, false});
-      }
-      delete cell;
-    }
-    calls.fetch_add(group.size(), std::memory_order_relaxed);
-  };
-
-  std::vector<Cell*> roots{new Cell{spec.x0, 0, 1, nullptr}};
-  parallel::work_steal_run(threads, roots, body);
-
-  std::vector<Record> merged;
-  for (auto& r : records) {
-    merged.insert(merged.end(), std::make_move_iterator(r.begin()),
-                  std::make_move_iterator(r.end()));
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const Record& a, const Record& b) { return a.seq < b.seq; });
-
-  InitialSetResult res;
-  res.verifier_calls = calls.load(std::memory_order_relaxed);
-  double certified_volume = 0.0;
-  const double total_volume = spec.x0.volume();
-  for (Record& r : merged) {
-    if (r.certified) {
-      certified_volume += r.box.volume();
-      res.certified.push_back(std::move(r.box));
-    } else {
-      res.rejected.push_back(std::move(r.box));
-    }
-  }
-  res.coverage = total_volume > 0.0 ? certified_volume / total_volume : 0.0;
-  return res;
-}
-
-}  // namespace
 
 void validate_search_depth(std::size_t max_depth) {
   if (max_depth > kMaxSearchDepth) {
@@ -147,87 +21,13 @@ InitialSetResult search_initial_set(const reach::Verifier& verifier,
                                     const ode::ReachAvoidSpec& spec,
                                     const nn::Controller& ctrl,
                                     const InitialSetOptions& opt) {
-  validate_search_depth(opt.max_depth);
-  InitialSetResult res;
-
-  // Parent-prefix reuse needs the symbolic TmVerifier interface; unwrap
-  // one CachingVerifier layer if present (a within-search cache would
-  // never hit anyway — branch-and-refine visits each box exactly once).
-  const reach::TmVerifier* tmv = nullptr;
-  if (opt.reuse_parent_prefix) {
-    tmv = dynamic_cast<const reach::TmVerifier*>(&verifier);
-    if (tmv == nullptr) {
-      if (const auto* cv =
-              dynamic_cast<const reach::CachingVerifier*>(&verifier)) {
-        tmv = dynamic_cast<const reach::TmVerifier*>(cv->inner().get());
-      }
-    }
-  }
-
-  if (opt.work_steal) return search_work_steal(verifier, spec, ctrl, opt, tmv);
-
-  struct Cell {
-    geom::Box box;
-    std::size_t depth;
-    /// Symbolic prefix of the parent cell's flowpipe (null at the root or
-    /// when reuse is off): the child restricts it instead of
-    /// re-integrating the shared prefix from t = 0.
-    std::shared_ptr<const reach::TmSymbolicPrefix> parent;
-  };
-  // Level-synchronous branch-and-refine: every cell of a refinement level
-  // is an independent verifier call, so the whole frontier fans out across
-  // the pool; certify/bisect/reject decisions are then applied in frontier
-  // order on this thread, keeping the result deterministic at any thread
-  // count (and identical to the serial breadth-first traversal).
-  std::vector<Cell> frontier{{spec.x0, 0, nullptr}};
-
-  double certified_volume = 0.0;
-  const double total_volume = spec.x0.volume();
-
-  while (!frontier.empty()) {
-    // vector<char>, not vector<bool>: tasks write distinct elements
-    // concurrently, which packed bits would turn into a data race.
-    std::vector<char> certify(frontier.size(), 0);
-    std::vector<std::shared_ptr<const reach::TmSymbolicPrefix>> prefixes(
-        tmv != nullptr ? frontier.size() : 0);
-    parallel::parallel_for(
-        opt.threads, frontier.size(), [&](std::size_t i) {
-          reach::Flowpipe fp;
-          if (tmv != nullptr) {
-            reach::TmComputeResult r = tmv->compute_symbolic(
-                frontier[i].box, ctrl, frontier[i].parent.get());
-            fp = std::move(r.fp);
-            prefixes[i] = std::move(r.prefix);
-          } else {
-            fp = verifier.compute(frontier[i].box, ctrl);
-          }
-          const FlowpipeFacts facts = analyze_flowpipe(fp, spec);
-          const bool safe_ok = !opt.check_safety || facts.safe_certified;
-          certify[i] = fp.valid && safe_ok && facts.goal_certified;
-        });
-    res.verifier_calls += frontier.size();
-
-    std::vector<Cell> next;
-    for (std::size_t i = 0; i < frontier.size(); ++i) {
-      const Cell& cell = frontier[i];
-      if (certify[i]) {
-        certified_volume += cell.box.volume();
-        res.certified.push_back(cell.box);
-      } else if (cell.depth < opt.max_depth) {
-        auto [lo, hi] = cell.box.bisect();
-        std::shared_ptr<const reach::TmSymbolicPrefix> prefix;
-        if (tmv != nullptr) prefix = std::move(prefixes[i]);
-        next.push_back({lo, cell.depth + 1, prefix});
-        next.push_back({hi, cell.depth + 1, std::move(prefix)});
-      } else {
-        res.rejected.push_back(cell.box);
-      }
-    }
-    frontier = std::move(next);
-  }
-
-  res.coverage = total_volume > 0.0 ? certified_volume / total_volume : 0.0;
-  return res;
+  // The one-shard case of the sharded engine: a prefix grain of one stops
+  // the prefix expansion at the root, so the whole tree is one unbounded
+  // round of the work-stealing frontier (DESIGN.md §11, §16).
+  ShardSearchOptions so;
+  so.base = opt;
+  so.prefix_grain = 1;
+  return search_initial_set_sharded(verifier, spec, ctrl, so);
 }
 
 void put(reach::ser::Writer& w, const InitialSetResult& v) {

@@ -290,11 +290,38 @@ class CheckpointFile {
 
 // --- Engine -------------------------------------------------------------
 
+// Algorithm 2's verdict on one verified cell: a valid pipe that provably
+// reaches the goal (and stays safe, when asked) certifies it.
+bool certifies(const reach::Flowpipe& fp, const ode::ReachAvoidSpec& spec,
+               bool check_safety) {
+  const FlowpipeFacts facts = analyze_flowpipe(fp, spec);
+  return fp.valid && (!check_safety || facts.safe_certified) &&
+         facts.goal_certified;
+}
+
+// Settles one verified cell: a terminal record (certified, or rejected at
+// max depth) goes to `record`; otherwise its two bisection children (heap
+// sequence numbers 2s and 2s+1, both restricting the cell's recorded
+// prefix) go to `spawn`.
+template <class Record, class Spawn>
+void decide(PendingCell&& cell, bool certified, std::size_t max_depth,
+            std::shared_ptr<const reach::TmSymbolicPrefix> prefix,
+            const Record& record, const Spawn& spawn) {
+  if (certified || cell.depth >= max_depth) {
+    record(ShardRecord{cell.seq, std::move(cell.box), certified});
+    return;
+  }
+  auto [lo, hi] = cell.box.bisect();
+  spawn(PendingCell{std::move(lo), cell.depth + 1, 2 * cell.seq, prefix});
+  spawn(PendingCell{std::move(hi), cell.depth + 1, 2 * cell.seq + 1,
+                    std::move(prefix)});
+}
+
 // Deterministic level-synchronous expansion of the shared tree prefix:
 // every process expands the same levels from the root, so the frontier at
 // the stop point — and therefore the round-robin shard partition of it —
 // is a pure function of the search configuration, independent of
-// scheduling. Mirrors the level-synchronous path of search_initial_set.
+// scheduling.
 void expand_level(const reach::Verifier& verifier,
                   const ode::ReachAvoidSpec& spec, const nn::Controller& ctrl,
                   const ShardSearchOptions& opt, const reach::TmVerifier* tmv,
@@ -306,8 +333,7 @@ void expand_level(const reach::Verifier& verifier,
           ? per_shard * std::max<std::size_t>(opt.shards, 1)
           : per_shard;
   std::vector<char> certify(n, 0);
-  std::vector<std::shared_ptr<const reach::TmSymbolicPrefix>> prefixes(
-      tmv != nullptr ? n : 0);
+  std::vector<std::shared_ptr<const reach::TmSymbolicPrefix>> prefixes(n);
   parallel::parallel_for(threads, n, [&](std::size_t i) {
     reach::Flowpipe fp;
     if (tmv != nullptr) {
@@ -318,29 +344,19 @@ void expand_level(const reach::Verifier& verifier,
     } else {
       fp = verifier.compute(st.pending[i].box, ctrl);
     }
-    const FlowpipeFacts facts = analyze_flowpipe(fp, spec);
-    const bool safe_ok = !opt.base.check_safety || facts.safe_certified;
-    certify[i] = fp.valid && safe_ok && facts.goal_certified;
+    certify[i] = certifies(fp, spec, opt.base.check_safety);
   });
   st.calls += n;
 
   std::vector<PendingCell> next;
+  const auto record = [&](ShardRecord&& r) {
+    st.records.push_back(std::move(r));
+    st.note(st.records.back());
+  };
+  const auto spawn = [&](PendingCell&& c) { next.push_back(std::move(c)); };
   for (std::size_t i = 0; i < n; ++i) {
-    PendingCell& cell = st.pending[i];
-    if (certify[i]) {
-      st.records.push_back({cell.seq, std::move(cell.box), true});
-      st.note(st.records.back());
-    } else if (cell.depth < opt.base.max_depth) {
-      auto [lo, hi] = cell.box.bisect();
-      std::shared_ptr<const reach::TmSymbolicPrefix> prefix;
-      if (tmv != nullptr) prefix = std::move(prefixes[i]);
-      next.push_back({std::move(lo), cell.depth + 1, 2 * cell.seq, prefix});
-      next.push_back(
-          {std::move(hi), cell.depth + 1, 2 * cell.seq + 1, std::move(prefix)});
-    } else {
-      st.records.push_back({cell.seq, std::move(cell.box), false});
-      st.note(st.records.back());
-    }
+    decide(std::move(st.pending[i]), certify[i] != 0, opt.base.max_depth,
+           std::move(prefixes[i]), record, spawn);
   }
   st.pending = std::move(next);
 }
@@ -351,25 +367,21 @@ struct FrontierOut {
   std::uint64_t calls = 0;
 };
 
-// One shard's work-stealing frontier run, bounded by the round budget:
-// the body of core::search_initial_set's work-steal scheduler plus a shunt
-// — once `budget` cells have been claimed in this round, every further
-// popped cell goes, unverified, to the leftover frontier, so the pool
-// drains to a quiescent point fit for a snapshot. Which cells land in
-// which round is scheduling-dependent; the terminal records are not.
+// One shard's work-stealing frontier run, bounded by the round budget.
+// Each worker pops up to a batch width of cells, verifies them as one
+// group, and certifies, bisects (spawning children 2s and 2s+1) or
+// rejects each; records are merged by heap sequence number afterwards, so
+// scheduling never shows in the result. Once `budget` cells have been
+// claimed in this round, every further popped cell goes, unverified, to
+// the leftover frontier, so the pool drains to a quiescent point fit for a
+// snapshot. Which cells land in which round is scheduling-dependent; the
+// terminal records are not.
 void run_frontier(const reach::Verifier& verifier,
                   const ode::ReachAvoidSpec& spec, const nn::Controller& ctrl,
                   const InitialSetOptions& base, const reach::TmVerifier* tmv,
                   std::vector<PendingCell> roots,
                   std::atomic<std::size_t>& budget, std::size_t budget_limit,
                   FrontierOut& out) {
-  struct Cell {
-    geom::Box box;
-    std::size_t depth;
-    std::uint64_t seq;
-    std::shared_ptr<const reach::TmSymbolicPrefix> parent;
-  };
-
   const std::size_t threads = parallel::resolve_threads(base.threads);
   const reach::BatchVerifier bv(&verifier, base.batch);
   const std::size_t width = bv.batch();
@@ -378,16 +390,15 @@ void run_frontier(const reach::Verifier& verifier,
   std::vector<std::vector<PendingCell>> leftovers(threads);
   std::atomic<std::size_t> calls{0};
 
-  const auto body = [&](Cell* first, parallel::WorkStealContext<Cell*>& ctx) {
+  const auto body = [&](PendingCell* first,
+                        parallel::WorkStealContext<PendingCell*>& ctx) {
     if (budget.fetch_add(1, std::memory_order_relaxed) >= budget_limit) {
-      leftovers[ctx.worker()].push_back({std::move(first->box), first->depth,
-                                         first->seq,
-                                         std::move(first->parent)});
+      leftovers[ctx.worker()].push_back(std::move(*first));
       delete first;
       return;
     }
-    std::vector<Cell*> group{first};
-    Cell* extra = nullptr;
+    std::vector<PendingCell*> group{first};
+    PendingCell* extra = nullptr;
     while (group.size() < width && ctx.try_pop(extra)) {
       // Extras ride the group past the budget check (overshoot of at most
       // one batch width per round — the cadence is approximate by design).
@@ -397,11 +408,11 @@ void run_frontier(const reach::Verifier& verifier,
 
     std::vector<reach::Flowpipe> fps(group.size());
     std::vector<std::shared_ptr<const reach::TmSymbolicPrefix>> prefixes(
-        tmv != nullptr ? group.size() : 0);
+        group.size());
     if (tmv != nullptr) {
       std::vector<reach::TmBatchJob> jobs;
       jobs.reserve(group.size());
-      for (const Cell* c : group)
+      for (const PendingCell* c : group)
         jobs.push_back({c->box, &ctrl, c->parent.get()});
       std::vector<reach::TmComputeResult> rs =
           tmv->compute_symbolic_batch(jobs, group.size());
@@ -412,39 +423,27 @@ void run_frontier(const reach::Verifier& verifier,
     } else {
       std::vector<reach::BatchJob> jobs;
       jobs.reserve(group.size());
-      for (const Cell* c : group) jobs.push_back({c->box, &ctrl});
+      for (const PendingCell* c : group) jobs.push_back({c->box, &ctrl});
       fps = bv.compute(jobs);
     }
 
+    const auto record = [&](ShardRecord&& r) {
+      records[ctx.worker()].push_back(std::move(r));
+    };
+    const auto spawn = [&](PendingCell&& c) {
+      ctx.spawn(new PendingCell(std::move(c)));
+    };
     for (std::size_t g = 0; g < group.size(); ++g) {
-      Cell* cell = group[g];
-      const FlowpipeFacts facts = analyze_flowpipe(fps[g], spec);
-      const bool safe_ok = !base.check_safety || facts.safe_certified;
-      const bool certify = fps[g].valid && safe_ok && facts.goal_certified;
-      if (certify) {
-        records[ctx.worker()].push_back({cell->seq, cell->box, true});
-      } else if (cell->depth < base.max_depth) {
-        auto [lo, hi] = cell->box.bisect();
-        std::shared_ptr<const reach::TmSymbolicPrefix> prefix;
-        if (tmv != nullptr) prefix = std::move(prefixes[g]);
-        ctx.spawn(
-            new Cell{std::move(lo), cell->depth + 1, 2 * cell->seq, prefix});
-        ctx.spawn(new Cell{std::move(hi), cell->depth + 1, 2 * cell->seq + 1,
-                           std::move(prefix)});
-      } else {
-        records[ctx.worker()].push_back({cell->seq, cell->box, false});
-      }
-      delete cell;
+      decide(std::move(*group[g]), certifies(fps[g], spec, base.check_safety),
+             base.max_depth, std::move(prefixes[g]), record, spawn);
+      delete group[g];
     }
     calls.fetch_add(group.size(), std::memory_order_relaxed);
   };
 
-  std::vector<Cell*> rootp;
+  std::vector<PendingCell*> rootp;
   rootp.reserve(roots.size());
-  for (PendingCell& c : roots) {
-    rootp.push_back(
-        new Cell{std::move(c.box), c.depth, c.seq, std::move(c.parent)});
-  }
+  for (PendingCell& c : roots) rootp.push_back(new PendingCell(std::move(c)));
   parallel::work_steal_run(threads, rootp, body);
 
   for (auto& r : records) {
@@ -482,15 +481,11 @@ void run_round(const reach::Verifier& verifier, const ode::ReachAvoidSpec& spec,
     run_frontier(verifier, spec, ctrl, opt.base, tmv, std::move(deal[w]),
                  budget, budget_limit, outs[w]);
   };
-  if (nworkers == 1) {
-    run_one(0);
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(nworkers - 1);
-    for (std::size_t w = 1; w < nworkers; ++w) threads.emplace_back(run_one, w);
-    run_one(0);
-    for (std::thread& t : threads) t.join();
-  }
+  std::vector<std::thread> threads;
+  threads.reserve(nworkers - 1);
+  for (std::size_t w = 1; w < nworkers; ++w) threads.emplace_back(run_one, w);
+  run_one(0);
+  for (std::thread& t : threads) t.join();
 
   for (FrontierOut& o : outs) {
     st.calls += o.calls;
@@ -524,8 +519,8 @@ ShardSearchProgress make_progress(const ode::ReachAvoidSpec& spec,
 EngineState run_engine(const reach::Verifier& verifier,
                        const ode::ReachAvoidSpec& spec,
                        const nn::Controller& ctrl,
-                       const ShardSearchOptions& opt, std::uint64_t fingerprint,
-                       const reach::TmVerifier* tmv) {
+                       const ShardSearchOptions& opt,
+                       std::uint64_t fingerprint) {
   validate_search_depth(opt.base.max_depth);
   if (opt.shards == 0) {
     throw std::invalid_argument("ShardSearchOptions::shards must be >= 1");
@@ -538,6 +533,8 @@ EngineState run_engine(const reach::Verifier& verifier,
                                 std::to_string(opt.shards) + " shards");
   }
 
+  const reach::TmVerifier* tmv =
+      unwrap_tm(verifier, opt.base.reuse_parent_prefix);
   std::unique_ptr<CheckpointFile> ckpt;
   if (!opt.checkpoint_file.empty()) {
     ckpt = std::make_unique<CheckpointFile>(
@@ -594,7 +591,7 @@ EngineState run_engine(const reach::Verifier& verifier,
 // The ordered-replay finalizer shared with merge_shard_results: sort the
 // terminal records by heap sequence number (= breadth-first emission
 // order) and accumulate volumes in that order, reproducing every bit of
-// search_initial_set's coverage sum.
+// the breadth-first coverage sum at any shard count.
 InitialSetResult finalize_records(std::vector<ShardRecord> records,
                                   double total_volume, std::uint64_t calls) {
   std::sort(records.begin(), records.end(),
@@ -662,11 +659,9 @@ InitialSetResult search_initial_set_sharded(const reach::Verifier& verifier,
         "search_initial_set_sharded runs every shard; use "
         "search_initial_set_shard for a single-shard (multi-process) run");
   }
-  const reach::TmVerifier* tmv =
-      unwrap_tm(verifier, opt.base.reuse_parent_prefix);
   const std::uint64_t fingerprint =
       xi_search_fingerprint(verifier, spec, ctrl, opt.base);
-  EngineState st = run_engine(verifier, spec, ctrl, opt, fingerprint, tmv);
+  EngineState st = run_engine(verifier, spec, ctrl, opt, fingerprint);
   return finalize_records(std::move(st.records), spec.x0.volume(), st.calls);
 }
 
@@ -678,14 +673,12 @@ ShardResult search_initial_set_shard(const reach::Verifier& verifier,
     throw std::invalid_argument(
         "search_initial_set_shard requires an explicit shard_index");
   }
-  const reach::TmVerifier* tmv =
-      unwrap_tm(verifier, opt.base.reuse_parent_prefix);
   ShardResult sr;
   sr.fingerprint = xi_search_fingerprint(verifier, spec, ctrl, opt.base);
   sr.shards = static_cast<std::uint32_t>(opt.shards);
   sr.shard_index = static_cast<std::uint32_t>(opt.shard_index);
   sr.includes_prefix = opt.shard_index == 0;
-  EngineState st = run_engine(verifier, spec, ctrl, opt, sr.fingerprint, tmv);
+  EngineState st = run_engine(verifier, spec, ctrl, opt, sr.fingerprint);
   sr.complete = st.pending.empty();
   sr.verifier_calls = st.calls;
   sr.records = std::move(st.records);

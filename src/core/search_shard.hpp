@@ -1,16 +1,18 @@
 // Sharded, checkpointable, anytime X_I search (DESIGN.md §16).
 //
-// Scales core::search_initial_set beyond one process without giving up
-// bit-identity. The refinement tree's heap sequence numbers (root 1,
-// children 2s and 2s+1) make every terminal decision globally ordered, so
-// the search can be split into K deterministic subtrees — each run by its
-// own work-stealing frontier with its own thread pool, in-process or in a
-// separate OS process (`dwv search --shard i/K`) — and a merge step that
-// replays terminal records in sequence order reproduces the single-process
-// InitialSetResult bit for bit: the same certified/rejected lists, the
-// same volume accumulation order, every bit of the coverage sum, at any
-// K, thread count, or batch width (the PR-5 ordered-replay argument,
-// applied across processes).
+// The one X_I search engine: core::search_initial_set is its one-shard
+// case (shards = 1, prefix_grain = 1). It scales beyond one process
+// without giving up bit-identity. The refinement tree's heap sequence
+// numbers (root 1, children 2s and 2s+1) make every terminal decision
+// globally ordered, so the search can be split into K deterministic
+// subtrees — each run by its own work-stealing frontier with its own
+// thread pool, in-process or in a separate OS process
+// (`dwv search --shard i/K`) — and a merge step that replays terminal
+// records in sequence order reproduces the single-process InitialSetResult
+// bit for bit: the same certified/rejected lists, the same volume
+// accumulation order, every bit of the coverage sum, at any K, thread
+// count, or batch width (the ordered-replay argument, applied across
+// processes).
 //
 // Checkpointing serializes the frontier (pending cells + sequence numbers
 // + recorded symbolic prefixes, schedule tapes included) into an
@@ -59,7 +61,7 @@ struct ShardSearchOptions {
   /// The underlying per-shard search configuration. `base.threads` is the
   /// thread count of EACH shard's work-stealing pool (0 = auto), so an
   /// in-process run uses up to shards * resolve_threads(base.threads)
-  /// workers. `base.work_steal` is ignored (shards always work-steal).
+  /// workers.
   InitialSetOptions base;
   /// Number of deterministic subtree shards K (>= 1).
   std::size_t shards = 1;

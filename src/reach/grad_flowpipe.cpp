@@ -430,7 +430,6 @@ GradFlowpipe TmGradient::compute(const geom::Box& x0,
                                  const nn::Controller& ctrl) const {
   const std::size_t n = sys_->state_dim();
   const std::size_t nd = ctrl.param_count();
-  const double h = spec_.delta / static_cast<double>(opt_.substeps);
   assert(x0.dim() == n);
   assert(nd > 0 && nd <= DualInterval::kMaxDirs);
 
@@ -479,70 +478,46 @@ GradFlowpipe TmGradient::compute(const geom::Box& x0,
   DualStepScratch ss;
   DualStepResult sr;
 
-  // The dual pass derives the adaptive schedule independently: the
-  // controller's signals come from the value channel, whose bits match the
-  // scalar driver's, so both drivers walk the identical (h, order) tape.
+  // The dual pass runs the scalar driver's period loop and derives the
+  // schedule independently (the fixed grid is its non-adaptive policy):
+  // the controller's signals come from the value channel, whose bits match
+  // the scalar driver's, so both drivers walk the identical (h, order)
+  // tape.
   StepController sc;
   sc.configure(opt_, spec_.delta, n);
   sc.reset(&fp.tm_stats);
 
   for (std::size_t step = 0; step < spec_.steps; ++step) {
     // Abstraction at the base order, mirroring the scalar driver.
-    if (opt_.adaptive) env.order = opt_.order;
+    env.order = opt_.order;
     const DualTmVec u = dual_abstract(env, x, *abs_, ctrl);
 
     std::vector<DualInterval> period_hull;
-    bool failed = false;
-    if (opt_.adaptive) {
-      bool first = true;
-      sc.start_period();
-      while (!sc.period_done()) {
-        const StepDecision d = sc.next();
-        env.order = d.order;
-        dual_integrate_step(env, x, u, fd, d.h, opt_, ss, sr);
-        if (!sr.ok) {
-          if (sc.reject()) continue;
-          fp.valid = false;
-          fp.failure = sr.failure;
-          failed = true;
-          break;
-        }
-        sc.accept(d, {sr.attempts, sr.conv_index, sr.defect_rel,
-                      sr.max_poly_terms});
-        fp.tm_stats.note_step(d.h);
-        if (first) {
-          period_hull = sr.tube_range;
-        } else {
-          for (std::size_t i = 0; i < n; ++i) {
-            period_hull[i] =
-                interval::dual_hull(period_hull[i], sr.tube_range[i]);
-          }
-        }
-        first = false;
-        std::swap(x, sr.at_end);
+    sc.start_period();
+    while (!sc.period_done()) {
+      const StepDecision d = sc.next();
+      env.order = d.order;
+      dual_integrate_step(env, x, u, fd, d.h, opt_, ss, sr);
+      if (!sr.ok) {
+        if (sc.reject()) continue;
+        fp.valid = false;
+        fp.failure = sr.failure;
+        break;
       }
-    } else {
-      for (std::size_t sub = 0; sub < opt_.substeps; ++sub) {
-        dual_integrate_step(env, x, u, fd, h, opt_, ss, sr);
-        if (!sr.ok) {
-          fp.valid = false;
-          fp.failure = sr.failure;
-          failed = true;
-          break;
+      sc.accept(d, {sr.attempts, sr.conv_index, sr.defect_rel,
+                    sr.max_poly_terms});
+      fp.tm_stats.note_step(d.h);
+      if (period_hull.empty()) {
+        period_hull = sr.tube_range;
+      } else {
+        for (std::size_t i = 0; i < n; ++i) {
+          period_hull[i] =
+              interval::dual_hull(period_hull[i], sr.tube_range[i]);
         }
-        fp.tm_stats.note_step(h);
-        if (sub == 0) {
-          period_hull = sr.tube_range;
-        } else {
-          for (std::size_t i = 0; i < n; ++i) {
-            period_hull[i] =
-                interval::dual_hull(period_hull[i], sr.tube_range[i]);
-          }
-        }
-        std::swap(x, sr.at_end);
       }
+      std::swap(x, sr.at_end);
     }
-    if (failed) break;
+    if (!fp.valid) break;
 
     {
       IVec ph(n);

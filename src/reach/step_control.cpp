@@ -22,9 +22,11 @@ void StepController::configure(const TmReachOptions& opt, double delta,
       opt.adaptive_order_max != 0 ? opt.adaptive_order_max : opt.order + 1;
   if (order_min_ > order0_) order_min_ = order0_;
   if (order_max_ < order0_) order_max_ = order0_;
-  base_ticks_ = 1ull << opt.adaptive_max_halvings;
-  period_ticks_ = static_cast<std::uint64_t>(opt.substeps)
-                  << opt.adaptive_max_halvings;
+  // The fixed grid never halves, so it keeps one tick per substep (and
+  // ignores the halving knob).
+  const std::uint32_t halvings = adaptive_ ? opt.adaptive_max_halvings : 0;
+  base_ticks_ = 1ull << halvings;
+  period_ticks_ = static_cast<std::uint64_t>(opt.substeps) << halvings;
   reject_budget_ = opt.adaptive_reject_budget;
   cur_ticks_ = base_ticks_;
   cur_order_ = order0_;
@@ -37,13 +39,11 @@ void StepController::reset(TmReachStats* stats) {
   cooldown_ = 0;
   ticks_left_ = 0;
   rejects_period_ = 0;
-  tape_.clear();
 }
 
 void StepController::start_period() {
   ticks_left_ = period_ticks_;
   rejects_period_ = 0;
-  tape_.clear();
 }
 
 std::uint64_t StepController::dense_basis(std::uint32_t order) const {
@@ -62,8 +62,8 @@ std::uint64_t StepController::dense_basis(std::uint32_t order) const {
 double StepController::step_h(std::uint64_t ticks) const {
   // For the base step this is (delta * 2^m) / (substeps * 2^m): the
   // numerator scaling is exact and IEEE division is correctly rounded, so
-  // the quotient carries the same bits as the fixed grid's
-  // delta / substeps.
+  // the quotient carries the same bits as delta / substeps (m = 0 on the
+  // fixed grid).
   return delta_ * static_cast<double>(ticks) /
          static_cast<double>(period_ticks_);
 }
@@ -77,6 +77,9 @@ StepDecision StepController::next() const {
 }
 
 bool StepController::reject() {
+  // The fixed grid has no retry: the failure stands, and nothing is
+  // counted (the reject counter is part of the serialized pipe).
+  if (!adaptive_) return false;
   if (stats_) ++stats_->rejects;
   if (++rejects_period_ > reject_budget_) return false;
   cooldown_ = 2;
@@ -94,7 +97,6 @@ bool StepController::reject() {
 
 void StepController::accept(const StepDecision& d, const StepSignals& sig) {
   ticks_left_ -= d.ticks;
-  tape_.push_back(d);
   if (!adaptive_) return;
 
   // Predicted relative defect of a doubled step: the step defect is

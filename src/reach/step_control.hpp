@@ -8,24 +8,27 @@
 // reproduces the same signal bits).
 //
 // Time is accounted in integer ticks: a control period is
-// substeps << max_halvings ticks, the base (fixed-grid) step is
-// 1 << max_halvings ticks, and every halving/doubling is exact integer
-// arithmetic. The floating h handed to the integrator is derived from the
-// tick count by one multiply and one divide, so h for the base step is
-// bit-identical to the fixed grid's delta/substeps and the period always
+// substeps << max_halvings ticks, the base step is 1 << max_halvings ticks
+// (max_halvings = 0 on the fixed grid), and every halving/doubling is
+// exact integer arithmetic. The floating h handed to the integrator is
+// derived from the tick count by one multiply and one divide, so h for the
+// base step is bit-identical to delta/substeps and the period always
 // closes exactly at its end.
 //
+// The fixed grid is the controller's non-adaptive policy: every decision
+// is the base step at the configured order, and every driver runs its
+// substeps through the controller either way.
+//
 // Accept/reject semantics: a substep whose remainder validation fails is
-// REJECTED — the controller halves h (escalating the order once h bottoms
-// out) and the driver retries from the same state; a capped per-period
-// reject budget turns permanent failure into the same pipe failure the
-// fixed grid reports. Accepted substeps are recorded on a per-period
-// schedule tape (the `(h, order)` sequence) that the symbolic-prefix
-// machinery replays for child cells.
+// REJECTED — the adaptive controller halves h (escalating the order once h
+// bottoms out) and the driver retries from the same state; a capped
+// per-period reject budget turns permanent failure into the same pipe
+// failure the fixed grid reports at once. Drivers record accepted adaptive
+// substeps on a per-period schedule tape (the `(h, order)` sequence) that
+// the symbolic-prefix machinery replays for child cells.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "reach/flowpipe.hpp"
 
@@ -68,16 +71,13 @@ class StepController {
   /// integrated state (the Taylor models live over state_dim set variables
   /// plus tau), sizing the dense-basis budget the grow gate compares term
   /// counts against; 0 disables the gate. With opt.adaptive == false the
-  /// controller still yields the fixed grid (base step every time), but
-  /// drivers bypass it entirely on that path.
+  /// controller is the fixed grid: base step h = delta / substeps at the
+  /// configured order, every time.
   void configure(const TmReachOptions& opt, double delta,
                  std::size_t state_dim = 0);
 
   bool adaptive() const { return adaptive_; }
   std::uint32_t order_max() const { return order_max_; }
-  /// Order the next decision will carry (drivers set the controller
-  /// abstraction's truncation order from this at period start).
-  std::uint32_t current_order() const { return cur_order_; }
 
   /// New cell: back to the base step and configured order. `stats` (may be
   /// null) receives reject/escalation counters; the driver itself books
@@ -93,17 +93,14 @@ class StepController {
 
   /// Containment proof failed at the last decision: halve h, escalating
   /// the order once h is at its floor. Returns false when the per-period
-  /// reject budget is exhausted (caller fails the pipe with the step's
-  /// failure string, exactly like the fixed grid).
+  /// reject budget is exhausted, and at once (counting nothing) on the
+  /// fixed grid; the caller then fails the pipe with the step's failure
+  /// string.
   bool reject();
 
-  /// Commits an accepted substep: advances the period clock, appends to
-  /// the schedule tape, and adapts the next step from the signals.
+  /// Commits an accepted substep: advances the period clock and adapts
+  /// the next step from the signals.
   void accept(const StepDecision& d, const StepSignals& sig);
-
-  /// Accepted decisions of the current period, in order (cleared by
-  /// start_period). The symbolic prefix records this as the replay tape.
-  const std::vector<StepDecision>& period_tape() const { return tape_; }
 
  private:
   double step_h(std::uint64_t ticks) const;
@@ -131,7 +128,6 @@ class StepController {
   // Period state.
   std::uint64_t ticks_left_ = 0;
   std::size_t rejects_period_ = 0;
-  std::vector<StepDecision> tape_;
 
   TmReachStats* stats_ = nullptr;
 };

@@ -596,8 +596,9 @@ struct TmVerifier::Lane {
   sym::SymRemainderQueue srq;
   sym::IMat jac, a_step, a_tube;
 
-  // Adaptive step/order schedule (TmReachOptions::adaptive): decisions are
-  // pure functions of per-step computed signals, so every driver — and the
+  // Step/order schedule of every period (the fixed grid is its
+  // non-adaptive policy; TmReachOptions::adaptive): decisions are pure
+  // functions of per-step computed signals, so every driver — and the
   // gradient dual pass, whose value channel reproduces the same signal
   // bits — derives the identical schedule independently. The controller
   // persists across cells (cheap POD) but is reset per cell.
@@ -657,8 +658,7 @@ struct TmVerifier::Lane {
       // the engine's general-purpose configuration because its env is
       // call-local and makes no domain-lifetime promise.
       taylor::TmScratch& s = env.scratch();
-      const std::uint32_t cap = pin_cap;
-      s.range.pin_domain(env.dom, cap);
+      s.range.pin_domain(env.dom, pin_cap);
       // Opt in to remainder-tape record/replay inside tm_integrate_step
       // (skips the redundant poly work of converged Picard passes and
       // validation retries; bit-identical by construction — see
@@ -674,7 +674,7 @@ struct TmVerifier::Lane {
       et.order = env.order;
       et.cutoff = env.cutoff;
       et.range_mode = env.range_mode;
-      s.range.pin_domain(et.dom, cap);
+      s.range.pin_domain(et.dom, pin_cap);
     }
     primed = true;
   }
@@ -753,20 +753,15 @@ struct TmVerifier::Lane {
     fp.step_sets.emplace_back(end_range);
     if (sym_on) fp.tm_stats.sym_flushes = srq.flushes();
     if (recording) {
+      // Materialize the queue into the recorded models so the prefix
+      // stands alone: a child cell restricting it must not need this
+      // cell's queue state.
+      TmVec x_rec = x;
       if (sym_on) {
-        // Materialize the queue into the recorded models so the prefix
-        // stands alone: a child cell restricting it must not need this
-        // cell's queue state.
-        TmVec x_mat = x;
-        for (std::size_t i = 0; i < n; ++i) x_mat[i].rem += srq.box()[i];
-        record->periods.push_back({std::move(tube_rec), std::move(x_mat),
-                                   std::move(h_tape),
-                                   std::move(order_tape)});
-      } else {
-        record->periods.push_back(
-            {std::move(tube_rec), x, std::move(h_tape),
-             std::move(order_tape)});
+        for (std::size_t i = 0; i < n; ++i) x_rec[i].rem += srq.box()[i];
       }
+      record->periods.push_back({std::move(tube_rec), std::move(x_rec),
+                                 std::move(h_tape), std::move(order_tape)});
       h_tape.clear();
       order_tape.clear();
     }
@@ -884,9 +879,8 @@ struct TmVerifier::Lane {
   //
   // On success: a_step = exp(h J) (endpoint transport, applied to the
   // queue), q_tube = A_tube * Q (the deviation enclosure over the substep).
-  // `hs`/`order` are the substep's own step size and truncation order —
-  // fixed-grid callers pass the lane constants, adaptive callers the
-  // current decision (imat_exp already takes an arbitrary time interval).
+  // `hs`/`order` are the substep's own step size and truncation order
+  // (imat_exp takes an arbitrary time interval).
   bool step_transport(const IVec& tube, const IVec& u_rng, double hs,
                       std::uint32_t order, IVec& q_tube) {
     const IVec& q = srq.box();
@@ -920,237 +914,112 @@ struct TmVerifier::Lane {
     return false;
   }
 
-  // One integrated period under the symbolic remainder queue: the state
-  // models stay remainder-free and deviations ride in `srq` (DESIGN.md
-  // §12). Structure mirrors integrate_period below.
-  void integrate_period_sym() {
-    // Move any incoming interval remainder (a replay restriction, the
-    // conventional fallback below) out of the TM channel.
-    {
-      IVec incoming(n);
-      bool any = false;
-      for (std::size_t i = 0; i < n; ++i) {
-        incoming[i] = x[i].rem;
-        x[i].rem = Interval(0.0);
-        any = any || incoming[i].lo() != 0.0 || incoming[i].hi() != 0.0;
-      }
-      if (any) srq.push(incoming);
+  // Queue hook: moves every nonzero interval remainder of the state models
+  // into the queue, keeping x remainder-free. Runs before a period (the
+  // incoming remainder of a replay restriction or of a concretizing
+  // fallback) and after every accepted substep (its validated local
+  // remainder).
+  void push_remainders() {
+    IVec rem(n);
+    bool any = false;
+    for (std::size_t i = 0; i < n; ++i) {
+      rem[i] = x[i].rem;
+      x[i].rem = Interval(0.0);
+      any = any || rem[i].lo() != 0.0 || rem[i].hi() != 0.0;
     }
-
-    // The controller must see the full enclosure, queue included. The
-    // abstraction always runs at the configured base order — escalated
-    // orders apply to the integration steps only (u is an input whose own
-    // degree is independent of the step truncation), keeping the per-period
-    // abstraction cost identical to the fixed grid's.
-    if (v->opt_.adaptive) env.order = v->opt_.order;
-    TmVec x_ctrl = x;
-    for (std::size_t i = 0; i < n; ++i) x_ctrl[i].rem += srq.box()[i];
-    const TmVec u = v->abs_->abstract(env, x_ctrl, *ctrl);
-    const IVec u_rng = taylor::tm_vec_range(env, u);
-
-    IVec period_hull;
-    std::vector<TmVec> tube_rec;
-    if (recording) tube_rec.reserve(v->opt_.substeps);
-    sr.want_tube_tm = recording;
-    if (v->opt_.adaptive) {
-      bool first = true;
-      sc.start_period();
-      while (!sc.period_done()) {
-        const StepDecision d = sc.next();
-        env.order = d.order;
-        set_step_h(d.h);
-        tm_integrate_step(env, x, u, *v->dynamics_, d.h, v->opt_, sr);
-        if (!sr.ok) {
-          if (sc.reject()) continue;
-          fp.valid = false;
-          fp.failure = sr.failure;
-          done = true;
-          return;
-        }
-
-        IVec q_tube(n);
-        if (!srq.empty()) {
-          if (step_transport(sr.tube_range, u_rng, d.h, d.order, q_tube)) {
-            srq.transport(a_step);
-          } else {
-            // Same concretize-and-redo fallback as the fixed grid below;
-            // the redo itself may reject into a smaller retry (sound: the
-            // concretization only moved the queue box into x).
-            for (std::size_t i = 0; i < n; ++i) x[i].rem += srq.box()[i];
-            srq.clear();
-            q_tube = IVec(n);
-            tm_integrate_step(env, x, u, *v->dynamics_, d.h, v->opt_, sr);
-            if (!sr.ok) {
-              if (sc.reject()) continue;
-              fp.valid = false;
-              fp.failure = sr.failure;
-              done = true;
-              return;
-            }
-          }
-        }
-
-        sc.accept(d, {sr.attempts, sr.conv_index, sr.defect_rel,
-                      sr.max_poly_terms});
-        fp.tm_stats.note_step(d.h);
-
-        IVec tube_eff = sr.tube_range;
-        tube_eff += q_tube;
-        period_hull =
-            first ? tube_eff : interval::hull(period_hull, tube_eff);
-        first = false;
-        std::swap(x, sr.at_end);
-
-        // Strip this substep's validated local remainder into the queue.
-        {
-          IVec rloc(n);
-          bool any = false;
-          for (std::size_t i = 0; i < n; ++i) {
-            rloc[i] = x[i].rem;
-            x[i].rem = Interval(0.0);
-            any = any || rloc[i].lo() != 0.0 || rloc[i].hi() != 0.0;
-          }
-          if (any) srq.push(rloc);
-        }
-
-        if (recording) {
-          for (std::size_t i = 0; i < n; ++i) sr.tube_tm[i].rem += q_tube[i];
-          tube_rec.push_back(std::move(sr.tube_tm));
-          h_tape.push_back(d.h);
-          order_tape.push_back(d.order);
-        }
-      }
-      ++step;
-      if (finish_period(period_hull, std::move(tube_rec)) != 0) done = true;
-      return;
-    }
-    for (std::size_t sub = 0; sub < v->opt_.substeps; ++sub) {
-      tm_integrate_step(env, x, u, *v->dynamics_, h, v->opt_, sr);
-      if (!sr.ok) {
-        fp.valid = false;
-        fp.failure = sr.failure;
-        done = true;
-        return;
-      }
-
-      IVec q_tube(n);
-      if (!srq.empty()) {
-        if (step_transport(sr.tube_range, u_rng, h, v->opt_.order, q_tube)) {
-          srq.transport(a_step);
-        } else {
-          // Transport unavailable (dynamics norm beyond the tail bound):
-          // concretize the queue into the step input and redo this substep
-          // conventionally. Sound — the queue box is exactly the interval
-          // remainder the conventional path would have carried.
-          for (std::size_t i = 0; i < n; ++i) x[i].rem += srq.box()[i];
-          srq.clear();
-          q_tube = IVec(n);
-          tm_integrate_step(env, x, u, *v->dynamics_, h, v->opt_, sr);
-          if (!sr.ok) {
-            fp.valid = false;
-            fp.failure = sr.failure;
-            done = true;
-            return;
-          }
-        }
-      }
-
-      fp.tm_stats.note_step(h);
-      IVec tube_eff = sr.tube_range;
-      tube_eff += q_tube;
-      period_hull =
-          (sub == 0) ? tube_eff : interval::hull(period_hull, tube_eff);
-      std::swap(x, sr.at_end);
-
-      // Strip this substep's validated local remainder into the queue.
-      {
-        IVec rloc(n);
-        bool any = false;
-        for (std::size_t i = 0; i < n; ++i) {
-          rloc[i] = x[i].rem;
-          x[i].rem = Interval(0.0);
-          any = any || rloc[i].lo() != 0.0 || rloc[i].hi() != 0.0;
-        }
-        if (any) srq.push(rloc);
-      }
-
-      if (recording) {
-        // Materialize the transported deviation so the recorded tube
-        // stands alone for child restriction.
-        for (std::size_t i = 0; i < n; ++i) sr.tube_tm[i].rem += q_tube[i];
-        tube_rec.push_back(std::move(sr.tube_tm));
-      }
-    }
-    ++step;
-
-    if (finish_period(period_hull, std::move(tube_rec)) != 0) done = true;
+    if (any) srq.push(rem);
   }
 
-  // One integrated period: controller abstraction + validated substeps.
-  void integrate_period() {
-    if (sym_on) {
-      integrate_period_sym();
-      return;
+  // One validated substep at decision `d`; false when its remainder
+  // validation failed. Under the queue it also encloses the queue's
+  // transport over the substep (q_tube); when no transport can be proved
+  // (dynamics norm beyond the tail bound) the queue is concretized into
+  // the step input and the substep redone conventionally. Sound: the queue
+  // box is exactly the interval remainder the conventional path would have
+  // carried.
+  bool substep(const TmVec& u, const IVec& u_rng, const StepDecision& d,
+               IVec& q_tube) {
+    tm_integrate_step(env, x, u, *v->dynamics_, d.h, v->opt_, sr);
+    if (!sr.ok || !sym_on) return sr.ok;
+    q_tube = IVec(n);
+    if (srq.empty()) return true;
+    if (step_transport(sr.tube_range, u_rng, d.h, d.order, q_tube)) {
+      srq.transport(a_step);
+      return true;
     }
-    // Abstraction at the base order (see integrate_period_sym).
-    if (v->opt_.adaptive) env.order = v->opt_.order;
-    const TmVec u = v->abs_->abstract(env, x, *ctrl);
+    for (std::size_t i = 0; i < n; ++i) x[i].rem += srq.box()[i];
+    srq.clear();
+    q_tube = IVec(n);
+    tm_integrate_step(env, x, u, *v->dynamics_, d.h, v->opt_, sr);
+    return sr.ok;
+  }
+
+  // One integrated period: controller abstraction + validated substeps on
+  // the controller's schedule (the fixed grid is its non-adaptive policy).
+  // With the symbolic remainder queue on, the state models stay
+  // remainder-free and deviations ride in `srq` (DESIGN.md §12).
+  void integrate_period() {
+    if (sym_on) push_remainders();
+    // The abstraction always runs at the configured base order — escalated
+    // orders apply to the integration steps only (u is an input whose own
+    // degree is independent of the step truncation), keeping the
+    // per-period abstraction cost identical to the fixed grid's. Under the
+    // queue the controller must see the full enclosure, queue included.
+    env.order = v->opt_.order;
+    TmVec x_ctrl;
+    if (sym_on) {
+      x_ctrl = x;
+      for (std::size_t i = 0; i < n; ++i) x_ctrl[i].rem += srq.box()[i];
+    }
+    const TmVec u = v->abs_->abstract(env, sym_on ? x_ctrl : x, *ctrl);
+    const IVec u_rng = sym_on ? taylor::tm_vec_range(env, u) : IVec();
 
     IVec period_hull;
+    IVec q_tube;
     std::vector<TmVec> tube_rec;
     if (recording) tube_rec.reserve(v->opt_.substeps);
     sr.want_tube_tm = recording;  // the tube models only feed the prefix
-    if (v->opt_.adaptive) {
-      bool first = true;
-      sc.start_period();
-      while (!sc.period_done()) {
-        const StepDecision d = sc.next();
-        env.order = d.order;
-        set_step_h(d.h);
-        tm_integrate_step(env, x, u, *v->dynamics_, d.h, v->opt_, sr);
-        if (!sr.ok) {
-          // Rejected: retry the same state at a halved step (or escalated
-          // order), until the per-period budget turns this into the same
-          // failure the fixed grid reports.
-          if (sc.reject()) continue;
-          fp.valid = false;
-          fp.failure = sr.failure;
-          done = true;
-          return;
-        }
-        sc.accept(d, {sr.attempts, sr.conv_index, sr.defect_rel,
-                      sr.max_poly_terms});
-        fp.tm_stats.note_step(d.h);
-        period_hull = first ? sr.tube_range
-                            : interval::hull(period_hull, sr.tube_range);
-        first = false;
-        std::swap(x, sr.at_end);
-        if (recording) {
-          tube_rec.push_back(std::move(sr.tube_tm));
-          h_tape.push_back(d.h);
-          order_tape.push_back(d.order);
-        }
-      }
-      ++step;
-      if (finish_period(period_hull, std::move(tube_rec)) != 0) done = true;
-      return;
-    }
-    for (std::size_t sub = 0; sub < v->opt_.substeps; ++sub) {
-      tm_integrate_step(env, x, u, *v->dynamics_, h, v->opt_, sr);
-      if (!sr.ok) {
+    bool first = true;
+    sc.start_period();
+    while (!sc.period_done()) {
+      const StepDecision d = sc.next();
+      env.order = d.order;
+      set_step_h(d.h);
+      if (!substep(u, u_rng, d, q_tube)) {
+        // Rejected: retry the same state at a halved step (or escalated
+        // order). The fixed grid, or an exhausted per-period budget, fails
+        // the pipe instead.
+        if (sc.reject()) continue;
         fp.valid = false;
         fp.failure = sr.failure;
         done = true;
         return;
       }
-      fp.tm_stats.note_step(h);
-      period_hull = (sub == 0) ? sr.tube_range
-                               : interval::hull(period_hull, sr.tube_range);
+      sc.accept(d, {sr.attempts, sr.conv_index, sr.defect_rel,
+                    sr.max_poly_terms});
+      fp.tm_stats.note_step(d.h);
+      if (sym_on) sr.tube_range += q_tube;
+      period_hull = first ? sr.tube_range
+                          : interval::hull(period_hull, sr.tube_range);
+      first = false;
       std::swap(x, sr.at_end);
-      if (recording) tube_rec.push_back(std::move(sr.tube_tm));
+      if (sym_on) push_remainders();
+      if (recording) {
+        // Materialize the transported deviation so the recorded tube
+        // stands alone for child restriction.
+        if (sym_on) {
+          for (std::size_t i = 0; i < n; ++i) sr.tube_tm[i].rem += q_tube[i];
+        }
+        tube_rec.push_back(std::move(sr.tube_tm));
+        // Only adaptive prefixes carry a schedule tape: fixed-grid prefix
+        // bytes (and checkpoints holding them) stay tape-free.
+        if (sc.adaptive()) {
+          h_tape.push_back(d.h);
+          order_tape.push_back(d.order);
+        }
+      }
     }
     ++step;
-
     if (finish_period(period_hull, std::move(tube_rec)) != 0) done = true;
   }
 

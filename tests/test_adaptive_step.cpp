@@ -269,6 +269,52 @@ TEST(AdaptiveNoOp, PinnedControllerMatchesFixedGridBits) {
   EXPECT_EQ(f_pinned.tm_stats.order_escalations, 0u);
 }
 
+// --- fixed-grid failure path ---------------------------------------------
+
+// The fixed grid is the controller's non-adaptive policy, and it has no
+// retry: a substep whose remainder validation fails ends the pipe at once,
+// at the base step, with nothing counted as a reject (the counter is part
+// of the serialized pipe). Two inflation attempts are too few for the
+// oscillator's Picard operator to contract within the horizon.
+void fixed_grid_failure_stands(bool queue, std::size_t step_sets) {
+  auto bench = ode::make_oscillator_benchmark();
+  bench.spec.stop_at_goal = false;
+  const nn::MlpController ctrl = osc_mlp();
+  TmReachOptions opt;
+  opt.substeps = 1;
+  opt.max_inflations = 2;
+  opt.symbolic_remainder = queue;
+  const TmVerifier v = osc_verifier(bench, opt);
+  const Flowpipe fp = v.compute(bench.spec.x0, ctrl);
+  EXPECT_FALSE(fp.valid);
+  EXPECT_EQ(fp.failure,
+            "remainder validation failed (Picard operator not contracting)");
+  EXPECT_EQ(fp.step_sets.size(), step_sets);
+  EXPECT_EQ(fp.tm_stats.rejects, 0u);
+  // substeps = 1: the base step is the whole control period.
+  EXPECT_EQ(fp.tm_stats.h_min, 0.1);
+  EXPECT_EQ(fp.tm_stats.h_max, 0.1);
+
+  const std::vector<geom::Box> cells(3, bench.spec.x0);
+  const std::vector<const nn::Controller*> ctrls(3, &ctrl);
+  const std::vector<Flowpipe> got =
+      v.compute_batch(cells.data(), ctrls.data(), cells.size(), 2);
+  for (const Flowpipe& g : got) {
+    expect_flowpipe_bits(g, fp);
+    EXPECT_EQ(g.failure, fp.failure);
+    EXPECT_EQ(g.tm_stats.substeps, fp.tm_stats.substeps);
+    EXPECT_EQ(g.tm_stats.rejects, 0u);
+  }
+}
+
+TEST(FixedGridFailure, FailsAtBaseStepWithoutRejects) {
+  fixed_grid_failure_stands(/*queue=*/false, 17);
+}
+
+TEST(FixedGridFailure, QueueOnFailsAtBaseStepWithoutRejects) {
+  fixed_grid_failure_stands(/*queue=*/true, 14);
+}
+
 // --- schedule-tape replay for child cells ---------------------------------
 
 TEST(AdaptiveTape, ChildReplaysParentScheduleAndStaysSound) {

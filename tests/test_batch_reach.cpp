@@ -1,7 +1,7 @@
 // Differential suite for the lane-batched verification engine (DESIGN.md
 // section 11): every batched path must reproduce the scalar path bit for
 // bit — flowpipes across ragged batch widths, SIMD vs forced-scalar
-// dispatch, the work-stealing frontier vs the level-synchronous search,
+// dispatch, the work-stealing frontier vs a serial breadth-first oracle,
 // batched SPSA probes in the learner, grouped subdivision cells, and the
 // cache-aware batch stat sequence. Runs under the `parallel` CTest label
 // so the TSan preset also races the deque and the work-stealing runner.
@@ -11,11 +11,14 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <deque>
+#include <memory>
 #include <random>
 #include <vector>
 
 #include "core/initial_set.hpp"
 #include "core/learner.hpp"
+#include "core/verdict.hpp"
 #include "interval/lanes.hpp"
 #include "nn/controller.hpp"
 #include "ode/benchmarks.hpp"
@@ -505,7 +508,7 @@ TEST(TmBatch, ExprDynamicsBatchMatchesScalar) {
     expect_flowpipe_eq(got[i], ref[i]);
 }
 
-// --- work-stealing search vs level-synchronous search --------------------
+// --- work-stealing search vs a serial breadth-first oracle ---------------
 
 void expect_result_eq(const core::InitialSetResult& a,
                       const core::InitialSetResult& b) {
@@ -515,19 +518,68 @@ void expect_result_eq(const core::InitialSetResult& a,
   EXPECT_EQ(a.verifier_calls, b.verifier_calls);
 }
 
+// Algorithm 2 as a serial breadth-first queue, one verifier call per cell:
+// the reference the work-stealing frontier must reproduce bit for bit
+// (certified/rejected lists and the coverage sum in breadth-first order,
+// the call count). With `tmv` set, children restrict their parent's
+// symbolic prefix, as search_initial_set does under reuse_parent_prefix.
+core::InitialSetResult bfs_search(const reach::Verifier& v,
+                                  const ode::ReachAvoidSpec& spec,
+                                  const nn::Controller& ctrl,
+                                  const core::InitialSetOptions& opt,
+                                  const reach::TmVerifier* tmv = nullptr) {
+  struct Cell {
+    geom::Box box;
+    std::size_t depth;
+    std::shared_ptr<const reach::TmSymbolicPrefix> parent;
+  };
+  core::InitialSetResult res;
+  double certified_volume = 0.0;
+  std::deque<Cell> queue;
+  queue.push_back({spec.x0, 0, nullptr});
+  while (!queue.empty()) {
+    Cell cell = std::move(queue.front());
+    queue.pop_front();
+    reach::Flowpipe fp;
+    std::shared_ptr<const reach::TmSymbolicPrefix> prefix;
+    if (tmv != nullptr) {
+      reach::TmComputeResult r =
+          tmv->compute_symbolic(cell.box, ctrl, cell.parent.get());
+      fp = std::move(r.fp);
+      prefix = std::move(r.prefix);
+    } else {
+      fp = v.compute(cell.box, ctrl);
+    }
+    ++res.verifier_calls;
+    const core::FlowpipeFacts facts = core::analyze_flowpipe(fp, spec);
+    const bool safe_ok = !opt.check_safety || facts.safe_certified;
+    if (fp.valid && safe_ok && facts.goal_certified) {
+      certified_volume += cell.box.volume();
+      res.certified.push_back(cell.box);
+    } else if (cell.depth < opt.max_depth) {
+      auto [lo, hi] = cell.box.bisect();
+      queue.push_back({std::move(lo), cell.depth + 1, prefix});
+      queue.push_back({std::move(hi), cell.depth + 1, std::move(prefix)});
+    } else {
+      res.rejected.push_back(cell.box);
+    }
+  }
+  const double total_volume = spec.x0.volume();
+  res.coverage = total_volume > 0.0 ? certified_volume / total_volume : 0.0;
+  return res;
+}
+
 TEST(WorkStealSearch, MatchesLevelSynchronousSearch) {
   const auto bm = ode::make_acc_benchmark();
   const auto ctrl = acc_gain();
   const reach::IntervalVerifier v(bm.system, bm.spec, {});
   core::InitialSetOptions base;
   base.max_depth = 4;
-  base.threads = 1;
-  base.work_steal = false;
-  const auto ref = core::search_initial_set(v, bm.spec, ctrl, base);
+  const auto ref = bfs_search(v, bm.spec, ctrl, base);
+  EXPECT_GT(ref.verifier_calls, 1u);
   for (std::size_t threads : {1ul, 4ul}) {
     for (std::size_t batch : {0ul, 1ul, 3ul}) {
       core::InitialSetOptions o = base;
-      o.work_steal = true;
       o.threads = threads;
       o.batch = batch;
       const auto got = core::search_initial_set(v, bm.spec, ctrl, o);
@@ -543,11 +595,8 @@ TEST(WorkStealSearch, ForcedScalarDispatchSameResult) {
   const reach::IntervalVerifier v(bm.system, bm.spec, {});
   core::InitialSetOptions base;
   base.max_depth = 3;
-  base.threads = 1;
-  base.work_steal = false;
-  const auto ref = core::search_initial_set(v, bm.spec, ctrl, base);
+  const auto ref = bfs_search(v, bm.spec, ctrl, base);
   core::InitialSetOptions o = base;
-  o.work_steal = true;
   o.threads = 4;
   const auto got = core::search_initial_set(v, bm.spec, ctrl, o);
   expect_result_eq(got, ref);
@@ -561,13 +610,10 @@ TEST(WorkStealSearch, PrefixReuseMatchesLevelSynchronous) {
                             {});
   core::InitialSetOptions base;
   base.max_depth = 3;
-  base.threads = 1;
   base.reuse_parent_prefix = true;
-  base.work_steal = false;
-  const auto ref = core::search_initial_set(v, bm.spec, ctrl, base);
+  const auto ref = bfs_search(v, bm.spec, ctrl, base, &v);
   for (std::size_t threads : {1ul, 4ul}) {
     core::InitialSetOptions o = base;
-    o.work_steal = true;
     o.threads = threads;
     const auto got = core::search_initial_set(v, bm.spec, ctrl, o);
     expect_result_eq(got, ref);
@@ -585,15 +631,12 @@ TEST(WorkStealSearch, CachingVerifierStatsMatch) {
   };
   core::InitialSetOptions base;
   base.max_depth = 4;
-  base.threads = 1;
-  base.work_steal = false;
   const auto ref_cv = make();
-  const auto ref = core::search_initial_set(ref_cv, bm.spec, ctrl, base);
+  const auto ref = bfs_search(ref_cv, bm.spec, ctrl, base);
   const reach::CacheStats sref = ref_cv.cache()->stats();
   for (std::size_t threads : {1ul, 4ul}) {
     const auto cv = make();
     core::InitialSetOptions o = base;
-    o.work_steal = true;
     o.threads = threads;
     const auto got = core::search_initial_set(cv, bm.spec, ctrl, o);
     expect_result_eq(got, ref);

@@ -189,6 +189,28 @@ TEST(GradFlowpipeValue, TangentBitsPinned) {
   }
 }
 
+// The dual pass runs the scalar driver's period loop, whose fixed grid has
+// no retry: with one inflation attempt the vdp-poly pipe fails its first
+// substep, and both passes stop there with nothing counted as a reject.
+TEST(GradFlowpipeValue, FixedGridFailureMatchesScalar) {
+  Scenario s = vdp_poly(Vec{0.0, -0.4, 0.3, 0.0, 0.1, 0.0});
+  s.opt.substeps = 1;
+  s.opt.max_inflations = 1;
+  const TmVerifier v = make_verifier(s);
+  ASSERT_EQ(TmGradient::unsupported_reason(v, *s.ctrl), nullptr);
+  const reach::Flowpipe fp = v.compute(s.bench.spec.x0, *s.ctrl);
+  const GradFlowpipe gfp = TmGradient(v).compute(s.bench.spec.x0, *s.ctrl);
+  for (const reach::Flowpipe* p : {&fp, &gfp.fp}) {
+    EXPECT_FALSE(p->valid);
+    EXPECT_EQ(p->failure,
+              "remainder validation failed (Picard operator not contracting)");
+    EXPECT_EQ(p->step_sets.size(), 1u);
+    EXPECT_TRUE(p->interval_hulls.empty());
+    EXPECT_EQ(p->tm_stats.rejects, 0u);
+  }
+  EXPECT_EQ(gfp.step_sets_d.size(), 1u);
+}
+
 // ---------------------------------------------------------------------------
 // Kernel-level finite differences: dual_tm_eval_poly_into with coefficient
 // tangents (including a tangent-only key whose value coefficient is zero).

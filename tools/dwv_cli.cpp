@@ -126,8 +126,8 @@
 #include "ode/expr_system.hpp"
 #include "ode/reachnn_suite.hpp"
 #include "reach/cache.hpp"
-#include "reach/linear_reach.hpp"
 #include "reach/tm_flowpipe.hpp"
+#include "reach/verifier_kinds.hpp"
 #include "sim/monte_carlo.hpp"
 
 namespace {
@@ -292,6 +292,9 @@ void print_tm_stats(const reach::TmReachStats& s) {
       s.order_reductions, s.reinits, s.sym_flushes);
 }
 
+// The default kind depends on the controller: the zonotope verifier for
+// linear ACC, linear feedback through the TM engine elsewhere, POLAR-lite
+// for networks.
 reach::VerifierPtr make_verifier(const ode::Benchmark& bench,
                                  const std::string& kind,
                                  const nn::Controller* ctrl,
@@ -303,30 +306,12 @@ reach::VerifierPtr make_verifier(const ode::Benchmark& bench,
     if (bench.name == "acc" && linear_ctrl) {
       k = "linear";
     } else if (linear_ctrl) {
-      k = "linctrl";  // linear feedback through the TM engine
+      k = "linctrl";
     } else {
       k = "polar";
     }
   }
-  if (k == "linear") {
-    return std::make_shared<reach::LinearVerifier>(bench.system, bench.spec);
-  }
-  reach::ControlAbstractionPtr abs;
-  if (k == "linctrl") {
-    abs = std::make_shared<reach::LinearAbstraction>();
-  } else if (k == "polar") {
-    abs = std::make_shared<reach::PolarAbstraction>();
-  } else if (k == "reachnn") {
-    abs = std::make_shared<reach::ReachNnAbstraction>();
-  } else if (k == "interval") {
-    abs = std::make_shared<reach::IntervalAbstraction>();
-  } else if (k == "poly") {
-    abs = std::make_shared<reach::PolynomialAbstraction>();
-  } else {
-    throw std::runtime_error("unknown verifier: " + k);
-  }
-  return std::make_shared<reach::TmVerifier>(bench.system, bench.spec, abs,
-                                             tm_opt);
+  return reach::make_verifier(k, bench.system, bench.spec, tm_opt);
 }
 
 nn::ControllerPtr default_controller(const ode::Benchmark& bench,
