@@ -17,8 +17,8 @@ int main() {
   std::printf("=== Fig. 4: learning with the geometric metric (ACC) ===\n");
   std::printf("# iter  d_u  d_g  feasible\n");
   for (const auto& rec : res.history) {
-    std::printf("%4zu  %12.4f  %12.4f  %d\n", rec.iter, rec.geo.d_u,
-                rec.geo.d_g, static_cast<int>(rec.feasible));
+    std::printf("%4zu  %12.4f  %12.4f  %d\n", rec.iter, rec.geo->d_u,
+                rec.geo->d_g, static_cast<int>(rec.feasible));
   }
   std::printf("converged=%d at iteration %zu (paper: ~62 iterations; both\n"
               "metrics rise from negative to positive as in Fig. 4)\n",

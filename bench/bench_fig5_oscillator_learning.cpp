@@ -18,8 +18,8 @@ int main() {
       "=== Fig. 5: learning with the Wasserstein metric (oscillator) ===\n");
   std::printf("# iter  W(r,g)  W(r,u)  feasible\n");
   for (const auto& rec : res.history) {
-    std::printf("%4zu  %10.4f  %10.4f  %d\n", rec.iter, rec.wass.w_goal,
-                rec.wass.w_unsafe, static_cast<int>(rec.feasible));
+    std::printf("%4zu  %10.4f  %10.4f  %d\n", rec.iter, rec.wass->w_goal,
+                rec.wass->w_unsafe, static_cast<int>(rec.feasible));
   }
   std::printf(
       "converged=%d at iteration %zu (paper: ~9 iterations; W(r,g) falls\n"

@@ -89,9 +89,10 @@ bool histories_identical(const core::LearnResult& a,
                          const core::LearnResult& b) {
   if (a.history.size() != b.history.size()) return false;
   for (std::size_t i = 0; i < a.history.size(); ++i) {
-    if (a.history[i].geo.d_u != b.history[i].geo.d_u) return false;
-    if (a.history[i].geo.d_g != b.history[i].geo.d_g) return false;
-    if (a.history[i].wass.w_goal != b.history[i].wass.w_goal) return false;
+    // Optional comparison: the recorded family must match in presence
+    // and value.
+    if (a.history[i].geo != b.history[i].geo) return false;
+    if (a.history[i].wass != b.history[i].wass) return false;
   }
   return true;
 }

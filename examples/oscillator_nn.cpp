@@ -56,8 +56,8 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < res.history.size();
        i += std::max<std::size_t>(1, res.history.size() / 12)) {
     const auto& r = res.history[i];
-    std::printf("%4zu  %8.4f  %8.4f\n", r.iter, r.wass.w_goal,
-                r.wass.w_unsafe);
+    std::printf("%4zu  %8.4f  %8.4f\n", r.iter, r.wass->w_goal,
+                r.wass->w_unsafe);
   }
 
   if (res.success) {

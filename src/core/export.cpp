@@ -11,9 +11,19 @@ void write_history_csv(std::ostream& os,
   os << "iter,d_u,d_g,w_goal,w_unsafe,feasible\n";
   os << std::setprecision(12);
   for (const auto& r : history) {
-    os << r.iter << ',' << r.geo.d_u << ',' << r.geo.d_g << ','
-       << r.wass.w_goal << ',' << r.wass.w_unsafe << ','
-       << (r.feasible ? 1 : 0) << '\n';
+    os << r.iter << ',';
+    if (r.geo) {
+      os << r.geo->d_u << ',' << r.geo->d_g;
+    } else {
+      os << ',';
+    }
+    os << ',';
+    if (r.wass) {
+      os << r.wass->w_goal << ',' << r.wass->w_unsafe;
+    } else {
+      os << ',';
+    }
+    os << ',' << (r.feasible ? 1 : 0) << '\n';
   }
 }
 

@@ -14,6 +14,8 @@ namespace dwv::core {
 
 /// Writes the per-iteration learning curve:
 /// iter,d_u,d_g,w_goal,w_unsafe,feasible
+/// A metric family absent from a record (the learner records only the
+/// family it ran with) is written as empty cells, e.g. `3,0.5,1.25,,,0`.
 void write_history_csv(std::ostream& os,
                        const std::vector<IterationRecord>& history);
 void write_history_csv_file(const std::string& path,

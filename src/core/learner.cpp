@@ -89,30 +89,22 @@ bool Learner::wasserstein_feasible(const reach::Flowpipe& fp) const {
   return facts.touches_goal && facts.safe_certified;
 }
 
-IterationRecord Learner::record(const reach::Flowpipe& fp) const {
+IterationRecord Learner::to_record(std::size_t iter,
+                                   const MetricPair& m) const {
   IterationRecord rec;
-  if (fp.valid) {
-    rec.geo = geometric_metrics(fp, spec_);
-    rec.wass = wasserstein_metrics(fp, spec_, opt_.wopt);
+  rec.iter = iter;
+  if (opt_.metric == MetricKind::kGeometric) {
+    rec.geo = GeometricMetrics{m.d_u, m.d_g};
   } else {
-    rec.geo = geometric_penalty(spec_, fp);
-    rec.wass = wasserstein_penalty(spec_, fp);
+    rec.wass = WassersteinMetrics{-m.d_g, m.d_u};  // {w_goal, w_unsafe}
   }
+  rec.feasible = m.feasible;
   return rec;
-}
-
-bool Learner::feasible(const IterationRecord& rec,
-                       const reach::Flowpipe& fp) const {
-  if (!fp.valid) return false;  // penalty metrics are never feasible
-  return opt_.metric == MetricKind::kGeometric ? rec.geo.feasible()
-                                               : wasserstein_feasible(fp);
 }
 
 IterationRecord Learner::evaluate(const nn::Controller& ctrl) const {
   const reach::Flowpipe fp = verifier_->compute(spec_.x0, ctrl);
-  IterationRecord rec = record(fp);
-  rec.feasible = feasible(rec, fp);
-  return rec;
+  return to_record(0, measure(fp));
 }
 
 const reach::TmVerifier* Learner::grad_target() const {
@@ -264,10 +256,10 @@ LearnResult Learner::learn_grad(nn::Controller& ctrl,
       const reach::GradFlowpipe& g = timed_grad(ctrl);
       const reach::Flowpipe& fp = g.fp;
 
-      IterationRecord rec = record(fp);
-      rec.iter = global_iter;
+      // measure_grad's values equal measure(fp)'s bit for bit, so the
+      // record is filled from the dual pass without a scalar re-evaluation.
       const MeasureGrad mg = measure_grad(g);
-      rec.feasible = mg.m.feasible;
+      IterationRecord rec = to_record(global_iter, mg.m);
       if (mg.m.feasible && opt_.require_containment) {
         rec.feasible = analyze_flowpipe(fp, spec_).goal_certified;
       }
@@ -568,11 +560,9 @@ LearnResult Learner::learn(nn::Controller& ctrl) const {
     for (; global_iter <= last_of_attempt; ++global_iter) {
       const reach::Flowpipe fp = timed_compute(ctrl);
 
-      // Both metric families go into the history; feasibility of the
-      // active one is read off the record, not recomputed.
-      IterationRecord rec = record(fp);
-      rec.iter = global_iter;
-      rec.feasible = feasible(rec, fp);
+      // One metric evaluation per iterate: the active family drives the
+      // update and feasibility, and is the family the history records.
+      IterationRecord rec = to_record(global_iter, measure(fp));
       if (rec.feasible && opt_.require_containment) {
         rec.feasible = analyze_flowpipe(fp, spec_).goal_certified;
       }

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <functional>
+#include <optional>
 #include <random>
 
 #include "core/metrics.hpp"
@@ -32,6 +33,10 @@ enum class GradientMode {
 };
 
 struct LearnerOptions {
+  /// The feedback metric family that drives the run (Algorithm 1 uses one
+  /// per run: d_u/d_g for Fig. 4, the Wasserstein pair for Fig. 5). It is
+  /// also the only family computed per iterate and recorded in
+  /// LearnResult::history.
   MetricKind metric = MetricKind::kGeometric;
   GradientMode gradient = GradientMode::kSpsa;
   std::size_t spsa_samples = 2;    ///< for kSpsaAveraged; clamped to >= 1
@@ -116,11 +121,14 @@ struct LearnerOptions {
   LearnerOptions validated() const;
 };
 
-/// One entry of the learning curve (Figs. 4 and 5).
+/// One entry of the learning curve (Figs. 4 and 5). Exactly one family is
+/// set: the one the learner ran with (`geo` under kGeometric, `wass` under
+/// kWasserstein); the other is nullopt because it was never computed.
+/// Diverged pipes carry the active family's failure penalty.
 struct IterationRecord {
   std::size_t iter = 0;
-  GeometricMetrics geo;
-  WassersteinMetrics wass;
+  std::optional<GeometricMetrics> geo;
+  std::optional<WassersteinMetrics> wass;
   bool feasible = false;
 };
 
@@ -152,6 +160,7 @@ class Learner {
   LearnResult learn(nn::Controller& ctrl) const;
 
   /// Evaluates the current controller once (no update); used by benches.
+  /// Like the history, the record carries only the active metric family.
   IterationRecord evaluate(const nn::Controller& ctrl) const;
 
  private:
@@ -160,15 +169,16 @@ class Learner {
     double d_g = 0.0;  ///< "approach goal" score (larger better)
     bool feasible = false;
   };
+  /// The active metric family of one pipe (penalties for an invalid pipe)
+  /// in larger-is-better orientation: the only metric evaluation path.
   MetricPair measure(const reach::Flowpipe& fp) const;
   /// Wasserstein-mode feasibility: the pipe touches Xg and is certified
   /// safe.
   bool wasserstein_feasible(const reach::Flowpipe& fp) const;
-  /// Both metric families of one iterate (penalties for an invalid pipe);
-  /// `feasible` is left for the caller.
-  IterationRecord record(const reach::Flowpipe& fp) const;
-  /// measure(fp).feasible, read off an already computed record.
-  bool feasible(const IterationRecord& rec, const reach::Flowpipe& fp) const;
+  /// History entry for iterate `iter` from its measured pair: the active
+  /// family (geo = {d_u, d_g}, or wass = {-d_g, d_u}; negation is exact)
+  /// and m.feasible.
+  IterationRecord to_record(std::size_t iter, const MetricPair& m) const;
 
   /// The TmVerifier the gradient engine would differentiate through (the
   /// inner verifier when wrapped in a CachingVerifier); null when the

@@ -47,6 +47,7 @@ double characteristic_size(const ReachAvoidSpec& spec) {
 double geometric_unsafe_distance(const Flowpipe& fp,
                                  const ReachAvoidSpec& spec) {
   const auto& dims = spec.unsafe_dims;
+  const Box up = project(spec.unsafe, dims);
 
   if (use_polygons(fp, dims)) {
     const geom::Polygon2d unsafe_poly =
@@ -65,7 +66,6 @@ double geometric_unsafe_distance(const Flowpipe& fp,
     // Also account for inter-sample hulls (box-based, conservative).
     for (const auto& hull : fp.interval_hulls) {
       const Box hp = project(hull, dims);
-      const Box up = project(spec.unsafe, dims);
       if (const auto inter = hp.intersection(up)) {
         overlap += inter->volume();
       } else {
@@ -80,7 +80,6 @@ double geometric_unsafe_distance(const Flowpipe& fp,
   double min_d2 = std::numeric_limits<double>::infinity();
   for (const auto& hull : fp.interval_hulls) {
     const Box hp = project(hull, dims);
-    const Box up = project(spec.unsafe, dims);
     if (const auto inter = hp.intersection(up)) {
       overlap += inter->volume();
     } else {
@@ -112,11 +111,11 @@ double geometric_goal_distance(const Flowpipe& fp,
     return overlap > 0.0 ? overlap : -min_d2;
   }
 
+  const Box gp = project(spec.goal, dims);
   double overlap = 0.0;
   double min_d2 = std::numeric_limits<double>::infinity();
   for (const auto& step : fp.step_sets) {
     const Box sp = project(step, dims);
-    const Box gp = project(spec.goal, dims);
     if (const auto inter = sp.intersection(gp)) {
       overlap += inter->volume();
     } else {

@@ -28,6 +28,7 @@ struct GeometricMetrics {
   double d_u = 0.0;
   double d_g = 0.0;
   bool feasible() const { return d_u > 0.0 && d_g > 0.0; }
+  bool operator==(const GeometricMetrics&) const = default;
 };
 GeometricMetrics geometric_metrics(const reach::Flowpipe& fp,
                                    const ode::ReachAvoidSpec& spec);
@@ -55,6 +56,7 @@ struct WassersteinMetrics {
   double w_unsafe = 0.0;  ///< W1(r_theta, u)
   /// The paper's objective: minimize w_goal - w_unsafe.
   double objective() const { return w_goal - w_unsafe; }
+  bool operator==(const WassersteinMetrics&) const = default;
 };
 
 /// Computes both Wasserstein metrics from the final reachable segment

@@ -8,15 +8,19 @@ namespace dwv::geom {
 
 namespace {
 
-// Andrew's monotone chain; returns CCW hull without the repeated endpoint.
-std::vector<P2> convex_hull(std::vector<P2> pts) {
+// Andrew's monotone chain: sorts and deduplicates `pts` in place and
+// writes the CCW hull, without the repeated endpoint, into `h`.
+void convex_hull(std::vector<P2>& pts, std::vector<P2>& h) {
   std::sort(pts.begin(), pts.end(), [](P2 a, P2 b) {
     return a.x < b.x || (a.x == b.x && a.y < b.y);
   });
   pts.erase(std::unique(pts.begin(), pts.end()), pts.end());
   const std::size_t n = pts.size();
-  if (n <= 2) return pts;
-  std::vector<P2> h(2 * n);
+  if (n <= 2) {
+    h.assign(pts.begin(), pts.end());
+    return;
+  }
+  h.resize(2 * n);
   std::size_t k = 0;
   for (std::size_t i = 0; i < n; ++i) {
     while (k >= 2 && cross(h[k - 2], h[k - 1], pts[i]) <= 0.0) --k;
@@ -28,13 +32,11 @@ std::vector<P2> convex_hull(std::vector<P2> pts) {
     h[k++] = pts[ii];
   }
   h.resize(k - 1);
-  return h;
 }
 
 }  // namespace
 
-Polygon2d::Polygon2d(std::vector<P2> points)
-    : vs_(convex_hull(std::move(points))) {}
+Polygon2d::Polygon2d(std::vector<P2> points) { convex_hull(points, vs_); }
 
 Polygon2d Polygon2d::from_box(const Box& b) {
   assert(b.dim() == 2);
@@ -107,12 +109,16 @@ Polygon2d Polygon2d::affine(const linalg::Mat& m, const linalg::Vec& c) const {
 
 Polygon2d Polygon2d::clip(const Polygon2d& clip_region) const {
   if (empty() || clip_region.empty()) return {};
-  std::vector<P2> out = vs_;
+  // Ping-pong buffers, reused across clip edges and calls: once warm, only
+  // the result's vertex vector is allocated.
+  thread_local std::vector<P2> in;
+  thread_local std::vector<P2> out;
+  out.assign(vs_.begin(), vs_.end());
   const auto& cl = clip_region.vs_;
   for (std::size_t e = 0; e < cl.size() && !out.empty(); ++e) {
     const P2 a = cl[e];
     const P2 b = cl[(e + 1) % cl.size()];
-    std::vector<P2> in = std::move(out);
+    in.swap(out);
     out.clear();
     for (std::size_t i = 0; i < in.size(); ++i) {
       const P2 p = in[i];
@@ -129,7 +135,7 @@ Polygon2d Polygon2d::clip(const Polygon2d& clip_region) const {
     }
   }
   Polygon2d r;
-  r.vs_ = convex_hull(std::move(out));
+  convex_hull(out, r.vs_);
   return r;
 }
 
@@ -176,19 +182,35 @@ double Polygon2d::distance_to(const Polygon2d& o) const {
   assert(!empty() && !o.empty());
   // Overlap (including full containment) means distance zero.
   if (contains(o.vs_[0]) || o.contains(vs_[0])) return 0.0;
-  double best = std::numeric_limits<double>::infinity();
-  const auto edge = [](const std::vector<P2>& vs, std::size_t i) {
-    return std::pair<P2, P2>{vs[i], vs[(i + 1) % vs.size()]};
-  };
   if (vs_.size() == 1 && o.vs_.size() == 1) {
     return std::hypot(vs_[0].x - o.vs_[0].x, vs_[0].y - o.vs_[0].y);
   }
-  for (std::size_t i = 0; i < vs_.size(); ++i) {
-    const auto [a, b] = edge(vs_, i);
-    for (std::size_t j = 0; j < o.vs_.size(); ++j) {
-      const auto [c, d] = edge(o.vs_, j);
-      best = std::min(best, segment_segment_distance(a, b, c, d));
-      if (best == 0.0) return 0.0;
+  // Edges are (i, (i + 1) % n): a 1-vertex polygon has one degenerate edge,
+  // a 2-vertex one its segment in both directions. Crossing edges touch.
+  const std::vector<P2>& p = vs_;
+  const std::vector<P2>& q = o.vs_;
+  const std::size_t n = p.size();
+  const std::size_t m = q.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < m; ++j) {
+      if (segments_intersect(p[i], p[(i + 1) % n], q[j], q[(j + 1) % m])) {
+        return 0.0;
+      }
+    }
+  }
+  // With no crossing, the minimum of segment_segment_distance over all edge
+  // pairs is the minimum over every (edge, vertex of the other polygon)
+  // pair: the same set of values, each taken once, and min does not depend
+  // on the order.
+  double best = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t k = 0; k < m; ++k) {
+      best = std::min(best, segment_point_distance(p[i], p[(i + 1) % n], q[k]));
+    }
+  }
+  for (std::size_t j = 0; j < m; ++j) {
+    for (std::size_t k = 0; k < n; ++k) {
+      best = std::min(best, segment_point_distance(q[j], q[(j + 1) % m], p[k]));
     }
   }
   return best;

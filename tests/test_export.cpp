@@ -12,14 +12,17 @@ using geom::Box;
 using interval::Interval;
 
 TEST(Export, HistoryCsvFormat) {
-  std::vector<IterationRecord> history(2);
+  // A family absent from a record is written as empty cells (the learner
+  // records only the family it runs with).
+  std::vector<IterationRecord> history(3);
   history[0].iter = 0;
-  history[0].geo = {-1.5, -2.5};
-  history[0].wass.w_goal = 3.0;
-  history[0].wass.w_unsafe = 0.5;
+  history[0].geo = GeometricMetrics{-1.5, -2.5};
+  history[0].wass = WassersteinMetrics{3.0, 0.5};
   history[1].iter = 1;
-  history[1].geo = {0.25, 0.75};
+  history[1].geo = GeometricMetrics{0.25, 0.75};
   history[1].feasible = true;
+  history[2].iter = 2;
+  history[2].wass = WassersteinMetrics{0.125, 2.0};
 
   std::stringstream ss;
   write_history_csv(ss, history);
@@ -29,7 +32,9 @@ TEST(Export, HistoryCsvFormat) {
   std::getline(ss, line);
   EXPECT_EQ(line, "0,-1.5,-2.5,3,0.5,0");
   std::getline(ss, line);
-  EXPECT_EQ(line, "1,0.25,0.75,0,0,1");
+  EXPECT_EQ(line, "1,0.25,0.75,,,1");
+  std::getline(ss, line);
+  EXPECT_EQ(line, "2,,,0.125,2,0");
 }
 
 TEST(Export, FlowpipeCsvFormat) {

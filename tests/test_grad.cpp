@@ -4,7 +4,9 @@
 // composition, and thread-count determinism of the grad learner.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
@@ -432,8 +434,9 @@ TEST(GradLearner, ConvergesOnAccWithFiveTimesFewerCallsThanSpsa) {
   // Equal-or-better final metric: both runs stop at their first feasible
   // iterate, so both ends are certified (d_u > 0 and d_g > 0).
   ASSERT_FALSE(grad.history.empty());
-  EXPECT_GT(grad.history.back().geo.d_u, 0.0);
-  EXPECT_GT(grad.history.back().geo.d_g, 0.0);
+  ASSERT_TRUE(grad.history.back().geo.has_value());
+  EXPECT_GT(grad.history.back().geo->d_u, 0.0);
+  EXPECT_GT(grad.history.back().geo->d_g, 0.0);
 }
 
 TEST(GradLearner, SpsaFallsBackUnchangedForUnsupportedController) {
@@ -487,6 +490,68 @@ TEST(GradLearner, CacheCompositionIsBitIdentical) {
   ASSERT_EQ(p0.size(), p1.size());
   for (std::size_t i = 0; i < p0.size(); ++i) {
     EXPECT_EQ(p0[i], p1[i]) << "param " << i;
+  }
+}
+
+TEST(GradLearner, RecordsTheDualPassMetricValues) {
+  // The grad learner fills each history entry from its dual pass's metric
+  // values, with no scalar re-evaluation. Those values must equal the dual
+  // metrics and the scalar metrics of the same iterate bit for bit, and
+  // only the active family is recorded. The first record belongs to the
+  // initial controller, the last to the controller learn() returns.
+  const auto bench = ode::make_acc_benchmark();
+  const auto& spec = bench.spec;
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (const auto metric :
+       {core::MetricKind::kGeometric, core::MetricKind::kWasserstein}) {
+    SCOPED_TRACE(core::to_string(metric));
+    core::LearnerOptions opt = grad_learn_options();
+    opt.metric = metric;
+    opt.max_iters = 12;
+    opt.restarts = 1;
+    const auto verifier = acc_tm_verifier(bench);
+    core::Learner learner(verifier, spec, opt);
+    nn::LinearController ctrl(Mat{{0.0, 0.0}});
+    const nn::ControllerPtr initial = ctrl.clone();
+    const core::LearnResult res = learner.learn(ctrl);
+    ASSERT_GE(res.history.size(), 2u);
+
+    const TmGradient engine(*verifier);
+    const auto expect_recorded = [&](const core::IterationRecord& rec,
+                                     const nn::Controller& c) {
+      const GradFlowpipe g = engine.compute(spec.x0, c);
+      const reach::Flowpipe fp = verifier->compute(spec.x0, c);
+      ASSERT_EQ(g.fp.valid, fp.valid);
+      if (metric == core::MetricKind::kGeometric) {
+        ASSERT_TRUE(rec.geo.has_value());
+        EXPECT_FALSE(rec.wass.has_value());
+        const GeometricMetricsGrad dual =
+            fp.valid ? core::geometric_metrics_grad(g, spec)
+                     : core::geometric_penalty_grad(spec, g);
+        const core::GeometricMetrics scalar =
+            fp.valid ? core::geometric_metrics(fp, spec)
+                     : core::geometric_penalty(spec, fp);
+        EXPECT_EQ(bits(rec.geo->d_u), bits(dual.d_u.value));
+        EXPECT_EQ(bits(rec.geo->d_g), bits(dual.d_g.value));
+        EXPECT_EQ(bits(rec.geo->d_u), bits(scalar.d_u));
+        EXPECT_EQ(bits(rec.geo->d_g), bits(scalar.d_g));
+      } else {
+        ASSERT_TRUE(rec.wass.has_value());
+        EXPECT_FALSE(rec.geo.has_value());
+        const WassersteinMetricsGrad dual =
+            fp.valid ? core::wasserstein_metrics_grad(g, spec, opt.wopt)
+                     : core::wasserstein_penalty_grad(spec, g);
+        const core::WassersteinMetrics scalar =
+            fp.valid ? core::wasserstein_metrics(fp, spec, opt.wopt)
+                     : core::wasserstein_penalty(spec, fp);
+        EXPECT_EQ(bits(rec.wass->w_goal), bits(dual.w_goal.value));
+        EXPECT_EQ(bits(rec.wass->w_unsafe), bits(dual.w_unsafe.value));
+        EXPECT_EQ(bits(rec.wass->w_goal), bits(scalar.w_goal));
+        EXPECT_EQ(bits(rec.wass->w_unsafe), bits(scalar.w_unsafe));
+      }
+    };
+    expect_recorded(res.history.front(), *initial);
+    expect_recorded(res.history.back(), ctrl);
   }
 }
 

@@ -67,31 +67,60 @@ TEST(Learner, ConvergesOnAccWasserstein) {
   EXPECT_DOUBLE_EQ(mc.goal_rate, 1.0);
 }
 
+// Exactly the family the learner runs with is recorded; the other one is
+// never computed and stays nullopt.
+void expect_active_family_only(const IterationRecord& rec, MetricKind metric) {
+  if (metric == MetricKind::kGeometric) {
+    ASSERT_TRUE(rec.geo.has_value()) << "iter " << rec.iter;
+    EXPECT_FALSE(rec.wass.has_value()) << "iter " << rec.iter;
+    EXPECT_TRUE(std::isfinite(rec.geo->d_u)) << "iter " << rec.iter;
+    EXPECT_TRUE(std::isfinite(rec.geo->d_g)) << "iter " << rec.iter;
+  } else {
+    ASSERT_TRUE(rec.wass.has_value()) << "iter " << rec.iter;
+    EXPECT_FALSE(rec.geo.has_value()) << "iter " << rec.iter;
+    EXPECT_GE(rec.wass->w_goal, 0.0) << "iter " << rec.iter;
+    EXPECT_GE(rec.wass->w_unsafe, 0.0) << "iter " << rec.iter;
+  }
+}
+
 TEST(Learner, HistoryIsRecordedAndMonotoneInIter) {
   const auto bench = ode::make_acc_benchmark();
-  LearnerOptions opt;
-  opt.max_iters = 10;
-  opt.restarts = 1;
-  opt.seed = 5;
-  Learner learner(acc_verifier(bench), bench.spec, opt);
-  nn::LinearController ctrl(Mat{{0.0, 0.0}});
-  const LearnResult res = learner.learn(ctrl);
-  ASSERT_FALSE(res.history.empty());
-  for (std::size_t i = 0; i < res.history.size(); ++i) {
-    EXPECT_EQ(res.history[i].iter, i);
+  for (const MetricKind metric :
+       {MetricKind::kGeometric, MetricKind::kWasserstein}) {
+    SCOPED_TRACE(to_string(metric));
+    LearnerOptions opt;
+    opt.metric = metric;
+    opt.max_iters = 10;
+    opt.restarts = 1;
+    opt.seed = 5;
+    Learner learner(acc_verifier(bench), bench.spec, opt);
+    nn::LinearController ctrl(Mat{{0.0, 0.0}});
+    const LearnResult res = learner.learn(ctrl);
+    ASSERT_FALSE(res.history.empty());
+    for (std::size_t i = 0; i < res.history.size(); ++i) {
+      EXPECT_EQ(res.history[i].iter, i);
+      expect_active_family_only(res.history[i], metric);
+    }
+    if (metric == MetricKind::kWasserstein) {
+      EXPECT_NE(res.history[0].wass->w_goal, 0.0);
+    }
   }
-  // Every record carries both metric families (for Figs. 4 and 5).
-  EXPECT_NE(res.history[0].wass.w_goal, 0.0);
 }
 
 TEST(Learner, EvaluateDoesNotMutateController) {
   const auto bench = ode::make_acc_benchmark();
-  Learner learner(acc_verifier(bench), bench.spec, {});
-  nn::LinearController ctrl(Mat{{0.5, -1.5}});
-  const auto before = ctrl.params();
-  const IterationRecord rec = learner.evaluate(ctrl);
-  EXPECT_EQ(ctrl.params(), before);
-  EXPECT_GE(rec.wass.w_goal, 0.0);
+  for (const MetricKind metric :
+       {MetricKind::kGeometric, MetricKind::kWasserstein}) {
+    SCOPED_TRACE(to_string(metric));
+    LearnerOptions opt;
+    opt.metric = metric;
+    Learner learner(acc_verifier(bench), bench.spec, opt);
+    nn::LinearController ctrl(Mat{{0.5, -1.5}});
+    const auto before = ctrl.params();
+    const IterationRecord rec = learner.evaluate(ctrl);
+    EXPECT_EQ(ctrl.params(), before);
+    expect_active_family_only(rec, metric);
+  }
 }
 
 TEST(Learner, CoordinateGradientImprovesObjective) {
@@ -113,16 +142,19 @@ TEST(Learner, CoordinateGradientImprovesObjective) {
   nn::LinearController ctrl(Mat{{0.3, -1.5}});
   const LearnResult res = learner.learn(ctrl);
   ASSERT_GE(res.history.size(), 2u);
+  for (const IterationRecord& rec : res.history) {
+    ASSERT_TRUE(rec.geo.has_value()) << "iter " << rec.iter;
+  }
   const auto& first = res.history.front();
   const auto& best = *std::max_element(
       res.history.begin(), res.history.end(),
       [](const IterationRecord& a, const IterationRecord& b) {
-        return a.geo.d_u + a.geo.d_g < b.geo.d_u + b.geo.d_g;
+        return a.geo->d_u + a.geo->d_g < b.geo->d_u + b.geo->d_g;
       });
   // The combined objective improves substantially (goal progress may trade
   // a little safety margin; the weighted sum is what the update ascends).
-  EXPECT_GT(best.geo.d_u + best.geo.d_g,
-            first.geo.d_u + first.geo.d_g + 1.0);
+  EXPECT_GT(best.geo->d_u + best.geo->d_g,
+            first.geo->d_u + first.geo->d_g + 1.0);
 }
 
 TEST(Learner, RespectsIterationBudget) {
@@ -156,8 +188,9 @@ TEST(Learner, SuccessImpliesFormallyPositiveMetrics) {
   const LearnResult res = learner.learn(ctrl);
   ASSERT_TRUE(res.success);
   const IterationRecord& last = res.history.back();
-  EXPECT_GT(last.geo.d_u, 0.0);
-  EXPECT_GT(last.geo.d_g, 0.0);
+  ASSERT_TRUE(last.geo.has_value());
+  EXPECT_GT(last.geo->d_u, 0.0);
+  EXPECT_GT(last.geo->d_g, 0.0);
   EXPECT_TRUE(last.feasible);
   EXPECT_TRUE(res.final_flowpipe.valid);
 }
@@ -201,8 +234,9 @@ TEST(Learner, SpsaAveragedWithZeroSamplesIsClamped) {
   const LearnResult res = learner.learn(ctrl);
   ASSERT_FALSE(res.history.empty());
   for (const IterationRecord& rec : res.history) {
-    EXPECT_TRUE(std::isfinite(rec.geo.d_u)) << "iter " << rec.iter;
-    EXPECT_TRUE(std::isfinite(rec.geo.d_g)) << "iter " << rec.iter;
+    ASSERT_TRUE(rec.geo.has_value()) << "iter " << rec.iter;
+    EXPECT_TRUE(std::isfinite(rec.geo->d_u)) << "iter " << rec.iter;
+    EXPECT_TRUE(std::isfinite(rec.geo->d_g)) << "iter " << rec.iter;
   }
   const auto theta = ctrl.params();
   for (std::size_t i = 0; i < theta.size(); ++i) {

@@ -98,9 +98,12 @@ void expect_flowpipes_identical(const reach::Flowpipe& a,
   }
 }
 
-core::LearnResult learn_acc(core::GradientMode mode, std::size_t threads) {
+core::LearnResult learn_acc(
+    core::GradientMode mode, std::size_t threads,
+    core::MetricKind metric = core::MetricKind::kGeometric) {
   const auto bench = ode::make_acc_benchmark();
   core::LearnerOptions opt;
+  opt.metric = metric;
   opt.gradient = mode;
   opt.spsa_samples = 3;
   opt.max_iters = 20;
@@ -125,10 +128,9 @@ void expect_learn_results_identical(const core::LearnResult& a,
   for (std::size_t i = 0; i < a.history.size(); ++i) {
     EXPECT_EQ(a.history[i].iter, b.history[i].iter);
     EXPECT_EQ(a.history[i].feasible, b.history[i].feasible);
-    EXPECT_EQ(a.history[i].geo.d_u, b.history[i].geo.d_u);
-    EXPECT_EQ(a.history[i].geo.d_g, b.history[i].geo.d_g);
-    EXPECT_EQ(a.history[i].wass.w_unsafe, b.history[i].wass.w_unsafe);
-    EXPECT_EQ(a.history[i].wass.w_goal, b.history[i].wass.w_goal);
+    // Optionals: the recorded family must agree in presence and value.
+    EXPECT_EQ(a.history[i].geo, b.history[i].geo) << "iter " << i;
+    EXPECT_EQ(a.history[i].wass, b.history[i].wass) << "iter " << i;
   }
   expect_flowpipes_identical(a.final_flowpipe, b.final_flowpipe);
 }
@@ -143,6 +145,16 @@ TEST(ParallelDeterminism, LearnerCoordinateBitIdentical) {
   expect_learn_results_identical(
       learn_acc(core::GradientMode::kCoordinate, 1),
       learn_acc(core::GradientMode::kCoordinate, 4));
+}
+
+TEST(ParallelDeterminism, LearnerWassersteinBitIdentical) {
+  const core::LearnResult serial = learn_acc(
+      core::GradientMode::kSpsaAveraged, 1, core::MetricKind::kWasserstein);
+  ASSERT_FALSE(serial.history.empty());
+  EXPECT_TRUE(serial.history.front().wass.has_value());
+  expect_learn_results_identical(
+      serial, learn_acc(core::GradientMode::kSpsaAveraged, 4,
+                        core::MetricKind::kWasserstein));
 }
 
 TEST(ParallelDeterminism, SubdividingVerifierBitIdentical) {

@@ -173,9 +173,12 @@ TEST(FlowpipeCache, ConcurrentLookupsAreBitIdentical) {
   EXPECT_GT(s.hits, 0u);
 }
 
-core::LearnResult learn_acc(bool cache, std::size_t threads) {
+core::LearnResult learn_acc(
+    bool cache, std::size_t threads,
+    core::MetricKind metric = core::MetricKind::kGeometric) {
   const auto bench = ode::make_acc_benchmark();
   core::LearnerOptions opt;
+  opt.metric = metric;
   opt.gradient = core::GradientMode::kSpsaAveraged;
   opt.spsa_samples = 4;
   opt.max_iters = 20;
@@ -200,10 +203,9 @@ void expect_learn_results_identical(const core::LearnResult& a,
   ASSERT_EQ(a.history.size(), b.history.size());
   for (std::size_t i = 0; i < a.history.size(); ++i) {
     EXPECT_EQ(a.history[i].feasible, b.history[i].feasible);
-    EXPECT_EQ(a.history[i].geo.d_u, b.history[i].geo.d_u);
-    EXPECT_EQ(a.history[i].geo.d_g, b.history[i].geo.d_g);
-    EXPECT_EQ(a.history[i].wass.w_unsafe, b.history[i].wass.w_unsafe);
-    EXPECT_EQ(a.history[i].wass.w_goal, b.history[i].wass.w_goal);
+    // Optionals: the recorded family must agree in presence and value.
+    EXPECT_EQ(a.history[i].geo, b.history[i].geo) << "iter " << i;
+    EXPECT_EQ(a.history[i].wass, b.history[i].wass) << "iter " << i;
   }
   expect_flowpipes_identical(a.final_flowpipe, b.final_flowpipe);
 }
@@ -220,6 +222,16 @@ TEST(LearnerCache, CacheOnEqualsCacheOffBitwise) {
 
 TEST(LearnerCache, CachedParallelEqualsColdSerial) {
   expect_learn_results_identical(learn_acc(false, 1), learn_acc(true, 4));
+}
+
+TEST(LearnerCache, WassersteinCachedParallelEqualsColdSerial) {
+  const auto w = core::MetricKind::kWasserstein;
+  const core::LearnResult off = learn_acc(false, 1, w);
+  const core::LearnResult on = learn_acc(true, 4, w);
+  ASSERT_FALSE(off.history.empty());
+  EXPECT_TRUE(off.history.front().wass.has_value());
+  expect_learn_results_identical(off, on);
+  EXPECT_GT(on.cache_stats.hits, 0u);
 }
 
 TEST(ZohCache, MemoizedDiscretizationMatchesDirect) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <random>
+#include <string>
 
 #include "ode/benchmarks.hpp"
 #include "reach/tm_flowpipe.hpp"
@@ -71,6 +73,13 @@ struct TmCase {
   std::string benchmark;
   std::string abstraction;
 };
+
+// gtest shows the param next to each case name; without a printer it dumps
+// the struct's bytes, heap pointers included, so the names would shift with
+// the allocation history of the binary.
+void PrintTo(const TmCase& c, std::ostream* os) {
+  *os << c.benchmark << '/' << c.abstraction;
+}
 
 class TmVerifierSoundness : public ::testing::TestWithParam<TmCase> {};
 
