@@ -180,7 +180,7 @@ void bench_tm_batch(Results& out) {
                             std::make_shared<reach::LinearAbstraction>());
   const std::vector<geom::Box> cells = make_cells(bm.spec.x0, 6);  // 36
 
-  // Best-of-9: a TM rep runs ~100ms, long enough for scheduler noise to
+  // Best-of-9: a TM rep runs ~40ms, long enough for scheduler noise to
   // distort a best-of-5 minimum on either side of the reported ratio.
   std::vector<reach::Flowpipe> seq;
   const double t_seq = time_best_seconds(9, [&] {
@@ -197,8 +197,9 @@ void bench_tm_batch(Results& out) {
       time_best_seconds(9, [&] { bat = bv.compute(cells, ctrl); });
 
   // Diagnostic: the same driver pinned to one thread isolates the pure
-  // lane-batching win (warm lane contexts + remainder-tape replay + pinned
-  // range streaming) from the thread-level parallelism.
+  // lane-batching win (lane contexts kept warm across cells) from the
+  // thread-level parallelism. Remainder-tape replay and pinned range
+  // domains are not part of it: scalar compute() runs them too.
   const reach::BatchVerifier bv1(&v, 0, 1);
   std::vector<reach::Flowpipe> bat1;
   const double t_bat1 =

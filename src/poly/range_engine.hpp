@@ -102,8 +102,8 @@ class RangeEngine {
   void set_result_memo(bool on) { memo_enabled_ = on; }
 
   // --- Pinned-domain streaming profile -----------------------------------
-  // A long-lived caller that owns its query domains (the batched TM
-  // stepper: one set-variable box and one time-extended box, both with
+  // A long-lived caller that owns its query domains (a TM driver lane:
+  // one set-variable box and one time-extended box, both with
   // stable addresses and stable bits across thousands of queries) can pin
   // them. Pinned queries skip the per-query table search (same_bits scan)
   // and the linear memo scan in favour of pointer identity and a

@@ -22,10 +22,10 @@ using taylor::DualTmEnv;
 using taylor::DualTmVec;
 
 // Every function in this file mirrors its scalar counterpart in
-// tm_flowpipe.cpp operation for operation on the value channel; see the
-// header. The scalar compute() entry runs with the remainder tape OFF and
-// no Picard convergence break (those are streaming-lane-only), so the dual
-// step mirrors the plain full-channel kernel sequence.
+// tm_flowpipe.cpp on the value channel; see the header. The dual step runs
+// the full-channel kernel sequence (no remainder tape, poly-only passes or
+// Picard convergence break): those only skip bitwise no-op work in the
+// scalar step, so the value bits agree either way.
 
 void dual_integrate_step(const DualTmEnv& env_set, const DualTmVec& state,
                          const DualTmVec& control,

@@ -174,12 +174,12 @@ void tm_integrate_step(const TmEnv& env_set, const TmVec& state,
     s.u[j].rem = control[j].rem;
   }
 
-  // Remainder-replay tape (streaming lanes only; taylor::RemTape). When a
-  // Picard evaluation's polynomial channel is known to repeat bitwise, one
-  // recorded pass captures the remainder-formula constants and later passes
-  // replay the remainder arithmetic only.
+  // Remainder-replay tape (taylor::RemTape), on for replay-safe dynamics.
+  // When a Picard evaluation's polynomial channel is known to repeat
+  // bitwise, one recorded pass captures the remainder-formula constants and
+  // later passes replay the remainder arithmetic only.
   taylor::RemTape& tape = s.rem_tape;
-  const bool tape_on = tape.enabled && f.replay_safe();
+  const bool tape_on = f.replay_safe();
   // In replay mode the kernels leave output polys untouched; when set, the
   // replayed Picard pass materializes out[i].poly from its input (valid
   // exactly when the poly fixpoint converged, so output == input bitwise).
@@ -223,7 +223,7 @@ void tm_integrate_step(const TmEnv& env_set, const TmVec& state,
   // enclosures around ranges that include remainders, so they keep the
   // full channel). The polynomial bits are unchanged either way.
   //
-  // Streaming lanes additionally test for poly convergence: once a pass
+  // Replay-safe steps also test for poly convergence: once a pass
   // maps the polynomials to themselves bitwise, every remaining pass maps
   // (phi, 0) back to phi with the remainder re-zeroed — a bitwise no-op —
   // so they are skipped. The validation attempts below need a remainder
@@ -235,11 +235,6 @@ void tm_integrate_step(const TmEnv& env_set, const TmVec& state,
   // own tape, converging later keeps recording until the compare
   // succeeds. (Skipping no-op passes or range queries only changes what
   // the engine sees; that is bit-invisible by the RangeEngine contract.)
-  // Like the tape itself, the skipping stays on streaming lanes only: the
-  // scalar path is the bit-identity oracle the lane results are checked
-  // against in tests and in-bench guards, so it keeps the legacy
-  // full-channel kernel sequence.
-  const bool rem_dead = tape_on && f.replay_safe();
   bool tape_valid = false;  ///< tape's poly channel == (phi, u) composition
   // Adaptive runs track convergence on every path (the break is a bitwise
   // no-op — a converged pass maps (phi, 0) back to phi with the remainder
@@ -257,7 +252,7 @@ void tm_integrate_step(const TmEnv& env_set, const TmVec& state,
   for (std::size_t i = 0; i < n; ++i) s.phi[i] = s.x0[i];
   for (std::size_t it = 0; it < iters_eff; ++it) {
     const bool record = tape_on && it >= s.conv_pred;
-    s.poly_only = rem_dead && !record;
+    s.poly_only = tape_on && !record;
     if (record) tape.start_record();
     picard(s.phi, s.picard_out);
     s.poly_only = false;
@@ -292,8 +287,8 @@ void tm_integrate_step(const TmEnv& env_set, const TmVec& state,
   res.defect_rel = 0.0;
   res.max_poly_terms = 0;
   // Every attempt evaluates the Picard operator at the same polynomials
-  // (cand.poly is fixed to phi; only the remainder guess changes), so on
-  // streaming lanes at most one attempt runs in full: either the fixpoint
+  // (cand.poly is fixed to phi; only the remainder guess changes), so with
+  // the tape on at most one attempt runs in full: either the fixpoint
   // loop converged and left a valid tape (attempt 0 already replays, with
   // the output polys materialized from phi), or attempt 0 records and the
   // retries replay (their output polys persist in s.pnext from attempt 0).
@@ -331,7 +326,7 @@ void tm_integrate_step(const TmEnv& env_set, const TmVec& state,
       // zero interval outward-widens exactly like the legacy tm_sub did.
       // Both polys are fixed across attempts (cand.poly is pinned to phi
       // and the Picard output polys are attempt-invariant), so the defect
-      // poly — and hence its range — is too; on streaming lanes retries
+      // poly — and hence its range — is too; with the tape on, retries
       // reuse the attempt-0 range and redo only the remainder arithmetic.
       if (tape_on && attempt > 0) {
         s.d_range[i] =
@@ -590,8 +585,7 @@ struct TmVerifier::Lane {
   // Jacobian-capable dynamics): the state models `x` are kept
   // remainder-free between substeps and the accumulated deviation lives in
   // `srq` as (transport matrix, local remainder) pairs — see
-  // reach/sym_remainder.hpp and DESIGN.md §12. Plain interval matrix math,
-  // identical on scalar and streaming lanes.
+  // reach/sym_remainder.hpp and DESIGN.md §12. Plain interval matrix math.
   bool sym_on = false;
   sym::SymRemainderQueue srq;
   sym::IMat jac, a_step, a_tube;
@@ -603,8 +597,7 @@ struct TmVerifier::Lane {
   // bits — derives the identical schedule independently. The controller
   // persists across cells (cheap POD) but is reset per cell.
   StepController sc;
-  bool streaming = false;
-  double pinned_h = 0.0;    ///< tau-domain width the streaming pin holds
+  double pinned_h = 0.0;    ///< tau-domain width the time-extended pin holds
   std::uint32_t pin_cap = 0;
 
   // Per-cell state, reset by start().
@@ -626,12 +619,11 @@ struct TmVerifier::Lane {
   std::vector<double> h_tape;
   std::vector<std::uint32_t> order_tape;
 
-  void prime(const TmVerifier& verifier, bool stream) {
+  void prime(const TmVerifier& verifier) {
     v = &verifier;
     n = v->sys_->state_dim();
     h = v->spec_.delta / static_cast<double>(v->opt_.substeps);
     sc.configure(v->opt_, v->spec_.delta, n);
-    streaming = stream;
     pinned_h = h;
     pin_cap = 2 * (v->opt_.adaptive ? sc.order_max() : v->opt_.order) + 2;
 
@@ -647,42 +639,31 @@ struct TmVerifier::Lane {
     env_time.cutoff = v->opt_.cutoff;
     env_time.range_mode = v->opt_.range_mode;
 
-    if (stream) {
-      // Streaming profile for the batched driver: pin the two domains every
-      // hot range query of a run uses — the lane-owned set box, and the
-      // time-extended box tm_integrate_step writes into its scratch env
-      // (identical bits every step, since h and the unit box are fixed per
-      // verifier; priming it here matches those writes exactly). Pins are
-      // bit-invisible (poly::RangeEngine contract), so stream and classic
-      // lanes produce identical results; the scalar compute() entry keeps
-      // the engine's general-purpose configuration because its env is
-      // call-local and makes no domain-lifetime promise.
-      taylor::TmScratch& s = env.scratch();
-      s.range.pin_domain(env.dom, pin_cap);
-      // Opt in to remainder-tape record/replay inside tm_integrate_step
-      // (skips the redundant poly work of converged Picard passes and
-      // validation retries; bit-identical by construction — see
-      // taylor::RemTape).
-      s.rem_tape.enabled = true;
-      TmEnv& et = s.env_time;
-      if (!s.env_time_init) {
-        et.borrow_scratch(env);
-        s.env_time_init = true;
-      }
-      et.dom.resize(n + 1);
-      for (std::size_t i = 0; i <= n; ++i) et.dom[i] = env_time.dom[i];
-      et.order = env.order;
-      et.cutoff = env.cutoff;
-      et.range_mode = env.range_mode;
-      s.range.pin_domain(et.dom, pin_cap);
+    // Pin the two domains every hot range query of a run uses: the
+    // lane-owned set box, and the time-extended box tm_integrate_step
+    // writes into its scratch env (identical bits every step, since h and
+    // the unit box are fixed per verifier; priming it here matches those
+    // writes exactly). Pins are bit-invisible (poly::RangeEngine contract).
+    taylor::TmScratch& s = env.scratch();
+    s.range.pin_domain(env.dom, pin_cap);
+    TmEnv& et = s.env_time;
+    if (!s.env_time_init) {
+      et.borrow_scratch(env);
+      s.env_time_init = true;
     }
+    et.dom.resize(n + 1);
+    for (std::size_t i = 0; i <= n; ++i) et.dom[i] = env_time.dom[i];
+    et.order = env.order;
+    et.cutoff = env.cutoff;
+    et.range_mode = env.range_mode;
+    s.range.pin_domain(et.dom, pin_cap);
     primed = true;
   }
 
   void start(const TmVerifier& verifier, const geom::Box& x0,
              const nn::Controller& c, TmSymbolicPrefix* rec,
-             const TmSymbolicPrefix* par, bool stream) {
-    if (!primed) prime(verifier, stream);
+             const TmSymbolicPrefix* par) {
+    if (!primed) prime(verifier);
     assert(x0.dim() == n);
     ctrl = &c;
     record = rec;
@@ -726,15 +707,14 @@ struct TmVerifier::Lane {
     }
   }
 
-  // Adaptive streaming lanes: the scratch's time-extended domain is PINNED
-  // in the range engine (pointer identity fast path), so its tau width may
-  // only change through a re-pin — writing new bits under a stale pin
-  // would serve power rows for the old [0, h]. Pin maintenance is
-  // bit-invisible by the RangeEngine contract, so re-pin timing cannot
-  // change results. No-op on the scalar driver (no pins) and on the fixed
-  // grid (h never changes).
+  // Adaptive lanes: the scratch's time-extended domain is PINNED in the
+  // range engine (pointer identity fast path), so its tau width may only
+  // change through a re-pin — writing new bits under a stale pin would
+  // serve power rows for the old [0, h]. Pin maintenance is bit-invisible
+  // by the RangeEngine contract, so re-pin timing cannot change results.
+  // No-op on the fixed grid (h never changes).
   void set_step_h(double hs) {
-    if (!streaming || hs == pinned_h) return;
+    if (hs == pinned_h) return;
     taylor::TmScratch& s = env.scratch();
     TmEnv& et = s.env_time;
     et.dom[n] = Interval(0.0, hs);
@@ -830,7 +810,7 @@ struct TmVerifier::Lane {
     if (recording) tube_rec.reserve(period.tube.size());
     for (std::size_t sub = 0; sub < period.tube.size(); ++sub) {
       // env_time is lane-local and unpinned (its scratch is separate from
-      // the streaming env's), so mutating the tau domain here is safe. The
+      // env's), so mutating the tau domain here is safe. The
       // truncation order follows the tape too: restricting an escalated
       // model at a lower order would shave validated terms into the
       // remainder.
@@ -1049,7 +1029,7 @@ Flowpipe TmVerifier::run(const geom::Box& x0, const nn::Controller& ctrl,
                          TmSymbolicPrefix* record,
                          const TmSymbolicPrefix* parent) const {
   Lane lane;
-  lane.start(*this, x0, ctrl, record, parent, /*stream=*/false);
+  lane.start(*this, x0, ctrl, record, parent);
   while (!lane.done) lane.advance_period();
   return std::move(lane.fp);
 }
@@ -1087,8 +1067,7 @@ std::vector<TmComputeResult> TmVerifier::run_batch(
         prefixes[j]->x0 = jobs[j].x0;
         rec = prefixes[j].get();
       }
-      lanes[l].start(*this, jobs[j].x0, *jobs[j].ctrl, rec, jobs[j].parent,
-                     /*stream=*/true);
+      lanes[l].start(*this, jobs[j].x0, *jobs[j].ctrl, rec, jobs[j].parent);
     };
     for (std::size_t l = 0; l < w; ++l) feed(l);
 

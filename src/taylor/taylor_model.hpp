@@ -116,12 +116,10 @@ using TmVec = std::vector<TaylorModel>;
 /// Kernels leave the output polynomial untouched in replay mode; the
 /// driver is responsible for materializing any output poly it still needs
 /// (reach::tm_integrate_step copies the converged fixpoint polynomial).
+/// reach::tm_integrate_step drives the tape for every replay-safe dynamics
+/// (reach::TmDynamics::replay_safe); the kernels only look at `mode`.
 struct RemTape {
   enum Mode : int { kOff = 0, kRecord = 1, kReplay = 2 };
-  /// Opt-in switch read by reach::tm_integrate_step (set by streaming
-  /// drivers such as TmVerifier's lockstep lane pool); the kernels only
-  /// look at `mode`.
-  bool enabled = false;
   int mode = kOff;
   std::vector<interval::Interval> consts;
   std::size_t pos = 0;  ///< replay cursor
@@ -183,10 +181,10 @@ struct TmScratch {
   /// read remainders (TmDynamics::replay_safe); the polynomial bits are
   /// unchanged either way.
   bool poly_only = false;
-  /// Streaming lanes: Picard pass index at which the polynomial fixpoint
-  /// converged on the previous step. Structural (the tau-degree saturates
-  /// at the order), so it is a near-perfect predictor of where remainder
-  /// recording has to start; 0 until first observed (record everything).
+  /// Picard pass index at which the polynomial fixpoint converged on the
+  /// previous step. Structural (the tau-degree saturates at the order), so
+  /// it is a near-perfect predictor of where remainder recording has to
+  /// start; 0 until first observed (record everything).
   std::size_t conv_pred = 0;
 
   // Flowpipe-step workspace (reach::tm_integrate_step).
@@ -203,7 +201,7 @@ struct TmScratch {
   std::vector<interval::Interval> d_range;
   /// Per-component range of the defect polynomial P(cand)_i - cand_i.poly;
   /// fixed across validation attempts (only the remainder guess changes),
-  /// so streaming lanes compute it once per step and reuse it.
+  /// so tape-on steps compute it once per step and reuse it.
   std::vector<interval::Interval> diff_poly_range;
 
   /// The step's time-extended environment; its scratch borrows from the
