@@ -68,13 +68,21 @@ struct DualStepResult {
 struct DualStepScratch {
   taylor::DualTmVec x0, u, args, g, phi, picard_out, cand, pnext, validated;
   std::vector<interval::DualInterval> rem_j, d_range;
+  /// Per-component range of the defect poly P(cand)_i - cand_i.p, fixed
+  /// across validation attempts (computed at attempt 0, reused by retries).
+  std::vector<interval::DualInterval> diff_poly_range;
+  /// Picard pass at which every channel's fixpoint converged on the
+  /// previous step: where remainder recording starts (TmScratch::conv_pred).
+  std::size_t conv_pred = 0;
 };
 
-/// Dual mirror of reach::tm_integrate_step in the full channel (no
-/// remainder tape): the value channel performs the identical Picard
-/// fixpoint + remainder validation; tangents ride along. `fd` is the
-/// dynamics' dual polynomials (value = f_i, tangents as supplied — zero
-/// for parameter-independent dynamics).
+/// Dual mirror of reach::tm_integrate_step, with its kernel sequence
+/// (remainder tape, poly-only fixpoint passes, converged-pass break): the
+/// value channel performs the identical Picard fixpoint + remainder
+/// validation; tangents ride along, and the pass loop breaks only once
+/// every channel has converged. `fd` is the dynamics' dual polynomials
+/// (value = f_i, tangents as supplied — zero for parameter-independent
+/// dynamics).
 void dual_integrate_step(const taylor::DualTmEnv& env_set,
                          const taylor::DualTmVec& state,
                          const taylor::DualTmVec& control,

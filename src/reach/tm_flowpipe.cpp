@@ -178,7 +178,7 @@ void tm_integrate_step(const TmEnv& env_set, const TmVec& state,
   // When a Picard evaluation's polynomial channel is known to repeat
   // bitwise, one recorded pass captures the remainder-formula constants and
   // later passes replay the remainder arithmetic only.
-  taylor::RemTape& tape = s.rem_tape;
+  taylor::RemTape<Interval>& tape = s.rem_tape;
   const bool tape_on = f.replay_safe();
   // In replay mode the kernels leave output polys untouched; when set, the
   // replayed Picard pass materializes out[i].poly from its input (valid
@@ -186,7 +186,7 @@ void tm_integrate_step(const TmEnv& env_set, const TmVec& state,
   bool replay_poly_from_input = false;
 
   const auto picard = [&](const TmVec& phi, TmVec& out) {
-    const bool rp = tape.mode == taylor::RemTape::kReplay;
+    const bool rp = tape.replaying();
     s.args.resize(n + m);
     if (rp) {
       // Replay never reads the argument polys (every poly-derived constant

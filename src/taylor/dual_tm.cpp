@@ -69,10 +69,11 @@ DualTm dual_tm_scale(const DualTm& a, double s) {
 
 namespace {
 
-// The tail of dual_tm_truncate_inplace, for a kernel that already left tm's
-// terms above env.order in s.dropped (every channel): ranges the degree
-// tail, then the value channel's cutoff sweep, and folds both into tm.rem
-// (the same queries, in the same order, as the sweep-based truncation).
+// The full-channel tail of dual_tm_truncate_inplace, for a kernel that
+// already left tm's terms above env.order in s.dropped (every channel):
+// ranges the degree tail, then the value channel's cutoff sweep, and folds
+// both into tm.rem (the same queries and tape push, in the same order, as
+// the sweep-based truncation).
 void fold_truncation_tail(const DualTmEnv& env, DualTm& tm) {
   DualTmScratch& s = env.scratch();
   const std::size_t nd = env.dirs;
@@ -106,7 +107,15 @@ void fold_truncation_tail(const DualTmEnv& env, DualTm& tm) {
           extra, DualInterval::constant(s.small.eval_range(env.dom), nd));
     }
   }
+  if (s.rem_tape.recording()) s.rem_tape.push(extra);
   tm.rem = dual_add(tm.rem, extra);
+}
+
+// The poly_only truncation of a kernel's output: the degree cap was already
+// applied by the kernel, so only the value channel's cutoff prune is left.
+void prune_value_channel(const DualTmEnv& env, DualTm& tm) {
+  tm.rem = DualInterval::constant(Interval(0.0), env.dirs);
+  tm.p.val.truncate_discard(poly::kNoDegreeCap, env.cutoff);
 }
 
 }  // namespace
@@ -114,6 +123,20 @@ void fold_truncation_tail(const DualTmEnv& env, DualTm& tm) {
 void dual_tm_truncate_inplace(const DualTmEnv& env, DualTm& tm) {
   DualTmScratch& s = env.scratch();
   const std::size_t nd = env.dirs;
+  if (s.rem_tape.replaying()) {
+    // The polys (and hence the tail) repeat the recorded pass bitwise.
+    tm.rem = dual_add(tm.rem, s.rem_tape.next());
+    return;
+  }
+  if (s.poly_only) {
+    // Same kept terms as the split + sweep below, without the dropped
+    // buffers or their (dead) ranges.
+    tm.p.val.truncate_discard(env.order, env.cutoff);
+    for (std::size_t k = 0; k < nd; ++k) {
+      tm.p.tan[k].truncate_discard(env.order, 0.0);
+    }
+    return;
+  }
   // Degree split is structural (theta-independent), so both channels split.
   tm.p.val.split_by_degree_into(env.order, s.dropped.val);
   s.dropped.tan.resize(nd);
@@ -128,14 +151,33 @@ void dual_tm_mul_into(const DualTmEnv& env, const DualTm& a, const DualTm& b,
   assert(&out != &a && &out != &b);
   assert(a.p.dirs() == env.dirs);
   DualTmScratch& s = env.scratch();
+  // ra * b.rem + rb * a.rem + a.rem * b.rem, left-associated as scalar.
+  const auto remainder = [&](const DualInterval& ra, const DualInterval& rb) {
+    out.rem = dual_add(dual_add(dual_mul(ra, b.rem), dual_mul(rb, a.rem)),
+                       dual_mul(a.rem, b.rem));
+  };
+  if (s.rem_tape.replaying()) {
+    const DualInterval& ra = s.rem_tape.next();
+    remainder(ra, s.rem_tape.next());
+    dual_tm_truncate_inplace(env, out);
+    return;
+  }
   // The kernel truncates while it multiplies: every channel's products
-  // above env.order land straight in s.dropped.
+  // above env.order are never formed (poly_only) or land straight in
+  // s.dropped.
+  if (s.poly_only) {
+    poly::dual_mul_trunc_into(a.p, b.p, env.order, out.p, nullptr, s.dps);
+    prune_value_channel(env, out);
+    return;
+  }
   poly::dual_mul_trunc_into(a.p, b.p, env.order, out.p, &s.dropped, s.dps);
   const DualInterval ra = dual_poly_range(env, a.p);
   const DualInterval rb = dual_poly_range(env, b.p);
-  // ra * b.rem + rb * a.rem + a.rem * b.rem, left-associated as scalar.
-  out.rem = dual_add(dual_add(dual_mul(ra, b.rem), dual_mul(rb, a.rem)),
-                     dual_mul(a.rem, b.rem));
+  if (s.rem_tape.recording()) {
+    s.rem_tape.push(ra);
+    s.rem_tape.push(rb);
+  }
+  remainder(ra, rb);
   fold_truncation_tail(env, out);
 }
 
@@ -143,12 +185,17 @@ void dual_tm_pow_into(const DualTmEnv& env, const DualTm& a, std::uint32_t n,
                       DualTm& out) {
   assert(&out != &a);
   DualTmScratch& s = env.scratch();
+  // In replay mode the copies below move only the remainder (as in
+  // tm_pow_into: the poly channel is never read).
+  const bool rp = s.rem_tape.replaying();
   switch (n) {
     case 0:
-      out.assign_constant(env.nvars(), env.dirs, 1.0, nullptr);
+      if (rp) out.rem = DualInterval::constant(Interval(0.0), env.dirs);
+      else out.assign_constant(env.nvars(), env.dirs, 1.0, nullptr);
       return;
     case 1:
-      out = a;
+      if (rp) out.rem = a.rem;
+      else out = a;
       return;
     case 2:
       dual_tm_mul_into(env, a, a, out);
@@ -160,13 +207,15 @@ void dual_tm_pow_into(const DualTmEnv& env, const DualTm& a, std::uint32_t n,
     default:
       break;
   }
-  s.pow_base = a;
+  if (rp) s.pow_base.rem = a.rem;
+  else s.pow_base = a;
   bool has_r = false;
   std::uint32_t k = n;
   while (k > 0) {
     if (k & 1u) {
       if (!has_r) {
-        out = s.pow_base;
+        if (rp) out.rem = s.pow_base.rem;
+        else out = s.pow_base;
         has_r = true;
       } else {
         dual_tm_mul_into(env, out, s.pow_base, s.pow_tmp);
@@ -191,16 +240,24 @@ void dual_tm_eval_poly_into(const DualTmEnv& env, const DualPoly& f,
   DualTmScratch& s = env.scratch();
   const std::size_t nd = env.dirs;
   const std::size_t fn = f.val.nvars();
+  // Replay: same op sequence, remainder arithmetic only (tm_eval_poly_into).
+  const bool rp = s.rem_tape.replaying();
+  const DualInterval zero = DualInterval::constant(Interval(0.0), nd);
 
-  s.acc.assign_constant(env.nvars(), nd, 0.0, nullptr);
+  if (rp) s.acc.rem = zero;
+  else s.acc.assign_constant(env.nvars(), nd, 0.0, nullptr);
   double dc[DualInterval::kMaxDirs];
   // Merge cursors into f's tangent channels: f's keys ascend.
   std::size_t cur[DualInterval::kMaxDirs] = {};
   for (const auto& [key, c] : f.val.terms()) {
-    for (std::size_t k = 0; k < nd; ++k) {
-      dc[k] = poly::coeff_at_cursor(f.tan[k], cur[k], key);
+    if (rp) {
+      s.term.rem = zero;
+    } else {
+      for (std::size_t k = 0; k < nd; ++k) {
+        dc[k] = poly::coeff_at_cursor(f.tan[k], cur[k], key);
+      }
+      s.term.assign_constant(env.nvars(), nd, c, dc);
     }
-    s.term.assign_constant(env.nvars(), nd, c, dc);
     for (std::size_t i = 0; i < args.size(); ++i) {
       const std::uint32_t e = poly::key_exp(key, fn, i);
       if (e == 1) {
@@ -212,10 +269,12 @@ void dual_tm_eval_poly_into(const DualTmEnv& env, const DualPoly& f,
         std::swap(s.term, s.mul_out);
       }
     }
-    Poly::add_into(s.acc.p.val, s.term.p.val, s.add_out.p.val);
-    s.add_out.p.tan.resize(nd);
-    for (std::size_t k = 0; k < nd; ++k) {
-      Poly::add_into(s.acc.p.tan[k], s.term.p.tan[k], s.add_out.p.tan[k]);
+    if (!rp) {
+      Poly::add_into(s.acc.p.val, s.term.p.val, s.add_out.p.val);
+      s.add_out.p.tan.resize(nd);
+      for (std::size_t k = 0; k < nd; ++k) {
+        Poly::add_into(s.acc.p.tan[k], s.term.p.tan[k], s.add_out.p.tan[k]);
+      }
     }
     s.add_out.rem = dual_add(s.acc.rem, s.term.rem);
     std::swap(s.acc, s.add_out);
@@ -227,7 +286,9 @@ void dual_tm_eval_poly_into(const DualTmEnv& env, const DualPoly& f,
   // dc * (monomial product over the argument VALUE channels), evaluated at
   // coefficient 1 through the scalar kernels in the private side env. The
   // remainder-channel sensitivity is the central-difference limit
-  // dc * mid2(prod.rem) on both endpoints (dual_interval.hpp).
+  // dc * mid2(prod.rem) on both endpoints (dual_interval.hpp). The side
+  // env's kernels run in this scratch's mode: poly_only, or replaying the
+  // side tape that tape_record/tape_replay keep in step with ours.
   poly::tangent_only_keys(f, s.fkeys);
   if (!s.fkeys.empty()) {
     TmEnv& se = s.side_env;
@@ -235,9 +296,10 @@ void dual_tm_eval_poly_into(const DualTmEnv& env, const DualPoly& f,
     se.order = env.order;
     se.cutoff = env.cutoff;
     se.range_mode = poly::RangeMode::kSeedIdentical;
+    se.scratch().poly_only = s.poly_only;
     s.side_args.resize(args.size());
     for (std::size_t i = 0; i < args.size(); ++i) {
-      s.side_args[i].poly = args[i].p.val;
+      if (!rp) s.side_args[i].poly = args[i].p.val;
       s.side_args[i].rem = args[i].rem.v;
     }
     std::fill(cur, cur + nd, 0);
@@ -258,14 +320,17 @@ void dual_tm_eval_poly_into(const DualTmEnv& env, const DualPoly& f,
       for (std::size_t k = 0; k < nd; ++k) {
         const double d = poly::coeff_at_cursor(f.tan[k], cur[k], key);
         if (d == 0.0) continue;
-        s.dps.t1 = s.side_term.poly;
-        s.dps.t1 *= d;
-        Poly::add_into(s.acc.p.tan[k], s.dps.t1, s.dps.t2);
-        std::swap(s.acc.p.tan[k], s.dps.t2);
+        if (!rp) {
+          s.dps.t1 = s.side_term.poly;
+          s.dps.t1 *= d;
+          Poly::add_into(s.acc.p.tan[k], s.dps.t1, s.dps.t2);
+          std::swap(s.acc.p.tan[k], s.dps.t2);
+        }
         s.acc.rem.dlo[k] += d * m2;
         s.acc.rem.dhi[k] += d * m2;
       }
     }
+    se.scratch().poly_only = false;
   }
 
   std::swap(out, s.acc);
@@ -278,13 +343,25 @@ void dual_tm_integrate_time_into(const DualTmEnv& env, const DualTm& tm,
   assert(&out != &tm);
   DualTmScratch& s = env.scratch();
   const std::size_t nd = env.dirs;
+  const double tmax = env.dom[time_var].mag();
+  // integral_0^tau e dtau' for |tau| <= tmax: in hull(0, rem * tmax).
+  const auto transport = [&] {
+    out.rem = dual_hull(DualInterval::constant(Interval(0.0), nd),
+                        dual_mul_const(tm.rem, Interval(tmax)));
+  };
+  if (s.rem_tape.replaying()) {
+    transport();
+    dual_tm_truncate_inplace(env, out);
+    return;
+  }
   const std::size_t nv = tm.p.val.nvars();
   out.p.reset(nv, nd);
   s.dropped.reset(nv, nd);
   const std::uint64_t unit = 1ull << poly::key_shift(nv, time_var);
   const std::uint32_t cap = poly::key_max_exp(nv);
   // Terms the +1 degree lifts past env.order go straight to the truncation
-  // tail, sparing dual_tm_truncate_inplace's split sweep.
+  // tail (poly_only: nowhere), sparing dual_tm_truncate_inplace's split
+  // sweep.
   const auto integrate_channel = [&](const Poly& in, Poly& dst, Poly& drop) {
     for (const auto& [key, c] : in.terms()) {
       const std::uint32_t e2t = poly::key_exp(key, nv, time_var) + 1;
@@ -296,7 +373,7 @@ void dual_tm_integrate_time_into(const DualTmEnv& env, const DualTm& tm,
       if (q == 0.0) continue;
       if (poly::key_degree(key + unit, nv) <= env.order)
         dst.push_term(key + unit, q);
-      else
+      else if (!s.poly_only)
         drop.push_term(key + unit, q);
     }
   };
@@ -304,9 +381,11 @@ void dual_tm_integrate_time_into(const DualTmEnv& env, const DualTm& tm,
   for (std::size_t k = 0; k < nd; ++k) {
     integrate_channel(tm.p.tan[k], out.p.tan[k], s.dropped.tan[k]);
   }
-  const double tmax = env.dom[time_var].mag();
-  out.rem = dual_hull(DualInterval::constant(Interval(0.0), nd),
-                      dual_mul_const(tm.rem, Interval(tmax)));
+  if (s.poly_only) {
+    prune_value_channel(env, out);
+    return;
+  }
+  transport();
   fold_truncation_tail(env, out);
 }
 

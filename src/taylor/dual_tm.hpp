@@ -20,6 +20,10 @@
 // dual kernels are therefore stateless w.r.t. the scalar RangeEngine:
 // running a dual computation can never perturb scalar results.
 //
+// Like their scalar counterparts, the kernels honour the scratch's
+// poly_only flag and remainder tape (DualTmScratch), so the dual Picard
+// step runs the scalar step's kernel sequence (DESIGN.md §12).
+//
 // Scratch ownership follows TmScratch's rules (DESIGN.md §9): one
 // DualTmScratch per DualTmEnv, never shared across threads, each kernel
 // touching a fixed disjoint buffer subset.
@@ -115,6 +119,33 @@ struct DualTmScratch {
   TaylorModel side_mul;
   TaylorModel side_pow;
   std::vector<std::uint64_t> fkeys;
+
+  /// Remainder-replay tape of the dual kernels (RemTape over DualInterval;
+  /// the constants are the same poly-channel ranges the scalar tape holds,
+  /// tangents included). The tangent-only-key chains of
+  /// dual_tm_eval_poly_into run scalar kernels in side_env, whose own tape
+  /// must follow this one: drive both through tape_record / tape_replay /
+  /// tape_stop.
+  RemTape<interval::DualInterval> rem_tape;
+  /// TmScratch::poly_only for the dual kernels: every channel's polynomial
+  /// is computed exactly (value-channel cutoff prune included), while the
+  /// remainder arithmetic and the range queries feeding it are skipped and
+  /// output remainders zeroed. Sound only while the remainders are dead
+  /// (the Picard polynomial-fixpoint passes); the side_env chains follow it.
+  bool poly_only = false;
+
+  void tape_record() {
+    rem_tape.start_record();
+    side_env.scratch().rem_tape.start_record();
+  }
+  void tape_replay() {
+    rem_tape.start_replay();
+    side_env.scratch().rem_tape.start_replay();
+  }
+  void tape_stop() {
+    rem_tape.stop();
+    side_env.scratch().rem_tape.stop();
+  }
 
   /// The step's time-extended dual environment (reach::dual_integrate_step).
   DualTmEnv env_time;

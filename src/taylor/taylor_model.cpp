@@ -41,7 +41,7 @@ void fold_truncation_tail(const TmEnv& env, TaylorModel& tm) {
     tm.poly.prune_small_into(env.cutoff, s.small);
     if (!s.small.is_zero()) extra += env.poly_range(s.small);
   }
-  if (s.rem_tape.mode == RemTape::kRecord) s.rem_tape.push(extra);
+  if (s.rem_tape.recording()) s.rem_tape.push(extra);
   tm.rem += extra;
 }
 
@@ -49,7 +49,7 @@ void fold_truncation_tail(const TmEnv& env, TaylorModel& tm) {
 
 void tm_truncate_inplace(const TmEnv& env, TaylorModel& tm) {
   TmScratch& s = env.scratch();
-  if (s.rem_tape.mode == RemTape::kReplay) {
+  if (s.rem_tape.replaying()) {
     // The poly (and hence its truncation tail) is bitwise-identical to the
     // recorded pass, so the taped tail range is the exact value the sweep
     // would recompute. The poly itself is left untouched.
@@ -76,7 +76,7 @@ void tm_mul_into(const TmEnv& env, const TaylorModel& a, const TaylorModel& b,
                  TaylorModel& out) {
   assert(&out != &a && &out != &b);
   TmScratch& s = env.scratch();
-  if (s.rem_tape.mode == RemTape::kReplay) {
+  if (s.rem_tape.replaying()) {
     const Interval ra = s.rem_tape.next();
     const Interval rb = s.rem_tape.next();
     out.rem = ra * b.rem + rb * a.rem + a.rem * b.rem;
@@ -97,7 +97,7 @@ void tm_mul_into(const TmEnv& env, const TaylorModel& a, const TaylorModel& b,
                        s.pscratch);
   const Interval ra = env.poly_range(a.poly);
   const Interval rb = env.poly_range(b.poly);
-  if (s.rem_tape.mode == RemTape::kRecord) {
+  if (s.rem_tape.recording()) {
     s.rem_tape.push(ra);
     s.rem_tape.push(rb);
   }
@@ -119,7 +119,7 @@ void tm_pow_into(const TmEnv& env, const TaylorModel& a, std::uint32_t n,
   // In replay mode the copies below move only the remainder: the poly
   // channel is never read (tm_mul_into takes its operand ranges from the
   // tape) and output polys are dead.
-  const bool rp = s.rem_tape.mode == RemTape::kReplay;
+  const bool rp = s.rem_tape.replaying();
   switch (n) {
     case 0:
       if (rp) out.rem = Interval(0.0);
@@ -181,7 +181,7 @@ void tm_eval_poly_into(const TmEnv& env, const poly::Poly& f,
   // Replay: same op sequence (f's terms and exponents fix the loop shape),
   // remainder arithmetic only; the poly adds are dead in replay because
   // every consumer takes its poly-derived constants from the tape.
-  const bool rp = s.rem_tape.mode == RemTape::kReplay;
+  const bool rp = s.rem_tape.replaying();
   if (rp) s.acc.rem = Interval(0.0);
   else s.acc.assign_constant(env.nvars(), 0.0);
   for (const auto& [key, c] : f.terms()) {
@@ -219,7 +219,7 @@ void tm_integrate_time_into(const TmEnv& env, const TaylorModel& tm,
                             std::size_t time_var, TaylorModel& out) {
   assert(time_var < env.nvars());
   assert(&out != &tm);
-  if (env.scratch().rem_tape.mode == RemTape::kReplay) {
+  if (env.scratch().rem_tape.replaying()) {
     const double rtmax = env.dom[time_var].mag();
     out.rem = interval::hull(Interval(0.0), tm.rem * Interval(rtmax));
     tm_truncate_inplace(env, out);

@@ -113,17 +113,25 @@ using TmVec = std::vector<TaylorModel>;
 /// sequence a full evaluation would, with the same operand values, so the
 /// results are bit-identical by construction.
 ///
+/// `I` is the remainder's interval type: Interval for the scalar kernels
+/// (TmScratch), interval::DualInterval for the dual kernels (DualTmScratch
+/// in dual_tm.hpp), whose recorded constants carry their tangents along.
+///
 /// Kernels leave the output polynomial untouched in replay mode; the
 /// driver is responsible for materializing any output poly it still needs
-/// (reach::tm_integrate_step copies the converged fixpoint polynomial).
-/// reach::tm_integrate_step drives the tape for every replay-safe dynamics
-/// (reach::TmDynamics::replay_safe); the kernels only look at `mode`.
+/// (reach::tm_integrate_step and reach::dual_integrate_step copy the
+/// converged fixpoint polynomial). Those two drivers run the tape on every
+/// replay-safe dynamics (reach::TmDynamics::replay_safe); the kernels only
+/// look at `mode`.
+template <class I>
 struct RemTape {
   enum Mode : int { kOff = 0, kRecord = 1, kReplay = 2 };
   int mode = kOff;
-  std::vector<interval::Interval> consts;
+  std::vector<I> consts;
   std::size_t pos = 0;  ///< replay cursor
 
+  bool recording() const { return mode == kRecord; }
+  bool replaying() const { return mode == kReplay; }
   void start_record() {
     consts.clear();
     mode = kRecord;
@@ -133,8 +141,10 @@ struct RemTape {
     mode = kReplay;
   }
   void stop() { mode = kOff; }
-  void push(interval::Interval v) { consts.push_back(v); }
-  interval::Interval next() { return consts[pos++]; }
+  void push(const I& v) { consts.push_back(v); }
+  /// The next recorded constant; the reference stays valid until the next
+  /// start_record (replay never pushes).
+  const I& next() { return consts[pos++]; }
 };
 
 /// Reusable buffers for allocation-free TM arithmetic. Owned by a TmEnv and
@@ -172,7 +182,7 @@ struct TmScratch {
 
   /// Remainder-replay tape shared by the TM kernels (record/replay of the
   /// remainder-channel constants; see RemTape).
-  RemTape rem_tape;
+  RemTape<interval::Interval> rem_tape;
   /// When set, the TM kernels compute only the polynomial channel: the
   /// remainder arithmetic — and, crucially, the range queries feeding it —
   /// is skipped and output remainders are zeroed. Sound only while the
