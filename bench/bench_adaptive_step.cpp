@@ -7,8 +7,8 @@
 //    (Monte-Carlo guard, 10 trials x 16 fine substeps per period),
 //  - tightness: the adaptive enclosure is no wider than the fixed grid's
 //    (final-box width-sum ratio <= 1.0),
-//  - determinism: the lockstep-batched adaptive driver reproduces the
-//    scalar adaptive driver bit for bit.
+//  - determinism: adaptive cells grouped through reach::BatchVerifier
+//    (2 threads) reproduce the per-cell adaptive runs bit for bit.
 // Results are printed as a table and written to BENCH_adaptive_step.json.
 //
 //   $ ./bench_adaptive_step
@@ -170,16 +170,15 @@ void bench_case(Results& out, const char* tag, const ode::Benchmark& bench,
   const double ratio = final_width_sum(f_adapt) / final_width_sum(f_fixed);
   require(ratio <= 1.0, "adaptive enclosure no wider than the fixed grid");
 
-  // Determinism guard: the lockstep-batched adaptive driver (lane pool of
-  // 4, 2 shards) must reproduce the scalar adaptive results bit for bit.
+  // Determinism guard: the cells as one BatchVerifier group sharded over
+  // 2 threads must reproduce the per-cell adaptive results bit for bit.
   {
     const std::vector<geom::Box> cells =
         bench.spec.x0.grid(std::vector<std::size_t>(bench.spec.x0.dim(), 2));
     std::vector<reach::Flowpipe> seq;
     for (const geom::Box& c : cells) seq.push_back(v_adapt.compute(c, ctrl));
-    std::vector<const nn::Controller*> ctrls(cells.size(), &ctrl);
-    const std::vector<reach::Flowpipe> bat = v_adapt.compute_batch(
-        cells.data(), ctrls.data(), cells.size(), /*width=*/4, /*threads=*/2);
+    const reach::BatchVerifier bv(&v_adapt, 0, 2);
+    const std::vector<reach::Flowpipe> bat = bv.compute(cells, ctrl);
     require(seq.size() == bat.size(), "adaptive batch flowpipe count");
     for (std::size_t i = 0; i < seq.size(); ++i) {
       require(seq[i].valid == bat[i].valid &&

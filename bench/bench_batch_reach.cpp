@@ -169,7 +169,7 @@ void bench_batch_verifier(Results& out) {
   out.add("batch_reach_speedup", t_seq / t_bat, "x");
 }
 
-// --- TmVerifier: lockstep lane pool vs sequential compute ----------------
+// --- TmVerifier: BatchVerifier groups vs sequential compute --------------
 void bench_tm_batch(Results& out) {
   const auto bm = ode::make_acc_benchmark();
   linalg::Mat k(1, 2);
@@ -188,40 +188,24 @@ void bench_tm_batch(Results& out) {
     for (const geom::Box& c : cells) seq.push_back(v.compute(c, ctrl));
   });
 
-  // Headline: the batched verifier as shipped — lockstep lane pools sharded
+  // The batched verifier as shipped: TM cells one at a time, sharded
   // across the process thread pool (threads = 0 resolves via DWV_THREADS /
-  // hardware_concurrency).
+  // hardware_concurrency), so the ratio is thread-level parallelism only.
   const reach::BatchVerifier bv(&v, 0, 0);
   std::vector<reach::Flowpipe> bat;
   const double t_bat =
       time_best_seconds(9, [&] { bat = bv.compute(cells, ctrl); });
 
-  // Diagnostic: the same driver pinned to one thread isolates the pure
-  // lane-batching win (lane contexts kept warm across cells) from the
-  // thread-level parallelism. Remainder-tape replay and pinned range
-  // domains are not part of it: scalar compute() runs them too.
-  const reach::BatchVerifier bv1(&v, 0, 1);
-  std::vector<reach::Flowpipe> bat1;
-  const double t_bat1 =
-      time_best_seconds(9, [&] { bat1 = bv1.compute(cells, ctrl); });
-
-  require(seq.size() == bat.size() && seq.size() == bat1.size(),
-          "tm batch flowpipe count");
+  require(seq.size() == bat.size(), "tm batch flowpipe count");
   for (std::size_t i = 0; i < seq.size(); ++i) {
     require(seq[i].valid == bat[i].valid &&
                 boxes_eq(seq[i].step_sets, bat[i].step_sets) &&
                 boxes_eq(seq[i].interval_hulls, bat[i].interval_hulls),
             "batched TM flowpipe == scalar TM flowpipe");
-    require(seq[i].valid == bat1[i].valid &&
-                boxes_eq(seq[i].step_sets, bat1[i].step_sets) &&
-                boxes_eq(seq[i].interval_hulls, bat1[i].interval_hulls),
-            "1-thread batched TM flowpipe == scalar TM flowpipe");
   }
   out.add("tm_batch_seq_seconds", t_seq, "s");
   out.add("tm_batch_batch_seconds", t_bat, "s");
   out.add("tm_batch_speedup", t_seq / t_bat, "x");
-  out.add("tm_batch_lane_seconds", t_bat1, "s");
-  out.add("tm_batch_lane_speedup", t_seq / t_bat1, "x");
 }
 
 // --- symbolic remainder queue: enclosure tightness vs queue-off ----------

@@ -410,15 +410,11 @@ void run_frontier(const reach::Verifier& verifier,
     std::vector<std::shared_ptr<const reach::TmSymbolicPrefix>> prefixes(
         group.size());
     if (tmv != nullptr) {
-      std::vector<reach::TmBatchJob> jobs;
-      jobs.reserve(group.size());
-      for (const PendingCell* c : group)
-        jobs.push_back({c->box, &ctrl, c->parent.get()});
-      std::vector<reach::TmComputeResult> rs =
-          tmv->compute_symbolic_batch(jobs, group.size());
       for (std::size_t g = 0; g < group.size(); ++g) {
-        fps[g] = std::move(rs[g].fp);
-        prefixes[g] = std::move(rs[g].prefix);
+        reach::TmComputeResult r = tmv->compute_symbolic(
+            group[g]->box, ctrl, group[g]->parent.get());
+        fps[g] = std::move(r.fp);
+        prefixes[g] = std::move(r.prefix);
       }
     } else {
       std::vector<reach::BatchJob> jobs;

@@ -8,9 +8,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "interval/lanes.hpp"
 #include "ode/expr_system.hpp"
-#include "parallel/pool.hpp"
 #include "reach/cache.hpp"
 #include "reach/step_control.hpp"
 #include "reach/sym_remainder.hpp"
@@ -228,7 +226,7 @@ void tm_integrate_step(const TmEnv& env_set, const TmVec& state,
   // (phi, 0) back to phi with the remainder re-zeroed — a bitwise no-op —
   // so they are skipped. The validation attempts below need a remainder
   // tape recorded AT the fixpoint; the convergence index is structural
-  // (tau-degree saturates at the order), so each lane predicts it from
+  // (tau-degree saturates at the order), so each step predicts it from
   // the previous step (TmScratch::conv_pred) and records only from there,
   // running the earlier passes poly-only. A misprediction stays correct:
   // converging on a poly-only pass just leaves validation to record its
@@ -565,21 +563,14 @@ TmComputeResult TmVerifier::compute_symbolic(
   return out;
 }
 
-// Per-lane driver state machine, shared by the scalar run() and the
-// lockstep-batched run_batch(). One Lane advances one cell at a time; the
-// persistent env / scratch / step buffers survive across cells, so a batch
-// pays the allocation and range-table cold start once per lane instead of
-// once per cell. Reuse cannot change results: every piece of cross-cell
-// state is either a scratch buffer that each step fully overwrites or the
-// RangeEngine, whose caching is bit-invisible by contract (DESIGN.md §10).
+// One cell's driver: `start` sets up the cell, each `advance_period`
+// integrates (or replays) one control period, until `done`.
 struct TmVerifier::Lane {
   const TmVerifier* v = nullptr;
 
-  // Persistent lane context (survives across cells).
   TmEnv env;       ///< set-variable env, dom = [-1, 1]^n
   TmEnv env_time;  ///< replay-path time-extended env (set vars..., tau)
-  TmStepResult sr; ///< integration step buffers, warm across steps + cells
-  bool primed = false;
+  TmStepResult sr; ///< integration step buffers, warm across steps
 
   // Symbolic remainder queue mode (TmReachOptions::symbolic_remainder with
   // Jacobian-capable dynamics): the state models `x` are kept
@@ -594,13 +585,11 @@ struct TmVerifier::Lane {
   // non-adaptive policy; TmReachOptions::adaptive): decisions are pure
   // functions of per-step computed signals, so every driver — and the
   // gradient dual pass, whose value channel reproduces the same signal
-  // bits — derives the identical schedule independently. The controller
-  // persists across cells (cheap POD) but is reset per cell.
+  // bits — derives the identical schedule independently.
   StepController sc;
   double pinned_h = 0.0;    ///< tau-domain width the time-extended pin holds
   std::uint32_t pin_cap = 0;
 
-  // Per-cell state, reset by start().
   const nn::Controller* ctrl = nullptr;
   TmSymbolicPrefix* record = nullptr;
   const TmSymbolicPrefix* parent = nullptr;
@@ -613,15 +602,18 @@ struct TmVerifier::Lane {
   bool recording = false;
   bool was_recording = false;
   bool replaying = false;
-  bool done = true;
+  bool done = false;
   // Schedule tape of the period being built (adaptive + recording only):
   // consumed by finish_period into the symbolic prefix.
   std::vector<double> h_tape;
   std::vector<std::uint32_t> order_tape;
 
-  void prime(const TmVerifier& verifier) {
+  void start(const TmVerifier& verifier, const geom::Box& x0,
+             const nn::Controller& c, TmSymbolicPrefix* rec,
+             const TmSymbolicPrefix* par) {
     v = &verifier;
     n = v->sys_->state_dim();
+    assert(x0.dim() == n);
     h = v->spec_.delta / static_cast<double>(v->opt_.substeps);
     sc.configure(v->opt_, v->spec_.delta, n);
     pinned_h = h;
@@ -640,31 +632,21 @@ struct TmVerifier::Lane {
     env_time.range_mode = v->opt_.range_mode;
 
     // Pin the two domains every hot range query of a run uses: the
-    // lane-owned set box, and the time-extended box tm_integrate_step
-    // writes into its scratch env (identical bits every step, since h and
-    // the unit box are fixed per verifier; priming it here matches those
-    // writes exactly). Pins are bit-invisible (poly::RangeEngine contract).
+    // set box, and the time-extended box tm_integrate_step writes into its
+    // scratch env (identical bits every step, since h and the unit box are
+    // fixed per verifier; setting it here matches those writes exactly).
+    // Pins are bit-invisible (poly::RangeEngine contract).
     taylor::TmScratch& s = env.scratch();
     s.range.pin_domain(env.dom, pin_cap);
     TmEnv& et = s.env_time;
-    if (!s.env_time_init) {
-      et.borrow_scratch(env);
-      s.env_time_init = true;
-    }
-    et.dom.resize(n + 1);
-    for (std::size_t i = 0; i <= n; ++i) et.dom[i] = env_time.dom[i];
+    et.borrow_scratch(env);
+    s.env_time_init = true;
+    et.dom = env_time.dom;
     et.order = env.order;
     et.cutoff = env.cutoff;
     et.range_mode = env.range_mode;
     s.range.pin_domain(et.dom, pin_cap);
-    primed = true;
-  }
 
-  void start(const TmVerifier& verifier, const geom::Box& x0,
-             const nn::Controller& c, TmSymbolicPrefix* rec,
-             const TmSymbolicPrefix* par) {
-    if (!primed) prime(verifier);
-    assert(x0.dim() == n);
     ctrl = &c;
     record = rec;
     parent = par;
@@ -678,23 +660,16 @@ struct TmVerifier::Lane {
       x[i] = {std::move(p), Interval(0.0)};
     }
 
-    fp = Flowpipe{};
     fp.step_sets.reserve(v->spec_.steps + 1);
     fp.interval_hulls.reserve(v->spec_.steps);
     fp.step_sets.push_back(x0);
-    // fp is a member (stable address): the stats pointer survives the
-    // std::move of fp at cell retirement, and the next start() re-points.
     sc.reset(&fp.tm_stats);
-    h_tape.clear();
-    order_tape.clear();
 
     // Recording stops at the first re-initialization: afterwards the state
     // models no longer depend on the initial-set variables, so a child cell
     // could not soundly restrict them.
     recording = record != nullptr;
     was_recording = recording;
-    step = 0;
-    done = false;
 
     sym_on = v->opt_.symbolic_remainder && v->dynamics_->has_state_jacobian();
     if (sym_on) srq.reset(n, v->opt_.sym_queue_size);
@@ -707,7 +682,7 @@ struct TmVerifier::Lane {
     }
   }
 
-  // Adaptive lanes: the scratch's time-extended domain is PINNED in the
+  // Adaptive runs: the scratch's time-extended domain is PINNED in the
   // range engine (pointer identity fast path), so its tau width may only
   // change through a re-pin — writing new bits under a stale pin would
   // serve power rows for the old [0, h]. Pin maintenance is bit-invisible
@@ -809,11 +784,10 @@ struct TmVerifier::Lane {
     std::vector<TmVec> tube_rec;
     if (recording) tube_rec.reserve(period.tube.size());
     for (std::size_t sub = 0; sub < period.tube.size(); ++sub) {
-      // env_time is lane-local and unpinned (its scratch is separate from
-      // env's), so mutating the tau domain here is safe. The
-      // truncation order follows the tape too: restricting an escalated
-      // model at a lower order would shave validated terms into the
-      // remainder.
+      // env_time is unpinned (its scratch is separate from env's), so
+      // mutating the tau domain here is safe. The truncation order follows
+      // the tape too: restricting an escalated model at a lower order would
+      // shave validated terms into the remainder.
       if (tape) {
         env_time.dom[n] = Interval(0.0, period.h[sub]);
         env_time.order = period.order[sub];
@@ -1008,7 +982,6 @@ struct TmVerifier::Lane {
   // whichever comes first; integration resumes from the restricted
   // symbolic state (branch-and-refine reuse, DESIGN.md §8).
   void advance_period() {
-    if (done) return;
     if (replaying) {
       if (step < parent->periods.size() && step < v->spec_.steps &&
           recording == was_recording) {
@@ -1032,105 +1005,6 @@ Flowpipe TmVerifier::run(const geom::Box& x0, const nn::Controller& ctrl,
   lane.start(*this, x0, ctrl, record, parent);
   while (!lane.done) lane.advance_period();
   return std::move(lane.fp);
-}
-
-std::vector<TmComputeResult> TmVerifier::run_batch(
-    const std::vector<TmBatchJob>& jobs, bool symbolic, std::size_t width,
-    std::size_t threads) const {
-  const std::size_t count = jobs.size();
-  std::vector<TmComputeResult> out(count);
-  if (count == 0) return out;
-  if (width == 0) width = interval::lanes::kWidth;
-
-  // One shard = one lane pool run by the single-threaded lockstep loop over
-  // a contiguous slice of the jobs. Cells are mutually independent and every
-  // lane owns its env/scratch, so the shard boundaries (like the lane
-  // round-robin order) are bit-invisible; results land in index-addressed
-  // slots, making `threads = 1` and `threads = N` bit-identical.
-  std::vector<std::shared_ptr<TmSymbolicPrefix>> prefixes(count);
-  const auto run_shard = [&](std::size_t first, std::size_t last) {
-    const std::size_t w = std::min(last - first, width);
-    std::vector<Lane> lanes(w);
-    std::vector<std::ptrdiff_t> cell(w, -1);  // job index per lane, -1 idle
-    std::size_t next = first;
-
-    const auto feed = [&](std::size_t l) {
-      if (next >= last) {
-        cell[l] = -1;
-        return;
-      }
-      const std::size_t j = next++;
-      cell[l] = static_cast<std::ptrdiff_t>(j);
-      TmSymbolicPrefix* rec = nullptr;
-      if (symbolic) {
-        prefixes[j] = std::make_shared<TmSymbolicPrefix>();
-        prefixes[j]->x0 = jobs[j].x0;
-        rec = prefixes[j].get();
-      }
-      lanes[l].start(*this, jobs[j].x0, *jobs[j].ctrl, rec, jobs[j].parent);
-    };
-    for (std::size_t l = 0; l < w; ++l) feed(l);
-
-    // Period-granular lockstep: each round advances every live lane by one
-    // control period; a lane that retires its cell (goal stop, divergence,
-    // step failure, or horizon) hands its warm context to the next
-    // unstarted cell. The round-robin order is irrelevant to results —
-    // lanes share no bit-visible state.
-    bool live = true;
-    while (live) {
-      live = false;
-      for (std::size_t l = 0; l < w; ++l) {
-        if (cell[l] < 0) continue;
-        lanes[l].advance_period();
-        if (lanes[l].done) {
-          const std::size_t j = static_cast<std::size_t>(cell[l]);
-          out[j].fp = std::move(lanes[l].fp);
-          if (symbolic && prefixes[j] && !prefixes[j]->periods.empty()) {
-            out[j].prefix = std::move(prefixes[j]);
-          }
-          feed(l);
-        }
-        live = live || cell[l] >= 0;
-      }
-    }
-  };
-
-  // Shards no smaller than a full lane pool: splitting below `width` would
-  // only strand lanes, not add parallelism.
-  const std::size_t t = std::min(parallel::resolve_threads(threads),
-                                 (count + width - 1) / width);
-  if (t <= 1) {
-    run_shard(0, count);
-    return out;
-  }
-  const std::size_t shard = (count + t - 1) / t;
-  parallel::parallel_for(t, t, [&](std::size_t k) {
-    const std::size_t first = k * shard;
-    const std::size_t last = std::min(count, first + shard);
-    if (first < last) run_shard(first, last);
-  });
-  return out;
-}
-
-std::vector<Flowpipe> TmVerifier::compute_batch(
-    const geom::Box* x0s, const nn::Controller* const* ctrls,
-    std::size_t count, std::size_t width, std::size_t threads) const {
-  std::vector<TmBatchJob> jobs(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    jobs[i] = TmBatchJob{x0s[i], ctrls[i], nullptr};
-  }
-  std::vector<TmComputeResult> rs =
-      run_batch(jobs, /*symbolic=*/false, width, threads);
-  std::vector<Flowpipe> out;
-  out.reserve(count);
-  for (TmComputeResult& r : rs) out.push_back(std::move(r.fp));
-  return out;
-}
-
-std::vector<TmComputeResult> TmVerifier::compute_symbolic_batch(
-    const std::vector<TmBatchJob>& jobs, std::size_t width,
-    std::size_t threads) const {
-  return run_batch(jobs, /*symbolic=*/true, width, threads);
 }
 
 }  // namespace dwv::reach

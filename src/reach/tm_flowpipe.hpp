@@ -68,9 +68,9 @@ struct TmReachOptions {
   /// containment-proof failure. Off by default — the fixed
   /// delta/substeps grid above stays bit-identical to the historical
   /// path. When on, results are deterministic and bit-identical across
-  /// the scalar, batched, and gradient drivers at any width/thread
-  /// count/lane backend, but only containment-comparable with
-  /// adaptive-off runs — hence salted into cache keys.
+  /// the TM and gradient drivers at any thread count and lane backend,
+  /// but only containment-comparable with adaptive-off runs — hence
+  /// salted into cache keys.
   bool adaptive = false;
   /// Target relative defect (defect-range radius over tube radius) per
   /// accepted substep. Steps whose predicted doubled-h defect stays below
@@ -104,8 +104,8 @@ struct TmStepResult {
   std::string failure;
 
   // Controller signals of the step (reach::StepSignals semantics),
-  // computed on every path — scalar, batched, and the gradient dual
-  // pass reproduce the same bits. attempts is the index of the
+  // computed on every path — the TM driver and the gradient dual pass
+  // reproduce the same bits. attempts is the index of the
   // remainder-validation attempt that proved containment; conv_index the
   // Picard pass at which the polynomial fixpoint converged bitwise
   // (picard-iteration count when never observed); defect_rel the largest
@@ -116,7 +116,7 @@ struct TmStepResult {
   /// Largest term count over the validated state polynomials — the cost
   /// signal the controller's grow gate compares against the dense basis.
   /// Term counts of validated polys are part of the value channel, so the
-  /// signal is bit-identical across scalar/batch/dual drivers.
+  /// signal is bit-identical across the TM and dual drivers.
   std::size_t max_poly_terms = 0;
 };
 
@@ -186,15 +186,6 @@ struct TmComputeResult {
   std::shared_ptr<const TmSymbolicPrefix> prefix;
 };
 
-/// One cell of a batched TM computation: an initial box, its controller,
-/// and (optionally) a parent prefix to replay, exactly as in
-/// `compute_symbolic`.
-struct TmBatchJob {
-  geom::Box x0;
-  const nn::Controller* ctrl = nullptr;
-  const TmSymbolicPrefix* parent = nullptr;
-};
-
 /// Verifier built on the TM flowpipe.
 class TmVerifier final : public Verifier {
  public:
@@ -232,35 +223,6 @@ class TmVerifier final : public Verifier {
       const geom::Box& x0, const nn::Controller& ctrl,
       const TmSymbolicPrefix* parent = nullptr) const;
 
-  /// Lockstep-batched `compute`: pushes `count` sibling cells through the
-  /// integrator period-by-period over a pool of `width` lanes (0 picks
-  /// `interval::lanes::kWidth`). Each lane owns a persistent TmEnv/scratch
-  /// (the same lane state `compute` starts, hot range-bounding domains
-  /// pinned), so a batch pays the per-cell allocation and power-table cold
-  /// start once per lane instead of once per cell; a lane that retires its
-  /// cell picks up the next unstarted one with warm buffers. Results are
-  /// bit-identical to per-cell `compute` at every width, count, and lane
-  /// backend (including ragged tails and DWV_LANES=scalar): cross-cell
-  /// lane state is limited to scratch buffers every step overwrites and
-  /// the range engine, whose caching is bit-invisible by contract
-  /// (DESIGN.md §10).
-  ///
-  /// `threads` shards the cells into contiguous lane pools run by
-  /// `parallel::parallel_for` (0 = auto via `DWV_THREADS`; default 1 keeps
-  /// the driver on the calling thread for callers that parallelize above
-  /// it). Cells are independent and results land in index-addressed slots,
-  /// so every thread count produces the same bits.
-  std::vector<Flowpipe> compute_batch(const geom::Box* x0s,
-                                      const nn::Controller* const* ctrls,
-                                      std::size_t count, std::size_t width = 0,
-                                      std::size_t threads = 1) const;
-
-  /// Batched `compute_symbolic`: same lockstep driver, with per-cell prefix
-  /// recording and optional parent replay per job.
-  std::vector<TmComputeResult> compute_symbolic_batch(
-      const std::vector<TmBatchJob>& jobs, std::size_t width = 0,
-      std::size_t threads = 1) const;
-
   // Configuration accessors for drivers that re-run this verifier's exact
   // pipeline with extra channels (reach::TmGradient mirrors the scalar
   // compute() path with forward-mode tangents riding along).
@@ -271,15 +233,11 @@ class TmVerifier final : public Verifier {
   const TmDynamicsPtr& dynamics() const { return dynamics_; }
 
  private:
-  struct Lane;  // per-lane driver state machine (tm_flowpipe.cpp)
+  struct Lane;  // one cell's period-by-period driver (tm_flowpipe.cpp)
 
   Flowpipe run(const geom::Box& x0, const nn::Controller& ctrl,
                TmSymbolicPrefix* record,
                const TmSymbolicPrefix* parent) const;
-
-  std::vector<TmComputeResult> run_batch(const std::vector<TmBatchJob>& jobs,
-                                         bool symbolic, std::size_t width,
-                                         std::size_t threads) const;
 
   ode::SystemPtr sys_;
   ode::ReachAvoidSpec spec_;

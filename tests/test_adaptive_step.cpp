@@ -1,11 +1,11 @@
 // Adaptive step/order control suite (DESIGN.md §14): option validation,
 // Monte-Carlo soundness of adaptive flowpipes on the paper benchmarks,
-// bit-identical determinism of the adaptive schedule across batch widths,
-// thread counts, and lane backends, the degenerate-controller no-op
+// bit-identical determinism of the adaptive schedule through BatchVerifier
+// across thread counts and lane backends, the degenerate-controller no-op
 // contract (an adaptive run pinned to the fixed grid reproduces the
 // fixed-grid bits), schedule-tape replay for child cells, and the
 // gradient engine's value-channel bit-identity under adaptation.
-// Runs under the `parallel` CTest label (batched drivers inside).
+// Runs under the `parallel` CTest label (threaded groups inside).
 #include <gtest/gtest.h>
 
 #include <random>
@@ -15,6 +15,7 @@
 #include "interval/lanes.hpp"
 #include "nn/controller.hpp"
 #include "ode/benchmarks.hpp"
+#include "reach/batch.hpp"
 #include "reach/control_abstraction.hpp"
 #include "reach/grad_flowpipe.hpp"
 #include "reach/step_control.hpp"
@@ -169,7 +170,7 @@ TEST(AdaptiveFlowpipe, SymbolicRemainderComposesWithAdaptive) {
   expect_contains_trajectories(bench, ctrl, fp, 10, "oscillator-adaptive-sym");
 }
 
-// --- determinism across widths, threads, lane backends --------------------
+// --- determinism across threads and lane backends ------------------------
 
 // Restores the lane dispatch override on scope exit so a failing assertion
 // cannot leak forced-scalar mode into later tests.
@@ -188,7 +189,7 @@ void adaptive_batch_matches_scalar(bool force_scalar) {
   opt.adaptive = true;
   const TmVerifier v = osc_verifier(bench, opt);
 
-  // 13 sibling cells: ragged at widths 4 and 13.
+  // 13 sibling cells.
   std::vector<geom::Box> cells;
   std::mt19937_64 rng(21);
   for (int c = 0; c < 13; ++c) {
@@ -203,28 +204,22 @@ void adaptive_batch_matches_scalar(bool force_scalar) {
     cells.emplace_back(b);
   }
   std::vector<Flowpipe> ref;
-  std::vector<const nn::Controller*> ctrls;
-  for (const geom::Box& c : cells) {
-    ref.push_back(v.compute(c, ctrl));
-    ctrls.push_back(&ctrl);
-  }
-  for (std::size_t width : {std::size_t{1}, std::size_t{4}, std::size_t{13}}) {
-    for (std::size_t threads :
-         {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-      const std::vector<Flowpipe> got = v.compute_batch(
-          cells.data(), ctrls.data(), cells.size(), width, threads);
-      ASSERT_EQ(got.size(), ref.size());
-      for (std::size_t i = 0; i < got.size(); ++i) {
-        SCOPED_TRACE(::testing::Message() << "width " << width << " threads "
-                                          << threads << " cell " << i);
-        expect_flowpipe_bits(got[i], ref[i]);
-        // Lockstep lanes must also replay the same schedule, not merely
-        // land on the same boxes.
-        EXPECT_EQ(got[i].tm_stats.substeps, ref[i].tm_stats.substeps);
-        EXPECT_EQ(got[i].tm_stats.rejects, ref[i].tm_stats.rejects);
-        EXPECT_EQ(got[i].tm_stats.order_escalations,
-                  ref[i].tm_stats.order_escalations);
-      }
+  for (const geom::Box& c : cells) ref.push_back(v.compute(c, ctrl));
+  for (std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    const reach::BatchVerifier bv(&v, 0, threads);
+    const std::vector<Flowpipe> got = bv.compute(cells, ctrl);
+    ASSERT_EQ(got.size(), ref.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      SCOPED_TRACE(::testing::Message()
+                   << "threads " << threads << " cell " << i);
+      expect_flowpipe_bits(got[i], ref[i]);
+      // Grouped cells must also replay the same schedule, not merely land
+      // on the same boxes.
+      EXPECT_EQ(got[i].tm_stats.substeps, ref[i].tm_stats.substeps);
+      EXPECT_EQ(got[i].tm_stats.rejects, ref[i].tm_stats.rejects);
+      EXPECT_EQ(got[i].tm_stats.order_escalations,
+                ref[i].tm_stats.order_escalations);
     }
   }
 }
@@ -296,14 +291,17 @@ void fixed_grid_failure_stands(bool queue, std::size_t step_sets) {
   EXPECT_EQ(fp.tm_stats.h_max, 0.1);
 
   const std::vector<geom::Box> cells(3, bench.spec.x0);
-  const std::vector<const nn::Controller*> ctrls(3, &ctrl);
-  const std::vector<Flowpipe> got =
-      v.compute_batch(cells.data(), ctrls.data(), cells.size(), 2);
-  for (const Flowpipe& g : got) {
-    expect_flowpipe_bits(g, fp);
-    EXPECT_EQ(g.failure, fp.failure);
-    EXPECT_EQ(g.tm_stats.substeps, fp.tm_stats.substeps);
-    EXPECT_EQ(g.tm_stats.rejects, 0u);
+  for (std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    const reach::BatchVerifier bv(&v, 0, threads);
+    const std::vector<Flowpipe> got = bv.compute(cells, ctrl);
+    ASSERT_EQ(got.size(), cells.size());
+    for (const Flowpipe& g : got) {
+      expect_flowpipe_bits(g, fp);
+      EXPECT_EQ(g.failure, fp.failure);
+      EXPECT_EQ(g.tm_stats.substeps, fp.tm_stats.substeps);
+      EXPECT_EQ(g.tm_stats.rejects, 0u);
+    }
   }
 }
 

@@ -1,9 +1,9 @@
 // Symbolic remainder queue suite (DESIGN.md §12): interval-matrix
 // transport enclosures, queue mechanics (push/transport/overflow flush),
 // Monte-Carlo soundness of queued flowpipes on the paper benchmarks,
-// the queued-vs-conventional tightness guarantee, bit-identity of the
-// batched driver under the queue, and prefix reuse for child cells.
-// Runs under the `parallel` CTest label (batched drivers inside).
+// the queued-vs-conventional tightness guarantee, bit-identity of
+// BatchVerifier groups under the queue, and prefix reuse for child cells.
+// Runs under the `parallel` CTest label (threaded groups inside).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,6 +14,7 @@
 #include "nn/controller.hpp"
 #include "ode/benchmarks.hpp"
 #include "ode/expr_system.hpp"
+#include "reach/batch.hpp"
 #include "reach/control_abstraction.hpp"
 #include "reach/sym_remainder.hpp"
 #include "reach/tm_flowpipe.hpp"
@@ -386,7 +387,7 @@ void batched_queue_matches_scalar(bool force_scalar) {
   opt.symbolic_remainder = true;
   const TmVerifier v = osc_verifier(bench, opt);
 
-  // 5 sibling cells: ragged at widths 3 and 4.
+  // 5 sibling cells.
   std::vector<geom::Box> cells;
   std::mt19937_64 rng(21);
   for (int c = 0; c < 5; ++c) {
@@ -401,14 +402,11 @@ void batched_queue_matches_scalar(bool force_scalar) {
     cells.emplace_back(b);
   }
   std::vector<Flowpipe> ref;
-  std::vector<const nn::Controller*> ctrls;
-  for (const geom::Box& c : cells) {
-    ref.push_back(v.compute(c, ctrl));
-    ctrls.push_back(&ctrl);
-  }
-  for (std::size_t width : {std::size_t{1}, std::size_t{3}, std::size_t{4}}) {
-    const std::vector<Flowpipe> got =
-        v.compute_batch(cells.data(), ctrls.data(), cells.size(), width);
+  for (const geom::Box& c : cells) ref.push_back(v.compute(c, ctrl));
+  for (std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    const reach::BatchVerifier bv(&v, 0, threads);
+    const std::vector<Flowpipe> got = bv.compute(cells, ctrl);
     ASSERT_EQ(got.size(), ref.size());
     for (std::size_t i = 0; i < got.size(); ++i) {
       expect_flowpipe_bits(got[i], ref[i]);
