@@ -488,9 +488,9 @@ LearnResult Learner::learn(nn::Controller& ctrl) const {
   // opt_.threads allows. Each task clones the controller and writes into
   // its own index slot; timing and call counts are folded back here in
   // index order, so serial and parallel runs agree bitwise on everything
-  // the gradient consumes. With opt_.batch != 1 and a lane-capable
-  // verifier, probes go through the SoA batch engine in groups of the
-  // lane width — same per-probe arithmetic, so the objectives (and hence
+  // the gradient consumes. With opt_.batch != 1 and a groupable
+  // verifier, probes go through the BatchVerifier in groups of the lane
+  // width — same per-probe arithmetic, so the objectives (and hence
   // theta) match the per-probe path bit for bit.
   const reach::BatchVerifier bv(verifier_.get(), opt_.batch);
   const auto measure_probes = [&](const std::vector<Vec>& thetas) {

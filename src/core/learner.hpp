@@ -74,8 +74,9 @@ struct LearnerOptions {
   std::size_t threads = 0;
   /// Lane-batch width for grouped probe evaluations: each SPSA iteration
   /// submits its +-probe pair (and all averaged samples / coordinate
-  /// probes) to a reach::BatchVerifier, which steps compatible verifiers
-  /// through the SoA lane kernels in lockstep (DESIGN.md section 11).
+  /// probes) to a reach::BatchVerifier, which steps interval verifiers
+  /// through the SoA lane kernels in lockstep and runs TM probes one at a
+  /// time (DESIGN.md section 11).
   /// 0 = auto (the SIMD lane width), 1 = evaluate probes one at a time
   /// (the seed path). Results are bit-identical at any setting.
   std::size_t batch = 0;

@@ -3,9 +3,9 @@
 // signals — the remainder-validation attempt count, the Picard convergence
 // index, and the relative defect-range magnitude of the accepted step —
 // never of wall-clock or machine state, so the schedule is bit-identical
-// across the scalar driver, the lockstep lane pools (any width, thread
-// count, or lane backend), and the gradient dual pass (whose value channel
-// reproduces the same signal bits).
+// across the TM driver (any group size, thread count, or lane backend) and
+// the gradient dual pass (whose value channel reproduces the same signal
+// bits).
 //
 // Time is accounted in integer ticks: a control period is
 // substeps << max_halvings ticks, the base step is 1 << max_halvings ticks

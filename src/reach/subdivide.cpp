@@ -15,8 +15,8 @@ Flowpipe SubdividingVerifier::compute(const geom::Box& x0,
   // Each cell's flowpipe is an independent verifier call: fan out across
   // the pool, one index-addressed slot per cell, then merge on this thread
   // in cell order — the merged pipe is bit-identical at any thread count.
-  // With opt_.batch != 1 and a lane-capable inner verifier, the fan-out
-  // unit is a lane group instead of a single cell (same per-cell
+  // With opt_.batch != 1 and a groupable inner verifier, the fan-out
+  // unit is a BatchVerifier group instead of a single cell (same per-cell
   // arithmetic, so the merged pipe does not change by a bit).
   std::vector<Flowpipe> pipes(cells.size());
   const BatchVerifier bv(inner_.get(), opt_.batch);

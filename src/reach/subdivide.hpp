@@ -20,8 +20,9 @@ struct SubdivideOptions {
   /// at any thread count.
   std::size_t threads = 0;
   /// Lane-batch width for grouped per-cell computations: cells go through
-  /// a reach::BatchVerifier over the inner verifier, stepping groups in
-  /// lockstep through the SoA lane kernels (DESIGN.md section 11).
+  /// a reach::BatchVerifier over the inner verifier, which steps interval
+  /// groups in lockstep through the SoA lane kernels and runs TM cells one
+  /// at a time (DESIGN.md section 11).
   /// 0 = auto (the SIMD lane width), 1 = per-cell (the seed path).
   /// Merged pipes are bit-identical at any setting.
   std::size_t batch = 0;
