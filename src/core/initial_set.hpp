@@ -74,7 +74,14 @@ struct InitialSetResult {
   std::vector<geom::Box> rejected;
   /// |X_I| / |X0|.
   double coverage = 0.0;
+  /// Verifier calls made. A cell whose centre rollout already fails the
+  /// spec is bisected, or rejected at max depth, without one.
   std::size_t verifier_calls = 0;
+  /// How many `rejected` cells are falsified (their centre rollout fails
+  /// the spec, so no verifier can certify them); the rest are unknown
+  /// (verified, but too loose to certify). Not serialized by put():
+  /// shard and checkpoint files carry it per record instead.
+  std::size_t falsified = 0;
   /// X_I == X0 (goal-reaching certified for every initial state).
   bool full() const { return coverage >= 1.0 - 1e-12; }
 };

@@ -260,6 +260,8 @@ class CachingVerifier final : public Verifier {
   Flowpipe compute(const geom::Box& x0,
                    const nn::Controller& ctrl) const override;
 
+  std::optional<Plant> plant() const override { return inner_->plant(); }
+
   /// The exact key compute() would use for this job — exposed so the
   /// batched engine (reach::BatchVerifier) can reproduce the same
   /// lookup/insert sequence around its lane-group computations.

@@ -28,6 +28,8 @@ class IntervalVerifier final : public Verifier {
   Flowpipe compute(const geom::Box& x0,
                    const nn::Controller& ctrl) const override;
 
+  std::optional<Plant> plant() const override { return Plant{sys_, &spec_}; }
+
   /// Lane-batched compute(): the flowpipes of `count` independent
   /// (x0, controller) jobs, stepped in lockstep groups of
   /// interval::lanes::kWidth through the SoA lane kernels (see

@@ -37,6 +37,8 @@ class LinearVerifier final : public Verifier {
   Flowpipe compute(const geom::Box& x0,
                    const nn::Controller& ctrl) const override;
 
+  std::optional<Plant> plant() const override { return Plant{sys_, &spec_}; }
+
   /// Batched compute() over one shared controller: the closed-loop
   /// sub-sample maps (Ad_j + Bd_j K, cd_j) depend only on the gain, so
   /// they are assembled once per batch instead of once per cell. Each

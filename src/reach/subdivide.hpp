@@ -61,6 +61,8 @@ class SubdividingVerifier final : public Verifier {
   Flowpipe compute(const geom::Box& x0,
                    const nn::Controller& ctrl) const override;
 
+  std::optional<Plant> plant() const override { return inner_->plant(); }
+
  private:
   VerifierPtr inner_;
   SubdivideOptions opt_;

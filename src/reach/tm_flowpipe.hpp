@@ -211,6 +211,8 @@ class TmVerifier final : public Verifier {
   Flowpipe compute(const geom::Box& x0,
                    const nn::Controller& ctrl) const override;
 
+  std::optional<Plant> plant() const override { return Plant{sys_, &spec_}; }
+
   /// Like `compute`, but records the symbolic prefix of the result and,
   /// when `parent` is non-null with parent->x0 containing `x0`, replays the
   /// parent's restricted models for the shared prefix instead of

@@ -3,13 +3,25 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "geom/box.hpp"
 #include "nn/controller.hpp"
+#include "ode/spec.hpp"
+#include "ode/system.hpp"
 #include "reach/flowpipe.hpp"
 
 namespace dwv::reach {
+
+/// The closed loop a verifier reasons about: the dynamics it integrates
+/// and its own spec, whose delta, steps and stop_at_goal fix the horizon
+/// its flowpipes cover. `spec` points into the verifier and lives as long
+/// as it does.
+struct Plant {
+  ode::SystemPtr system;
+  const ode::ReachAvoidSpec* spec = nullptr;
+};
 
 class Verifier {
  public:
@@ -30,6 +42,12 @@ class Verifier {
   /// configured horizon.
   virtual Flowpipe compute(const geom::Box& x0,
                            const nn::Controller& ctrl) const = 0;
+
+  /// The plant this verifier integrates, so callers can run concrete
+  /// rollouts of the same closed loop (Algorithm 2 falsifies a cell before
+  /// verifying it). The default, for verifiers that do not name one, is
+  /// nullopt.
+  virtual std::optional<Plant> plant() const { return std::nullopt; }
 };
 
 using VerifierPtr = std::shared_ptr<const Verifier>;

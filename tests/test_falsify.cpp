@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <optional>
+
 #include "core/falsify.hpp"
 #include "ode/benchmarks.hpp"
 #include "sim/simulate.hpp"
@@ -119,6 +123,142 @@ TEST(Falsify, BeatsBlindSamplingOnRareViolations) {
     EXPECT_LT(res.robustness, 2.0);
   }
   EXPECT_GT(res.evaluations, 0u);
+}
+
+
+// --- centre_rollout_fails: the falsify-first test of the X_I search -----
+
+// x' = -x + u: under a zero gain the state decays monotonically, so the
+// closest approach to a goal {x <= g} is the last control instant.
+class DecaySystem final : public ode::System {
+ public:
+  std::string name() const override { return "decay"; }
+  std::size_t state_dim() const override { return 1; }
+  std::size_t input_dim() const override { return 1; }
+  void f_into(const double* x, const double* u, double* dx) const override {
+    dx[0] = -x[0] + u[0];
+  }
+  Mat dfdx(const Vec&, const Vec&) const override { return Mat{{-1.0}}; }
+  Mat dfdu(const Vec&, const Vec&) const override { return Mat{{1.0}}; }
+  std::vector<poly::Poly> poly_dynamics() const override {
+    poly::Poly p(2);
+    p.add_term({1, 0}, -1.0);
+    p.add_term({0, 1}, 1.0);
+    return {p};
+  }
+};
+
+// A verifier that only names its plant (or none, when `spec` is unset).
+class PlantOnlyVerifier final : public reach::Verifier {
+ public:
+  PlantOnlyVerifier(ode::SystemPtr sys, std::optional<ode::ReachAvoidSpec> spec)
+      : sys_(std::move(sys)), spec_(std::move(spec)) {}
+  std::string name() const override { return "plant-only"; }
+  reach::Flowpipe compute(const geom::Box&,
+                          const nn::Controller&) const override {
+    return {};
+  }
+  std::optional<reach::Plant> plant() const override {
+    if (!spec_) return std::nullopt;
+    return reach::Plant{sys_, &*spec_};
+  }
+
+ private:
+  ode::SystemPtr sys_;
+  std::optional<ode::ReachAvoidSpec> spec_;
+};
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// Decay from the cell [0.9, 1.1] over three periods of 1 s; goal {x <= g},
+// unsafe set far away unless a test moves it.
+ode::ReachAvoidSpec decay_spec(double g) {
+  ode::ReachAvoidSpec spec;
+  spec.x0 = geom::Box({interval::Interval(0.9, 1.1)});
+  spec.goal = geom::Box({interval::Interval(-kInf, g)});
+  spec.unsafe = geom::Box({interval::Interval(50.0, kInf)});
+  spec.goal_dims = {0};
+  spec.unsafe_dims = {0};
+  spec.delta = 1.0;
+  spec.steps = 3;
+  spec.state_bounds = geom::Box({interval::Interval(-100.0, 100.0)});
+  return spec;
+}
+
+// Final state of the centre rollout at `substeps` RK4 steps per period.
+double decay_end(const ode::System& sys, const nn::Controller& ctrl,
+                 const ode::ReachAvoidSpec& spec, std::size_t substeps) {
+  sim::SimOptions o;
+  o.substeps = substeps;
+  return sim::simulate(sys, ctrl, spec.x0.center(), spec.delta, spec.steps, o)
+      .states.back()[0];
+}
+
+TEST(CentreRollout, GoalMissWithinMarginDoesNotPrune) {
+  const auto sys = std::make_shared<const DecaySystem>();
+  const nn::LinearController zero(Mat{{0.0}});
+  const ode::ReachAvoidSpec probe = decay_spec(0.0);
+  const double coarse = decay_end(*sys, zero, probe, 8);
+  const double fine = decay_end(*sys, zero, probe, 16);
+  const double gap = std::abs(coarse - fine);
+  ASSERT_GT(gap, 0.0);
+  ASSERT_LT(gap, 1e-3);
+
+  // Both rollouts miss the goal by about 50 gaps: under the margin.
+  const ode::ReachAvoidSpec near = decay_spec(fine - 50.0 * gap);
+  const PlantOnlyVerifier v_near(sys, near);
+  EXPECT_GT(goal_robustness(sim::simulate(*sys, zero, near.x0.center(),
+                                          near.delta, near.steps),
+                            near),
+            0.0);
+  EXPECT_FALSE(centre_rollout_fails(v_near, near, zero, near.x0, true));
+
+  // About 200 gaps: both clear the margin, so the cell is falsified.
+  const ode::ReachAvoidSpec far = decay_spec(fine - 200.0 * gap);
+  const PlantOnlyVerifier v_far(sys, far);
+  EXPECT_TRUE(centre_rollout_fails(v_far, far, zero, far.x0, true));
+  EXPECT_TRUE(centre_rollout_fails(v_far, far, zero, far.x0, false));
+}
+
+TEST(CentreRollout, HorizonMismatchDoesNotPrune) {
+  const auto sys = std::make_shared<const DecaySystem>();
+  const nn::LinearController zero(Mat{{0.0}});
+  // The goal lies far below every state: a clear miss.
+  const ode::ReachAvoidSpec spec = decay_spec(-10.0);
+  EXPECT_TRUE(centre_rollout_fails(PlantOnlyVerifier(sys, spec), spec, zero,
+                                   spec.x0, true));
+
+  ode::ReachAvoidSpec longer = spec;
+  longer.steps += 1;
+  EXPECT_FALSE(centre_rollout_fails(PlantOnlyVerifier(sys, longer), spec,
+                                    zero, spec.x0, true));
+  ode::ReachAvoidSpec slower = spec;
+  slower.delta = 0.5;
+  EXPECT_FALSE(centre_rollout_fails(PlantOnlyVerifier(sys, slower), spec,
+                                    zero, spec.x0, true));
+  ode::ReachAvoidSpec no_stop = spec;
+  no_stop.stop_at_goal = false;
+  EXPECT_FALSE(centre_rollout_fails(PlantOnlyVerifier(sys, no_stop), spec,
+                                    zero, spec.x0, true));
+  // A verifier that names no plant never prunes.
+  EXPECT_FALSE(centre_rollout_fails(PlantOnlyVerifier(sys, std::nullopt),
+                                    spec, zero, spec.x0, true));
+}
+
+TEST(CentreRollout, UnsafeOnlyRolloutPrunesOnlyWithSafetyCheck) {
+  const auto sys = std::make_shared<const DecaySystem>();
+  const nn::LinearController zero(Mat{{0.0}});
+  // The rollout reaches {x <= 0.5} at t = 1 (x = e^-1), and on the way,
+  // at t = 3/8 on both substep grids, lies 0.087 deep inside [0.6, 0.8].
+  ode::ReachAvoidSpec spec = decay_spec(0.5);
+  spec.unsafe = geom::Box({interval::Interval(0.6, 0.8)});
+  const PlantOnlyVerifier v(sys, spec);
+  const sim::Trace tr =
+      sim::simulate(*sys, zero, spec.x0.center(), spec.delta, spec.steps);
+  ASSERT_LT(goal_robustness(tr, spec), 0.0);
+  ASSERT_LT(safety_robustness(tr, spec), -0.08);
+  EXPECT_FALSE(centre_rollout_fails(v, spec, zero, spec.x0, false));
+  EXPECT_TRUE(centre_rollout_fails(v, spec, zero, spec.x0, true));
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include "core/initial_set.hpp"
 #include "core/verdict.hpp"
 #include "ode/benchmarks.hpp"
+#include "plantless_verifier.hpp"
 #include "reach/linear_reach.hpp"
 #include "sim/simulate.hpp"
 
@@ -24,7 +25,10 @@ TEST(InitialSetSearch, FullCoverageForStrongController) {
 
 TEST(InitialSetSearch, ZeroCoverageForBadController) {
   const auto bench = ode::make_acc_benchmark();
-  reach::LinearVerifier verifier(bench.system, bench.spec);
+  // Every cell holds a counterexample, so only the plant-less wrapper
+  // makes the search ask the verifier about them.
+  const reach::LinearVerifier linear(bench.system, bench.spec);
+  const test::PlantlessVerifier verifier(linear);
   nn::LinearController zero(Mat{{0.0, 0.0}});
   InitialSetOptions opt;
   opt.max_depth = 2;
@@ -74,7 +78,10 @@ TEST(InitialSetSearch, EveryCertifiedCellIsSound) {
 
 TEST(InitialSetSearch, DeeperSearchNeverCoversLess) {
   const auto bench = ode::make_acc_benchmark();
-  reach::LinearVerifier verifier(bench.system, bench.spec);
+  // Every cell to depth 4 holds a counterexample, so only the plant-less
+  // wrapper makes the search ask the verifier about them.
+  const reach::LinearVerifier linear(bench.system, bench.spec);
+  const test::PlantlessVerifier verifier(linear);
   // A mediocre controller: goal reaching holds only for part of X0.
   nn::LinearController mid(Mat{{0.45, -1.6}});
   InitialSetOptions shallow;

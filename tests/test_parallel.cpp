@@ -14,6 +14,7 @@
 #include "core/learner.hpp"
 #include "ode/benchmarks.hpp"
 #include "parallel/pool.hpp"
+#include "plantless_verifier.hpp"
 #include "reach/linear_reach.hpp"
 #include "reach/subdivide.hpp"
 #include "reach/tm_flowpipe.hpp"
@@ -181,7 +182,10 @@ TEST(ParallelDeterminism, SubdividingVerifierBitIdentical) {
 
 TEST(ParallelDeterminism, InitialSetSearchBitIdentical) {
   const auto bench = ode::make_acc_benchmark();
-  reach::LinearVerifier verifier(bench.system, bench.spec);
+  // Every cell to depth 3 holds a counterexample, so only the plant-less
+  // wrapper makes the search ask the verifier about them.
+  const reach::LinearVerifier linear(bench.system, bench.spec);
+  const test::PlantlessVerifier verifier(linear);
   // Mediocre controller so the search actually branches.
   nn::LinearController mid(Mat{{0.45, -1.6}});
 

@@ -550,6 +550,14 @@ int cmd_verify(const Args& args) {
   return rep.verdict == core::Verdict::kReachAvoid ? 0 : 1;
 }
 
+// The two kinds of rejected leaf: falsified ones hold a counterexample
+// (their centre rollout fails the spec, so the verifier was skipped);
+// unknown ones were verified, but too loosely to certify.
+void print_rejected_split(const core::InitialSetResult& res) {
+  std::printf("rejected: %zu falsified, %zu unknown\n", res.falsified,
+              res.rejected.size() - res.falsified);
+}
+
 // dwv search — the sharded/checkpointable/anytime X_I search driver.
 // Three modes sharing one configuration surface:
 //   (default)      in-process search, optionally over --shards K subtrees
@@ -654,6 +662,7 @@ int cmd_search(const Args& args) {
         "rejected, %zu verifier calls)\n",
         parts.size(), 100.0 * res.coverage, res.certified.size(),
         res.rejected.size(), res.verifier_calls);
+    print_rejected_split(res);
     if (!out.empty()) core::save_initial_set_result_file(out, fingerprint, res);
     return 0;
   }
@@ -684,6 +693,7 @@ int cmd_search(const Args& args) {
       "%zu verifier calls)\n",
       100.0 * res.coverage, res.certified.size(), res.rejected.size(),
       res.verifier_calls);
+  print_rejected_split(res);
   if (!out.empty()) core::save_initial_set_result_file(out, fingerprint, res);
   if (cache && args.options.count("--cache-stats")) {
     print_cache_stats(cache->stats());
