@@ -244,4 +244,18 @@ inline RowResult finish_baseline_row(
   return row;
 }
 
+/// The ACC spec with X0 widened 3x around its centre: under the gain
+/// (0.8, -2.75) only the inner part reaches the goal, so an X_I search
+/// over it both falsifies cells and verifies them (the X_I micro-benches
+/// time this tree; tests/test_shard_search.cpp's AccSearch is the same).
+inline ode::ReachAvoidSpec widened_acc_spec(const ode::Benchmark& acc) {
+  ode::ReachAvoidSpec spec = acc.spec;
+  for (std::size_t d = 0; d < spec.x0.dim(); ++d) {
+    const double c = 0.5 * (spec.x0[d].lo() + spec.x0[d].hi());
+    const double h = 1.5 * (spec.x0[d].hi() - spec.x0[d].lo());
+    spec.x0[d] = interval::Interval(c - h, c + h);
+  }
+  return spec;
+}
+
 }  // namespace dwvbench
