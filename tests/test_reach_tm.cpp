@@ -609,6 +609,25 @@ TEST(TmVerifierBits, ComputeBitsPinned) {
     EXPECT_FALSE(fp.valid);
     pin("osc_fixed_grid_failure", 0xb4fe6c123dd3e7b9ULL, pipe_digest(fp));
   }
+  // The plain pipes of the two compute_symbolic configurations below (the
+  // 12-step oscillator, the 20-step adaptive ACC run without stop-at-goal).
+  {
+    const ode::Benchmark osc12 = oscillator(12);
+    const Flowpipe fp = polar(osc12, {}).compute(osc12.spec.x0, osc_ctrl);
+    EXPECT_TRUE(fp.valid) << fp.failure;
+    pin("osc12_polar", 0x595484c4b52ac257ULL, pipe_digest(fp));
+  }
+  {
+    ode::Benchmark acc20 = acc;
+    acc20.spec.steps = 20;
+    acc20.spec.stop_at_goal = false;
+    TmReachOptions opt;
+    opt.adaptive = true;
+    const Flowpipe fp =
+        acc_verifier(acc20, opt).compute(acc20.spec.x0, acc_ctrl);
+    EXPECT_TRUE(fp.valid) << fp.failure;
+    pin("acc20_linear_adaptive", 0x3036858bacede3e3ULL, pipe_digest(fp));
+  }
   // compute_symbolic: the parent's pipe and prefix bytes, then a child
   // cell replaying that prefix (the adaptive prefix carries a schedule
   // tape, so the child restricts each tube over its own tau domain).
@@ -618,6 +637,8 @@ TEST(TmVerifierBits, ComputeBitsPinned) {
                             std::uint64_t golden_child) {
     const TmComputeResult parent = v.compute_symbolic(x0, ctrl);
     ASSERT_NE(parent.prefix, nullptr) << name;
+    EXPECT_EQ(pipe_digest(parent.fp), pipe_digest(v.compute(x0, ctrl)))
+        << name;
     const TmComputeResult child =
         v.compute_symbolic(quarter(x0), ctrl, parent.prefix.get());
     ASSERT_NE(child.prefix, nullptr) << name;
