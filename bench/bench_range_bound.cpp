@@ -253,6 +253,9 @@ void bench_step_bound(Results& out) {
   const double h = 0.05;
   const reach::TmStepResult res =
       reach::tm_integrate_step(env, state, control, dyn, h, {});
+  // A fresh copy of the step's validated tube models over (x0, x1, tau in
+  // [0, h]), the functional enclosure tube_range is the box hull of.
+  const taylor::TmVec tube = env.scratch().validated;
 
   interval::IVec dom_time(3);
   dom_time[0] = env.dom[0];
@@ -260,7 +263,7 @@ void bench_step_bound(Results& out) {
   dom_time[2] = interval::Interval(0.0, h);
 
   const double naive_ns = time_ns(50000, [&] {
-    for (const auto& tm : res.tube_tm)
+    for (const auto& tm : tube)
       g_sink += (tm.poly.eval_range(dom_time) + tm.rem).hi();
     for (const auto& tm : res.at_end)
       g_sink += (tm.poly.eval_range(env.dom) + tm.rem).hi();
@@ -273,7 +276,7 @@ void bench_step_bound(Results& out) {
   // (result memo on): re-bounding the same models — what the verifier does
   // once per constraint check and hull extraction — hits the memo.
   poly::RangeEngine engine;
-  for (const auto& tm : res.tube_tm)
+  for (const auto& tm : tube)
     g_identical = g_identical && bits_equal(engine.eval_range(tm.poly,
                                                               dom_time),
                                             tm.poly.eval_range(dom_time));
@@ -282,7 +285,7 @@ void bench_step_bound(Results& out) {
                                                               env.dom),
                                             tm.poly.eval_range(env.dom));
   const double engine_ns = time_ns(50000, [&] {
-    for (const auto& tm : res.tube_tm)
+    for (const auto& tm : tube)
       g_sink += (engine.eval_range(tm.poly, dom_time) + tm.rem).hi();
     for (const auto& tm : res.at_end)
       g_sink += (engine.eval_range(tm.poly, env.dom) + tm.rem).hi();
@@ -292,7 +295,7 @@ void bench_step_bound(Results& out) {
   // Walk-only variant (memo off): the first-bound cost of fresh models.
   engine.set_result_memo(false);
   const double walk_ns = time_ns(50000, [&] {
-    for (const auto& tm : res.tube_tm)
+    for (const auto& tm : tube)
       g_sink += (engine.eval_range(tm.poly, dom_time) + tm.rem).hi();
     for (const auto& tm : res.at_end)
       g_sink += (engine.eval_range(tm.poly, env.dom) + tm.rem).hi();

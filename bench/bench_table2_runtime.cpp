@@ -13,7 +13,7 @@
 // bit-identity check (thread count must be a pure performance knob).
 // A third section reports the cross-iteration flowpipe cache: end-to-end
 // ACC learning wall clock cache-off vs cache-on (bit-identical learned
-// parameters required) and the X_I search with parent-prefix reuse.
+// parameters required).
 #include <chrono>
 #include <thread>
 
@@ -211,37 +211,6 @@ void print_cache_section() {
       static_cast<unsigned long long>(cs.hits),
       static_cast<unsigned long long>(cs.lookups()), 100.0 * cs.hit_rate(),
       cs.miss_compute_seconds, cs.overhead_seconds);
-
-  // Branch-and-refine parent-prefix reuse (Algorithm 2): child cells
-  // restrict the parent's symbolic models instead of re-integrating the
-  // shared prefix. Replayed pipes are sound but looser, so coverage may
-  // differ slightly — both coverages are reported.
-  const auto bench = ode::make_acc_benchmark();
-  const auto verifier = std::make_shared<reach::TmVerifier>(
-      bench.system, bench.spec, std::make_shared<reach::LinearAbstraction>(),
-      reach::TmReachOptions{});
-  // A good gain (the Table-2 row's) whose goal certification still needs
-  // refinement, so the search actually branches before covering X0.
-  const nn::LinearController mid(linalg::Mat{{0.8, -2.75}});
-  core::InitialSetOptions iopt;
-  iopt.max_depth = 5;
-  iopt.threads = 1;
-
-  const auto time_search = [&](bool reuse) {
-    core::InitialSetOptions o = iopt;
-    o.reuse_parent_prefix = reuse;
-    const auto t0 = std::chrono::steady_clock::now();
-    const core::InitialSetResult r =
-        core::search_initial_set(*verifier, bench.spec, mid, o);
-    const auto t1 = std::chrono::steady_clock::now();
-    return std::make_pair(std::chrono::duration<double>(t1 - t0).count(), r);
-  };
-  const auto [cold_s, cold_r] = time_search(false);
-  const auto [warm_s, warm_r] = time_search(true);
-  std::printf(
-      "%-26s %-13.3f %-13.3f %-10.2f coverage %.1f%% -> %.1f%%\n",
-      "X_I search(ACC, prefix)", cold_s, warm_s, cold_s / warm_s,
-      100.0 * cold_r.coverage, 100.0 * warm_r.coverage);
 }
 
 double mean_call_seconds(const ode::Benchmark& bench,

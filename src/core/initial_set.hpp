@@ -43,21 +43,7 @@ struct InitialSetOptions {
   /// order, which replays the breadth-first order exactly: the result is
   /// bit-identical at any thread count (DESIGN.md section 11).
   std::size_t threads = 0;
-  /// Reuse each parent cell's validated symbolic flowpipe prefix when
-  /// verifying its children: a child's pipe starts by restricting the
-  /// parent's Taylor models to the child sub-domain (one polynomial
-  /// composition per step) instead of re-integrating from t = 0, up to the
-  /// parent's first state re-initialization (DESIGN.md §8). Takes effect
-  /// when the verifier is a TmVerifier or a CachingVerifier over one
-  /// (otherwise ignored). Sound, but a replayed prefix carries the
-  /// parent's remainders (validated over the larger domain), so pipes are
-  /// generally a little looser than with reuse off — certification
-  /// verdicts can only flip toward "refine further", never toward an
-  /// unsound "certified". Results remain identical across thread counts
-  /// for a fixed setting of this flag. Works with the TmVerifier's
-  /// symbolic remainder queue: queue-on prefixes are recorded with their
-  /// queued remainders materialized into the models (DESIGN.md §12), so a
-  /// child restriction stands alone without the parent's queue.
+  /// Parent-prefix reuse was removed; true throws std::invalid_argument.
   bool reuse_parent_prefix = false;
   /// Lane-batch width for grouped verifier calls (reach::BatchVerifier):
   /// each frontier worker pops up to this many cells and verifies them as

@@ -20,7 +20,6 @@
 #include "parallel/work_steal.hpp"
 #include "reach/batch.hpp"
 #include "reach/cache.hpp"
-#include "reach/tm_flowpipe.hpp"
 
 namespace dwv::core {
 
@@ -37,11 +36,13 @@ namespace ser = reach::ser;
 // then framed full-state snapshots appended at round boundaries; the LAST
 // intact snapshot wins and any torn tail is truncated on load.
 // Version 2 widened each terminal record's flag byte from certified (0/1)
-// to its CellVerdict; version-1 files fail to load.
+// to its CellVerdict; version 3 dropped the per-cell symbolic flowpipe
+// prefix from checkpoints (and the prefix-reuse option from the
+// fingerprint). Files of older versions fail to load.
 constexpr std::uint64_t kShardMagic = 0x3148534958565744ull;   // DWVXISH1
 constexpr std::uint64_t kResultMagic = 0x3153524958565744ull;  // DWVXIRS1
 constexpr std::uint64_t kCkptMagic = 0x3154504b43565744ull;    // DWVCKPT1
-constexpr std::uint32_t kFileVersion = 2;
+constexpr std::uint32_t kFileVersion = 3;
 constexpr std::uint32_t kCkptAllShards = 0xffffffffu;
 // magic + version + shards + fingerprint + shard_index.
 constexpr std::size_t kCkptHeaderSize = 8 + 4 + 4 + 8 + 4;
@@ -51,13 +52,11 @@ constexpr std::uint8_t kMaxVerdict =
     static_cast<std::uint8_t>(CellVerdict::kFalsified);
 
 // An undecided frontier cell. `seq` is the heap sequence number (root 1,
-// children 2s and 2s+1); `parent` is the parent cell's recorded symbolic
-// flowpipe prefix (schedule tape included) when prefix reuse is active.
+// children 2s and 2s+1).
 struct PendingCell {
   geom::Box box;
   std::size_t depth = 0;
   std::uint64_t seq = 0;
-  std::shared_ptr<const reach::TmSymbolicPrefix> parent;
 };
 
 // The complete resumable search state: terminal records so far + the
@@ -82,19 +81,6 @@ struct EngineState {
   }
 };
 
-const reach::TmVerifier* unwrap_tm(const reach::Verifier& verifier,
-                                   bool reuse_parent_prefix) {
-  if (!reuse_parent_prefix) return nullptr;
-  const auto* tmv = dynamic_cast<const reach::TmVerifier*>(&verifier);
-  if (tmv == nullptr) {
-    if (const auto* cv =
-            dynamic_cast<const reach::CachingVerifier*>(&verifier)) {
-      tmv = dynamic_cast<const reach::TmVerifier*>(cv->inner().get());
-    }
-  }
-  return tmv;
-}
-
 // --- Snapshot payload ---------------------------------------------------
 
 void put_state(ser::Writer& w, const EngineState& st) {
@@ -110,8 +96,6 @@ void put_state(ser::Writer& w, const EngineState& st) {
     w.u64(c.seq);
     w.u64(c.depth);
     ser::put(w, c.box);
-    w.u8(c.parent != nullptr ? 1 : 0);
-    if (c.parent != nullptr) ser::put(w, *c.parent);
   }
 }
 
@@ -129,7 +113,7 @@ bool get_state(ser::Reader& r, EngineState& out) {
     if (!ser::get(r, rec.box)) return false;
     out.note(rec);
   }
-  n = r.count(8 + 8 + 8 + 1);  // seq + depth + minimal box + flag
+  n = r.count(8 + 8 + 8);  // seq + depth + minimal box
   if (!r.ok()) return false;
   out.pending.resize(static_cast<std::size_t>(n));
   for (PendingCell& c : out.pending) {
@@ -137,14 +121,6 @@ bool get_state(ser::Reader& r, EngineState& out) {
     c.depth = static_cast<std::size_t>(r.u64());
     if (!r.ok() || c.seq == 0 || c.depth > kMaxSearchDepth) return false;
     if (!ser::get(r, c.box)) return false;
-    const std::uint8_t has_prefix = r.u8();
-    if (!r.ok() || has_prefix > 1) return false;
-    if (has_prefix != 0) {
-      reach::TmSymbolicPrefix prefix;
-      if (!ser::get(r, prefix)) return false;
-      c.parent =
-          std::make_shared<const reach::TmSymbolicPrefix>(std::move(prefix));
-    }
   }
   return r.ok() && r.remaining() == 0;
 }
@@ -305,34 +281,19 @@ bool certifies(const reach::Flowpipe& fp, const ode::ReachAvoidSpec& spec,
          facts.goal_certified;
 }
 
-// Falsify before verify: a cell whose centre rollout fails the spec can
-// never be certified, so it skips the verifier. The prefix-reuse path
-// (`tmv`) verifies every cell: a skipped parent would record no prefix,
-// and its children would integrate cold.
-bool skips_verifier(const reach::Verifier& verifier,
-                    const ode::ReachAvoidSpec& spec,
-                    const nn::Controller& ctrl, bool check_safety,
-                    const reach::TmVerifier* tmv, const PendingCell& cell) {
-  return tmv == nullptr &&
-         centre_rollout_fails(verifier, spec, ctrl, cell.box, check_safety);
-}
-
 // Settles one cell: a terminal record (certified, or rejected at max
 // depth) goes to `record`; otherwise its two bisection children (heap
-// sequence numbers 2s and 2s+1, both restricting the cell's recorded
-// prefix) go to `spawn`.
+// sequence numbers 2s and 2s+1) go to `spawn`.
 template <class Record, class Spawn>
 void decide(PendingCell&& cell, CellVerdict verdict, std::size_t max_depth,
-            std::shared_ptr<const reach::TmSymbolicPrefix> prefix,
             const Record& record, const Spawn& spawn) {
   if (verdict == CellVerdict::kCertified || cell.depth >= max_depth) {
     record(ShardRecord{cell.seq, std::move(cell.box), verdict});
     return;
   }
   auto [lo, hi] = cell.box.bisect();
-  spawn(PendingCell{std::move(lo), cell.depth + 1, 2 * cell.seq, prefix});
-  spawn(PendingCell{std::move(hi), cell.depth + 1, 2 * cell.seq + 1,
-                    std::move(prefix)});
+  spawn(PendingCell{std::move(lo), cell.depth + 1, 2 * cell.seq});
+  spawn(PendingCell{std::move(hi), cell.depth + 1, 2 * cell.seq + 1});
 }
 
 // Deterministic level-synchronous expansion of the shared tree prefix:
@@ -342,8 +303,7 @@ void decide(PendingCell&& cell, CellVerdict verdict, std::size_t max_depth,
 // scheduling.
 void expand_level(const reach::Verifier& verifier,
                   const ode::ReachAvoidSpec& spec, const nn::Controller& ctrl,
-                  const ShardSearchOptions& opt, const reach::TmVerifier* tmv,
-                  EngineState& st) {
+                  const ShardSearchOptions& opt, EngineState& st) {
   const std::size_t n = st.pending.size();
   const std::size_t per_shard = parallel::resolve_threads(opt.base.threads);
   const std::size_t threads =
@@ -351,22 +311,13 @@ void expand_level(const reach::Verifier& verifier,
           ? per_shard * std::max<std::size_t>(opt.shards, 1)
           : per_shard;
   std::vector<CellVerdict> verdicts(n, CellVerdict::kFalsified);
-  std::vector<std::shared_ptr<const reach::TmSymbolicPrefix>> prefixes(n);
   parallel::parallel_for(threads, n, [&](std::size_t i) {
-    const PendingCell& cell = st.pending[i];
-    if (skips_verifier(verifier, spec, ctrl, opt.base.check_safety, tmv,
-                       cell)) {
+    const geom::Box& box = st.pending[i].box;
+    if (centre_rollout_fails(verifier, spec, ctrl, box,
+                             opt.base.check_safety)) {
       return;
     }
-    reach::Flowpipe fp;
-    if (tmv != nullptr) {
-      reach::TmComputeResult r =
-          tmv->compute_symbolic(cell.box, ctrl, cell.parent.get());
-      fp = std::move(r.fp);
-      prefixes[i] = std::move(r.prefix);
-    } else {
-      fp = verifier.compute(cell.box, ctrl);
-    }
+    const reach::Flowpipe fp = verifier.compute(box, ctrl);
     verdicts[i] = certifies(fp, spec, opt.base.check_safety)
                       ? CellVerdict::kCertified
                       : CellVerdict::kUnknown;
@@ -382,8 +333,8 @@ void expand_level(const reach::Verifier& verifier,
   };
   const auto spawn = [&](PendingCell&& c) { next.push_back(std::move(c)); };
   for (std::size_t i = 0; i < n; ++i) {
-    decide(std::move(st.pending[i]), verdicts[i], opt.base.max_depth,
-           std::move(prefixes[i]), record, spawn);
+    decide(std::move(st.pending[i]), verdicts[i], opt.base.max_depth, record,
+           spawn);
   }
   st.pending = std::move(next);
 }
@@ -405,8 +356,7 @@ struct FrontierOut {
 // terminal records are not.
 void run_frontier(const reach::Verifier& verifier,
                   const ode::ReachAvoidSpec& spec, const nn::Controller& ctrl,
-                  const InitialSetOptions& base, const reach::TmVerifier* tmv,
-                  std::vector<PendingCell> roots,
+                  const InitialSetOptions& base, std::vector<PendingCell> roots,
                   std::atomic<std::size_t>& budget, std::size_t budget_limit,
                   FrontierOut& out) {
   const std::size_t threads = parallel::resolve_threads(base.threads);
@@ -433,30 +383,19 @@ void run_frontier(const reach::Verifier& verifier,
       group.push_back(extra);
     }
 
-    // Group positions of the cells that go to the verifier.
+    // Falsify before verify: a cell whose centre rollout fails the spec can
+    // never be certified, so it skips the verifier. `verify` holds the group
+    // positions of the cells that go to it.
     std::vector<std::size_t> verify;
+    std::vector<reach::BatchJob> jobs;
     for (std::size_t g = 0; g < group.size(); ++g) {
-      if (!skips_verifier(verifier, spec, ctrl, base.check_safety, tmv,
-                          *group[g])) {
+      if (!centre_rollout_fails(verifier, spec, ctrl, group[g]->box,
+                                base.check_safety)) {
         verify.push_back(g);
+        jobs.push_back({group[g]->box, &ctrl});
       }
     }
-    std::vector<reach::Flowpipe> fps(verify.size());
-    std::vector<std::shared_ptr<const reach::TmSymbolicPrefix>> prefixes(
-        group.size());
-    if (tmv != nullptr) {
-      for (std::size_t g = 0; g < group.size(); ++g) {
-        reach::TmComputeResult r = tmv->compute_symbolic(
-            group[g]->box, ctrl, group[g]->parent.get());
-        fps[g] = std::move(r.fp);
-        prefixes[g] = std::move(r.prefix);
-      }
-    } else {
-      std::vector<reach::BatchJob> jobs;
-      jobs.reserve(verify.size());
-      for (const std::size_t g : verify) jobs.push_back({group[g]->box, &ctrl});
-      fps = bv.compute(jobs);
-    }
+    const std::vector<reach::Flowpipe> fps = bv.compute(jobs);
     std::vector<CellVerdict> verdicts(group.size(), CellVerdict::kFalsified);
     for (std::size_t j = 0; j < verify.size(); ++j) {
       verdicts[verify[j]] = certifies(fps[j], spec, base.check_safety)
@@ -471,8 +410,7 @@ void run_frontier(const reach::Verifier& verifier,
       ctx.spawn(new PendingCell(std::move(c)));
     };
     for (std::size_t g = 0; g < group.size(); ++g) {
-      decide(std::move(*group[g]), verdicts[g], base.max_depth,
-             std::move(prefixes[g]), record, spawn);
+      decide(std::move(*group[g]), verdicts[g], base.max_depth, record, spawn);
       delete group[g];
     }
     calls.fetch_add(verify.size(), std::memory_order_relaxed);
@@ -500,8 +438,7 @@ void run_frontier(const reach::Verifier& verifier,
 // shared cell budget, and fold records and leftovers back into the state.
 void run_round(const reach::Verifier& verifier, const ode::ReachAvoidSpec& spec,
                const nn::Controller& ctrl, const ShardSearchOptions& opt,
-               const reach::TmVerifier* tmv, EngineState& st,
-               std::size_t budget_limit) {
+               EngineState& st, std::size_t budget_limit) {
   const std::size_t nworkers =
       opt.shard_index == ShardSearchOptions::kAllShards
           ? std::max<std::size_t>(opt.shards, 1)
@@ -515,8 +452,8 @@ void run_round(const reach::Verifier& verifier, const ode::ReachAvoidSpec& spec,
   std::atomic<std::size_t> budget{0};
   std::vector<FrontierOut> outs(nworkers);
   const auto run_one = [&](std::size_t w) {
-    run_frontier(verifier, spec, ctrl, opt.base, tmv, std::move(deal[w]),
-                 budget, budget_limit, outs[w]);
+    run_frontier(verifier, spec, ctrl, opt.base, std::move(deal[w]), budget,
+                 budget_limit, outs[w]);
   };
   std::vector<std::thread> threads;
   threads.reserve(nworkers - 1);
@@ -570,8 +507,11 @@ EngineState run_engine(const reach::Verifier& verifier,
                                 std::to_string(opt.shards) + " shards");
   }
 
-  const reach::TmVerifier* tmv =
-      unwrap_tm(verifier, opt.base.reuse_parent_prefix);
+  if (opt.base.reuse_parent_prefix) {
+    throw std::invalid_argument(
+        "InitialSetOptions::reuse_parent_prefix was removed; every cell is "
+        "verified on its own");
+  }
   std::unique_ptr<CheckpointFile> ckpt;
   if (!opt.checkpoint_file.empty()) {
     ckpt = std::make_unique<CheckpointFile>(
@@ -585,11 +525,11 @@ EngineState run_engine(const reach::Verifier& verifier,
   if (ckpt != nullptr && ckpt->has_snapshot()) {
     st = ckpt->take_state();
   } else {
-    st.pending.push_back({spec.x0, 0, 1, nullptr});
+    st.pending.push_back({spec.x0, 0, 1});
     const std::size_t grain = std::max<std::size_t>(opt.prefix_grain, 1);
     const std::size_t target = opt.shards * grain;
     while (!st.pending.empty() && st.pending.size() < target) {
-      expand_level(verifier, spec, ctrl, opt, tmv, st);
+      expand_level(verifier, spec, ctrl, opt, st);
     }
     if (one_shard) {
       // Round-robin partition of the deterministic prefix frontier; the
@@ -615,7 +555,7 @@ EngineState run_engine(const reach::Verifier& verifier,
               : std::numeric_limits<std::size_t>::max();
   std::size_t rounds = 0;
   while (!st.pending.empty()) {
-    run_round(verifier, spec, ctrl, opt, tmv, st, budget_limit);
+    run_round(verifier, spec, ctrl, opt, st, budget_limit);
     ++rounds;
     if (ckpt != nullptr) ckpt->append(st);
     if (opt.progress && !opt.progress(make_progress(spec, st, rounds))) {
@@ -684,7 +624,6 @@ std::uint64_t xi_search_fingerprint(const reach::Verifier& verifier,
   w.u8(spec.stop_at_goal ? 1 : 0);
   w.u64(base.max_depth);
   w.u8(base.check_safety ? 1 : 0);
-  w.u8(base.reuse_parent_prefix ? 1 : 0);
   return ser::checksum64(w.bytes().data(), w.bytes().size());
 }
 

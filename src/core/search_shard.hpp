@@ -14,11 +14,10 @@
 // count, or batch width (the ordered-replay argument, applied across
 // processes).
 //
-// Checkpointing serializes the frontier (pending cells + sequence numbers
-// + recorded symbolic prefixes, schedule tapes included) into an
-// append-only checksummed snapshot file at a cell-count cadence; loading
-// scans to the last intact snapshot and truncates any torn tail, so a
-// kill -9 mid-search resumes to a bit-identical final result (cells
+// Checkpointing serializes the frontier (pending cells + sequence numbers)
+// into an append-only checksummed snapshot file at a cell-count cadence;
+// loading scans to the last intact snapshot and truncates any torn tail, so
+// a kill -9 mid-search resumes to a bit-identical final result (cells
 // verified after the last snapshot are simply re-verified — verifiers are
 // deterministic pure functions, so the records come out the same).
 //
@@ -130,9 +129,9 @@ struct ShardResult {
 /// records: verifier identity (unwrapping a CachingVerifier — caching
 /// cannot change bits), controller architecture + exact parameter bits,
 /// the reach-avoid spec, and the result-affecting options (max_depth,
-/// check_safety, reuse_parent_prefix). Deliberately EXCLUDES shards,
-/// threads, and batch width — those never change bits, so shard files and
-/// checkpoints remain mergeable/resumable across them.
+/// check_safety). Deliberately EXCLUDES shards, threads, and batch width —
+/// those never change bits, so shard files and checkpoints remain
+/// mergeable/resumable across them.
 std::uint64_t xi_search_fingerprint(const reach::Verifier& verifier,
                                     const ode::ReachAvoidSpec& spec,
                                     const nn::Controller& ctrl,

@@ -178,6 +178,29 @@ std::uint64_t hash_string(std::uint64_t seed, const std::string& s) {
   return h;
 }
 
+void push_spec_words(std::vector<std::uint64_t>& w,
+                     const ode::ReachAvoidSpec& spec) {
+  w.push_back(std::bit_cast<std::uint64_t>(spec.delta));
+  w.push_back(spec.steps);
+  w.push_back(spec.stop_at_goal ? 1 : 0);
+  for (const geom::Box* b : {&spec.goal, &spec.unsafe}) {
+    w.push_back(b->dim());
+    for (std::size_t i = 0; i < b->dim(); ++i) {
+      w.push_back(std::bit_cast<std::uint64_t>((*b)[i].lo()));
+      w.push_back(std::bit_cast<std::uint64_t>((*b)[i].hi()));
+    }
+  }
+}
+
+void push_poly_words(std::vector<std::uint64_t>& w, const poly::Poly& p) {
+  w.push_back(p.nvars());
+  w.push_back(p.term_count());
+  for (const auto& [key, c] : p.terms()) {
+    w.push_back(key);
+    w.push_back(std::bit_cast<std::uint64_t>(c));
+  }
+}
+
 FlowpipeCache::Key FlowpipeCache::make_key(std::uint64_t id,
                                            const geom::Box& x0,
                                            const linalg::Vec& params) {

@@ -242,6 +242,15 @@ std::uint64_t hash_words(std::uint64_t seed, const std::uint64_t* words,
 /// FNV-1a over a byte string (short identity strings; not hot).
 std::uint64_t hash_string(std::uint64_t seed, const std::string& s);
 
+/// Appends the words of the spec fields every built-in verifier's pipe
+/// depends on — delta, steps, stop_at_goal, the goal and unsafe boxes —
+/// for its cache_salt().
+void push_spec_words(std::vector<std::uint64_t>& w,
+                     const ode::ReachAvoidSpec& spec);
+/// Appends the words of a polynomial (variable count, terms in stored
+/// order) for a cache_salt() over polynomial dynamics.
+void push_poly_words(std::vector<std::uint64_t>& w, const poly::Poly& p);
+
 /// Decorator memoizing any Verifier. Bit-identity of hits follows from the
 /// wrapped verifier being a deterministic pure function of (x0, theta):
 /// the cache stores exactly what `inner->compute` returned for the same

@@ -1,10 +1,12 @@
 #include "reach/interval_reach.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 #include "interval/lanes.hpp"
 #include "poly/range_engine.hpp"
+#include "reach/cache.hpp"
 
 namespace dwv::reach {
 
@@ -18,6 +20,24 @@ IntervalVerifier::IntervalVerifier(ode::SystemPtr sys,
       spec_(std::move(spec)),
       opt_(opt),
       f_polys_(sys_->poly_dynamics()) {}
+
+std::uint64_t IntervalVerifier::cache_salt() const {
+  std::vector<std::uint64_t> w;
+  w.push_back(hash_string(0, sys_->name()));
+  w.push_back(sys_->state_dim());
+  w.push_back(sys_->input_dim());
+  for (const poly::Poly& p : f_polys_) push_poly_words(w, p);
+  push_spec_words(w, spec_);
+  for (const auto* dims : {&spec_.goal_dims, &spec_.unsafe_dims}) {
+    w.push_back(dims->size());
+    for (const std::size_t d : *dims) w.push_back(d);
+  }
+  w.push_back(opt_.substeps);
+  w.push_back(std::bit_cast<std::uint64_t>(opt_.inflation));
+  w.push_back(opt_.max_inflations);
+  w.push_back(std::bit_cast<std::uint64_t>(opt_.divergence_bound));
+  return hash_words(0x3f84d5b5b5470917ull, w.data(), w.size());
+}
 
 namespace {
 

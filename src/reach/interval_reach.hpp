@@ -25,6 +25,12 @@ class IntervalVerifier final : public Verifier {
 
   std::string name() const override { return "interval-euler"; }
 
+  /// Fingerprints what name() omits: the system (name, dimensions,
+  /// polynomials), the spec (horizon, goal/unsafe boxes and dimensions)
+  /// and the integration options — two IntervalVerifiers over different
+  /// specs sharing a FlowpipeCache must not alias.
+  std::uint64_t cache_salt() const override;
+
   Flowpipe compute(const geom::Box& x0,
                    const nn::Controller& ctrl) const override;
 

@@ -58,18 +58,7 @@ std::uint64_t LinearVerifier::cache_salt() const {
   w.push_back(c_.size());
   for (std::size_t i = 0; i < c_.size(); ++i)
     w.push_back(std::bit_cast<std::uint64_t>(c_[i]));
-  w.push_back(std::bit_cast<std::uint64_t>(spec_.delta));
-  w.push_back(spec_.steps);
-  w.push_back(spec_.stop_at_goal ? 1 : 0);
-  const auto push_box = [&w](const geom::Box& b) {
-    w.push_back(b.dim());
-    for (std::size_t i = 0; i < b.dim(); ++i) {
-      w.push_back(std::bit_cast<std::uint64_t>(b[i].lo()));
-      w.push_back(std::bit_cast<std::uint64_t>(b[i].hi()));
-    }
-  };
-  push_box(spec_.goal);
-  push_box(spec_.unsafe);
+  push_spec_words(w, spec_);
   return hash_words(0x452821e638d01377ull, w.data(), w.size());
 }
 

@@ -285,44 +285,4 @@ bool get(Reader& r, Flowpipe& out) {
   return get(r, out.tm_stats) && r.ok();
 }
 
-void put(Writer& w, const TmSymbolicPrefix& v) {
-  w.u64(v.periods.size());
-  for (const TmSymbolicPrefix::Period& p : v.periods) {
-    w.u64(p.tube.size());
-    for (const taylor::TmVec& tv : p.tube) put(w, tv);
-    put(w, p.at_end);
-    w.u64(p.h.size());
-    for (double h : p.h) w.f64(h);
-    w.u64(p.order.size());
-    for (std::uint32_t o : p.order) w.u32(o);
-  }
-  put(w, v.x0);
-}
-
-bool get(Reader& r, TmSymbolicPrefix& out) {
-  const std::uint64_t np = r.count(8);
-  if (!r.ok()) return false;
-  out.periods.resize(static_cast<std::size_t>(np));
-  for (std::size_t i = 0; i < np; ++i) {
-    TmSymbolicPrefix::Period& p = out.periods[i];
-    const std::uint64_t nt = r.count(8);
-    if (!r.ok()) return false;
-    p.tube.resize(static_cast<std::size_t>(nt));
-    for (std::size_t j = 0; j < nt; ++j) {
-      if (!get(r, p.tube[j])) return false;
-    }
-    if (!get(r, p.at_end)) return false;
-    const std::uint64_t nh = r.count(8);
-    if (!r.ok()) return false;
-    p.h.resize(static_cast<std::size_t>(nh));
-    for (std::size_t j = 0; j < nh; ++j) p.h[j] = r.f64();
-    const std::uint64_t no = r.count(4);
-    if (!r.ok()) return false;
-    p.order.resize(static_cast<std::size_t>(no));
-    for (std::size_t j = 0; j < no; ++j) p.order[j] = r.u32();
-    if (!r.ok()) return false;
-  }
-  return get(r, out.x0) && r.ok();
-}
-
 }  // namespace dwv::reach::ser

@@ -24,7 +24,6 @@
 #include "geom/box.hpp"
 #include "geom/polygon2d.hpp"
 #include "reach/flowpipe.hpp"
-#include "reach/tm_flowpipe.hpp"
 #include "taylor/taylor_model.hpp"
 
 namespace dwv::reach::ser {
@@ -115,8 +114,5 @@ bool get(Reader& r, TmReachStats& out);
 
 void put(Writer& w, const Flowpipe& v);
 bool get(Reader& r, Flowpipe& out);
-
-void put(Writer& w, const TmSymbolicPrefix& v);
-bool get(Reader& r, TmSymbolicPrefix& out);
 
 }  // namespace dwv::reach::ser

@@ -23,9 +23,7 @@
 // REJECTED — the adaptive controller halves h (escalating the order once h
 // bottoms out) and the driver retries from the same state; a capped
 // per-period reject budget turns permanent failure into the same pipe
-// failure the fixed grid reports at once. Drivers record accepted adaptive
-// substeps on a per-period schedule tape (the `(h, order)` sequence) that
-// the symbolic-prefix machinery replays for child cells.
+// failure the fixed grid reports at once.
 #pragma once
 
 #include <cstdint>
@@ -76,7 +74,6 @@ class StepController {
   void configure(const TmReachOptions& opt, double delta,
                  std::size_t state_dim = 0);
 
-  bool adaptive() const { return adaptive_; }
   std::uint32_t order_max() const { return order_max_; }
 
   /// New cell: back to the base step and configured order. `stats` (may be

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -18,7 +17,6 @@ namespace dwv::reach {
 using interval::Interval;
 using interval::IVec;
 using poly::Poly;
-using taylor::TaylorModel;
 using taylor::TmEnv;
 using taylor::TmVec;
 
@@ -370,7 +368,6 @@ void tm_integrate_step(const TmEnv& env_set, const TmVec& state,
         res.max_poly_terms =
             std::max(res.max_poly_terms, s.validated[i].poly.term_count());
       }
-      if (res.want_tube_tm) res.tube_tm = s.validated;
       res.ok = true;
       return;
     }
@@ -443,27 +440,6 @@ std::string TmVerifier::name() const {
   return os.str();
 }
 
-namespace {
-
-void hash_box(std::vector<std::uint64_t>& w, const geom::Box& b) {
-  w.push_back(b.dim());
-  for (std::size_t i = 0; i < b.dim(); ++i) {
-    w.push_back(std::bit_cast<std::uint64_t>(b[i].lo()));
-    w.push_back(std::bit_cast<std::uint64_t>(b[i].hi()));
-  }
-}
-
-void hash_poly(std::vector<std::uint64_t>& w, const Poly& p) {
-  w.push_back(p.nvars());
-  w.push_back(p.term_count());
-  for (const auto& [key, c] : p.terms()) {
-    w.push_back(key);
-    w.push_back(std::bit_cast<std::uint64_t>(c));
-  }
-}
-
-}  // namespace
-
 std::uint64_t TmVerifier::cache_salt() const {
   std::vector<std::uint64_t> w;
   // Range-bounding mode changes remainders (hence verdicts): results
@@ -484,92 +460,20 @@ std::uint64_t TmVerifier::cache_salt() const {
     w.push_back(opt_.adaptive_order_max);
     w.push_back(opt_.adaptive_reject_budget);
   }
-  w.push_back(std::bit_cast<std::uint64_t>(spec_.delta));
-  w.push_back(spec_.steps);
-  w.push_back(spec_.stop_at_goal ? 1 : 0);
-  hash_box(w, spec_.goal);
-  hash_box(w, spec_.unsafe);
+  push_spec_words(w, spec_);
   if (const auto* pd =
           dynamic_cast<const PolyTmDynamics*>(dynamics_.get())) {
-    for (const Poly& p : pd->polys()) hash_poly(w, p);
+    for (const Poly& p : pd->polys()) push_poly_words(w, p);
   }
   return hash_words(0x7ad870c830358979ull, w.data(), w.size());
 }
 
-namespace {
-
-// Affine arguments mapping the child's unit parameterization into the
-// parent's: s_parent_i = m_i + rho_i * s_child_i, computed so the image of
-// [-1, 1] covers the child's exact sub-domain (a few-ulp outward widening
-// absorbs the division rounding) while staying inside the parent's
-// validated domain. When `time_var` is set the argument list is extended
-// with the identity model for tau, so tube models (set vars + tau) can be
-// composed with the same machinery.
-TmVec restriction_args(const TmEnv& env, const geom::Box& parent_box,
-                       const geom::Box& child_box, bool time_var) {
-  const std::size_t n = parent_box.dim();
-  constexpr double kUlp = 4.0 * std::numeric_limits<double>::epsilon();
-  TmVec args;
-  args.reserve(env.nvars());
-  for (std::size_t i = 0; i < n; ++i) {
-    const double pc = parent_box[i].mid();
-    const double pr = parent_box[i].rad();
-    if (pr <= 0.0) {
-      // Degenerate parent dimension: the variable never entered the
-      // parent's polynomials (zero initial coefficient), any constant in
-      // the domain is a sound stand-in.
-      args.push_back(TaylorModel::constant(env, 0.0));
-      continue;
-    }
-    double lo = (child_box[i].lo() - pc) / pr;
-    double hi = (child_box[i].hi() - pc) / pr;
-    lo = std::max(-1.0, lo - kUlp * (1.0 + std::abs(lo)));
-    hi = std::min(1.0, hi + kUlp * (1.0 + std::abs(hi)));
-    const double m = 0.5 * (lo + hi);
-    const double rho = 0.5 * (hi - lo);
-    Poly p = Poly::constant(env.nvars(), m) +
-             Poly::variable(env.nvars(), i) * rho;
-    args.push_back({std::move(p), Interval(0.0)});
-  }
-  if (time_var) args.push_back(TaylorModel::variable(env, n));
-  return args;
-}
-
-// Composes a parent model with the restriction arguments; the parent's
-// validated remainder holds pointwise over its domain, so it transfers
-// verbatim to the sub-domain.
-TaylorModel restrict_tm(const TmEnv& env, const TaylorModel& tm,
-                        const TmVec& args) {
-  TaylorModel out = taylor::tm_eval_poly(env, tm.poly, args);
-  out.rem = out.rem + tm.rem;
-  return out;
-}
-
-}  // namespace
-
-Flowpipe TmVerifier::compute(const geom::Box& x0,
-                             const nn::Controller& ctrl) const {
-  return run(x0, ctrl, nullptr, nullptr);
-}
-
-TmComputeResult TmVerifier::compute_symbolic(
-    const geom::Box& x0, const nn::Controller& ctrl,
-    const TmSymbolicPrefix* parent) const {
-  auto prefix = std::make_shared<TmSymbolicPrefix>();
-  prefix->x0 = x0;
-  TmComputeResult out;
-  out.fp = run(x0, ctrl, prefix.get(), parent);
-  if (!prefix->periods.empty()) out.prefix = std::move(prefix);
-  return out;
-}
-
-// One cell's driver: `start` sets up the cell, each `advance_period`
-// integrates (or replays) one control period, until `done`.
+// One cell's driver: `start` sets up the cell, each `integrate_period`
+// integrates one control period, until `done` or the horizon.
 struct TmVerifier::Lane {
   const TmVerifier* v = nullptr;
 
   TmEnv env;       ///< set-variable env, dom = [-1, 1]^n
-  TmEnv env_time;  ///< replay-path time-extended env (set vars..., tau)
   TmStepResult sr; ///< integration step buffers, warm across steps
 
   // Symbolic remainder queue mode (TmReachOptions::symbolic_remainder with
@@ -591,30 +495,18 @@ struct TmVerifier::Lane {
   std::uint32_t pin_cap = 0;
 
   const nn::Controller* ctrl = nullptr;
-  TmSymbolicPrefix* record = nullptr;
-  const TmSymbolicPrefix* parent = nullptr;
   Flowpipe fp;
   TmVec x;
-  TmVec args_set, args_time;
   std::size_t n = 0;
-  double h = 0.0;
   std::size_t step = 0;
-  bool recording = false;
-  bool was_recording = false;
-  bool replaying = false;
   bool done = false;
-  // Schedule tape of the period being built (adaptive + recording only):
-  // consumed by finish_period into the symbolic prefix.
-  std::vector<double> h_tape;
-  std::vector<std::uint32_t> order_tape;
 
   void start(const TmVerifier& verifier, const geom::Box& x0,
-             const nn::Controller& c, TmSymbolicPrefix* rec,
-             const TmSymbolicPrefix* par) {
+             const nn::Controller& c) {
     v = &verifier;
     n = v->sys_->state_dim();
     assert(x0.dim() == n);
-    h = v->spec_.delta / static_cast<double>(v->opt_.substeps);
+    const double h = v->spec_.delta / static_cast<double>(v->opt_.substeps);
     sc.configure(v->opt_, v->spec_.delta, n);
     pinned_h = h;
     pin_cap = 2 * (v->opt_.adaptive ? sc.order_max() : v->opt_.order) + 2;
@@ -623,13 +515,6 @@ struct TmVerifier::Lane {
     env.order = v->opt_.order;
     env.cutoff = v->opt_.cutoff;
     env.range_mode = v->opt_.range_mode;
-
-    env_time.dom = IVec(n + 1);
-    for (std::size_t i = 0; i < n; ++i) env_time.dom[i] = Interval(-1.0, 1.0);
-    env_time.dom[n] = Interval(0.0, h);
-    env_time.order = v->opt_.order;
-    env_time.cutoff = v->opt_.cutoff;
-    env_time.range_mode = v->opt_.range_mode;
 
     // Pin the two domains every hot range query of a run uses: the
     // set box, and the time-extended box tm_integrate_step writes into its
@@ -641,15 +526,15 @@ struct TmVerifier::Lane {
     TmEnv& et = s.env_time;
     et.borrow_scratch(env);
     s.env_time_init = true;
-    et.dom = env_time.dom;
+    et.dom = IVec(n + 1);
+    for (std::size_t i = 0; i < n; ++i) et.dom[i] = Interval(-1.0, 1.0);
+    et.dom[n] = Interval(0.0, h);
     et.order = env.order;
     et.cutoff = env.cutoff;
     et.range_mode = env.range_mode;
     s.range.pin_domain(et.dom, pin_cap);
 
     ctrl = &c;
-    record = rec;
-    parent = par;
 
     // Initial affine parameterization x_i = c_i + r_i s_i.
     const linalg::Vec cc = x0.center();
@@ -665,21 +550,8 @@ struct TmVerifier::Lane {
     fp.step_sets.push_back(x0);
     sc.reset(&fp.tm_stats);
 
-    // Recording stops at the first re-initialization: afterwards the state
-    // models no longer depend on the initial-set variables, so a child cell
-    // could not soundly restrict them.
-    recording = record != nullptr;
-    was_recording = recording;
-
     sym_on = v->opt_.symbolic_remainder && v->dynamics_->has_state_jacobian();
     if (sym_on) srq.reset(n, v->opt_.sym_queue_size);
-
-    replaying = parent != nullptr && !parent->periods.empty() &&
-                parent->x0.dim() == n && parent->x0.contains(x0);
-    if (replaying) {
-      args_set = restriction_args(env, parent->x0, x0, false);
-      args_time = restriction_args(env_time, parent->x0, x0, true);
-    }
   }
 
   // Adaptive runs: the scratch's time-extended domain is PINNED in the
@@ -699,7 +571,7 @@ struct TmVerifier::Lane {
 
   // Books the period into the pipe, applies the stop/divergence/re-init
   // policy. Returns nonzero when the pipe is finished (1) or failed (2).
-  int finish_period(const IVec& period_hull, std::vector<TmVec>&& tube_rec) {
+  int finish_period(const IVec& period_hull) {
     fp.interval_hulls.emplace_back(period_hull);
     IVec end_range = taylor::tm_vec_range(env, x);
     // Queued mode keeps the accumulated remainder out of x; every box the
@@ -707,19 +579,6 @@ struct TmVerifier::Lane {
     if (sym_on) end_range += srq.box();
     fp.step_sets.emplace_back(end_range);
     if (sym_on) fp.tm_stats.sym_flushes = srq.flushes();
-    if (recording) {
-      // Materialize the queue into the recorded models so the prefix
-      // stands alone: a child cell restricting it must not need this
-      // cell's queue state.
-      TmVec x_rec = x;
-      if (sym_on) {
-        for (std::size_t i = 0; i < n; ++i) x_rec[i].rem += srq.box()[i];
-      }
-      record->periods.push_back({std::move(tube_rec), std::move(x_rec),
-                                 std::move(h_tape), std::move(order_tape)});
-      h_tape.clear();
-      order_tape.clear();
-    }
 
     // Reach-avoid semantics: the run ends when the goal is provably
     // reached; tracking the post-goal flow would only inflate the pipe.
@@ -763,60 +622,10 @@ struct TmVerifier::Lane {
           srq.clear();
         }
         x = reinitialize(env, x, end_range);
-        recording = false;
         ++fp.tm_stats.reinits;
       }
     }
     return 0;
-  }
-
-  // One replayed period: a polynomial composition of the parent's recorded
-  // models instead of a Picard fixpoint + remainder validation. When the
-  // parent carries an adaptive schedule tape, each tube model is evaluated
-  // over its own tau domain [0, h[sub]] — the parent's models were
-  // validated per step, so a fixed-width tau would be unsound where the
-  // parent stepped shorter and loose where it stepped longer.
-  void replay_period() {
-    const TmSymbolicPrefix::Period& period = parent->periods[step];
-    const bool tape = !period.h.empty();
-
-    IVec period_hull;
-    std::vector<TmVec> tube_rec;
-    if (recording) tube_rec.reserve(period.tube.size());
-    for (std::size_t sub = 0; sub < period.tube.size(); ++sub) {
-      // env_time is unpinned (its scratch is separate from env's), so
-      // mutating the tau domain here is safe. The truncation order follows
-      // the tape too: restricting an escalated model at a lower order would
-      // shave validated terms into the remainder.
-      if (tape) {
-        env_time.dom[n] = Interval(0.0, period.h[sub]);
-        env_time.order = period.order[sub];
-      }
-      TmVec restricted(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        restricted[i] = restrict_tm(env_time, period.tube[sub][i], args_time);
-      }
-      const IVec range = taylor::tm_vec_range(env_time, restricted);
-      period_hull = (sub == 0) ? range : interval::hull(period_hull, range);
-      if (recording) tube_rec.push_back(std::move(restricted));
-      fp.tm_stats.note_step(tape ? period.h[sub] : h);
-    }
-    if (recording && tape) {
-      // Propagate the parent's tape so a grandchild replays the same
-      // schedule.
-      h_tape = period.h;
-      order_tape = period.order;
-    }
-
-    TmVec x_end(n);
-    if (tape) env.order = period.order.back();
-    for (std::size_t i = 0; i < n; ++i) {
-      x_end[i] = restrict_tm(env, period.at_end[i], args_set);
-    }
-    x = std::move(x_end);
-    ++step;
-
-    if (finish_period(period_hull, std::move(tube_rec)) != 0) done = true;
   }
 
   // Encloses one substep's deviation transport for the symbolic remainder
@@ -870,9 +679,8 @@ struct TmVerifier::Lane {
 
   // Queue hook: moves every nonzero interval remainder of the state models
   // into the queue, keeping x remainder-free. Runs before a period (the
-  // incoming remainder of a replay restriction or of a concretizing
-  // fallback) and after every accepted substep (its validated local
-  // remainder).
+  // incoming remainder of a concretizing fallback) and after every accepted
+  // substep (its validated local remainder).
   void push_remainders() {
     IVec rem(n);
     bool any = false;
@@ -930,9 +738,6 @@ struct TmVerifier::Lane {
 
     IVec period_hull;
     IVec q_tube;
-    std::vector<TmVec> tube_rec;
-    if (recording) tube_rec.reserve(v->opt_.substeps);
-    sr.want_tube_tm = recording;  // the tube models only feed the prefix
     bool first = true;
     sc.start_period();
     while (!sc.period_done()) {
@@ -958,52 +763,17 @@ struct TmVerifier::Lane {
       first = false;
       std::swap(x, sr.at_end);
       if (sym_on) push_remainders();
-      if (recording) {
-        // Materialize the transported deviation so the recorded tube
-        // stands alone for child restriction.
-        if (sym_on) {
-          for (std::size_t i = 0; i < n; ++i) sr.tube_tm[i].rem += q_tube[i];
-        }
-        tube_rec.push_back(std::move(sr.tube_tm));
-        // Only adaptive prefixes carry a schedule tape: fixed-grid prefix
-        // bytes (and checkpoints holding them) stay tape-free.
-        if (sc.adaptive()) {
-          h_tape.push_back(d.h);
-          order_tape.push_back(d.order);
-        }
-      }
     }
     ++step;
-    if (finish_period(period_hull, std::move(tube_rec)) != 0) done = true;
-  }
-
-  // Advances the cell by one control period. Replay ends at the parent's
-  // recorded horizon or as soon as the (restricted) state re-initializes,
-  // whichever comes first; integration resumes from the restricted
-  // symbolic state (branch-and-refine reuse, DESIGN.md §8).
-  void advance_period() {
-    if (replaying) {
-      if (step < parent->periods.size() && step < v->spec_.steps &&
-          recording == was_recording) {
-        replay_period();
-        return;
-      }
-      replaying = false;
-    }
-    if (step >= v->spec_.steps) {
-      done = true;
-      return;
-    }
-    integrate_period();
+    if (finish_period(period_hull) != 0) done = true;
   }
 };
 
-Flowpipe TmVerifier::run(const geom::Box& x0, const nn::Controller& ctrl,
-                         TmSymbolicPrefix* record,
-                         const TmSymbolicPrefix* parent) const {
+Flowpipe TmVerifier::compute(const geom::Box& x0,
+                             const nn::Controller& ctrl) const {
   Lane lane;
-  lane.start(*this, x0, ctrl, record, parent);
-  while (!lane.done) lane.advance_period();
+  lane.start(*this, x0, ctrl);
+  while (!lane.done && lane.step < spec_.steps) lane.integrate_period();
   return std::move(lane.fp);
 }
 

@@ -77,7 +77,7 @@ struct TmReachOptions {
   /// this grow; steps breaching it shrink.
   double adaptive_rtol = 1e-2;
   /// Halvings below the base step delta/substeps the controller may take
-  /// (the tick resolution of the schedule tape).
+  /// (the tick resolution of the schedule).
   std::uint32_t adaptive_max_halvings = 6;
   /// Truncation-order band the controller may roam in; 0 picks
   /// max(2, order - 1) / order + 2 respectively.
@@ -92,14 +92,6 @@ struct TmReachOptions {
 struct TmStepResult {
   taylor::TmVec at_end;        ///< state TMs at tau = h (tau substituted)
   interval::IVec tube_range;   ///< box hull of the enclosure over [0, h]
-  /// Validated symbolic tube models over (set vars..., tau in [0, h]) —
-  /// the functional enclosure `tube_range` is the box hull of. Kept so the
-  /// branch-and-refine prefix reuse can restrict them to sub-domains.
-  taylor::TmVec tube_tm;
-  /// Input flag: when false, the step skips materializing `tube_tm`
-  /// (leaving it untouched) — for drivers that are not recording a
-  /// symbolic prefix. Everything else is unaffected.
-  bool want_tube_tm = true;
   bool ok = false;
   std::string failure;
 
@@ -146,46 +138,6 @@ TmStepResult tm_integrate_step(const taylor::TmEnv& env_set,
                                const std::vector<poly::Poly>& f_polys,
                                double h, const TmReachOptions& opt);
 
-/// Symbolic prefix of a TM flowpipe: the validated Taylor models of every
-/// integration substep and control instant as FUNCTIONS of the initial-set
-/// parameterization x_i = c_i + r_i s_i, s in [-1, 1]^n, recorded up to the
-/// first state re-initialization (after a re-parameterization the models no
-/// longer depend on the initial set, so restriction becomes unsound).
-///
-/// Because the models are functional enclosures — for every x0 in the box
-/// and tau in the substep, the true flow lies inside the model evaluated at
-/// the matching (s, tau) — restricting s to the sub-domain of a child cell
-/// yields a sound flowpipe prefix for that cell WITHOUT re-integrating from
-/// t = 0. This is the branch-and-refine "parent prefix reuse" of DESIGN.md
-/// §8: a replayed step costs one polynomial composition instead of a full
-/// Picard fixpoint + remainder validation.
-struct TmSymbolicPrefix {
-  struct Period {
-    /// Validated tube models per substep, over (set vars..., tau).
-    std::vector<taylor::TmVec> tube;
-    /// Validated state models at the period end, over the set vars.
-    taylor::TmVec at_end;
-    /// Adaptive schedule tape, aligned with `tube`: the step size (and
-    /// truncation order) each substep was validated at. Empty on the
-    /// fixed grid, where every substep uses delta/substeps — a child cell
-    /// replaying this period restricts tau to [0, h[sub]] so the tube
-    /// ranges stay sound under per-step h.
-    std::vector<double> h;
-    std::vector<std::uint32_t> order;
-  };
-  std::vector<Period> periods;
-  geom::Box x0;  ///< the initial box the models are parameterized over
-};
-
-struct TmComputeResult {
-  Flowpipe fp;
-  /// Non-null when at least one period completed before the first
-  /// re-initialization (kept even for invalid pipes: the periods recorded
-  /// before a failure are validated enclosures and exactly what a child
-  /// cell of a to-be-bisected box wants to reuse).
-  std::shared_ptr<const TmSymbolicPrefix> prefix;
-};
-
 /// Verifier built on the TM flowpipe.
 class TmVerifier final : public Verifier {
  public:
@@ -213,18 +165,6 @@ class TmVerifier final : public Verifier {
 
   std::optional<Plant> plant() const override { return Plant{sys_, &spec_}; }
 
-  /// Like `compute`, but records the symbolic prefix of the result and,
-  /// when `parent` is non-null with parent->x0 containing `x0`, replays the
-  /// parent's restricted models for the shared prefix instead of
-  /// re-integrating from t = 0. The replayed pipe is sound but generally a
-  /// little looser than a cold computation (the parent's remainders were
-  /// validated over the larger domain); cold and replayed runs therefore
-  /// agree on soundness, not bit-for-bit — use it where only verdicts
-  /// matter (Algorithm 2). A parent that does not contain `x0` is ignored.
-  TmComputeResult compute_symbolic(
-      const geom::Box& x0, const nn::Controller& ctrl,
-      const TmSymbolicPrefix* parent = nullptr) const;
-
   // Configuration accessors for drivers that re-run this verifier's exact
   // pipeline with extra channels (reach::TmGradient mirrors the scalar
   // compute() path with forward-mode tangents riding along).
@@ -236,10 +176,6 @@ class TmVerifier final : public Verifier {
 
  private:
   struct Lane;  // one cell's period-by-period driver (tm_flowpipe.cpp)
-
-  Flowpipe run(const geom::Box& x0, const nn::Controller& ctrl,
-               TmSymbolicPrefix* record,
-               const TmSymbolicPrefix* parent) const;
 
   ode::SystemPtr sys_;
   ode::ReachAvoidSpec spec_;

@@ -313,58 +313,6 @@ TEST(FixedGridFailure, QueueOnFailsAtBaseStepWithoutRejects) {
   fixed_grid_failure_stands(/*queue=*/true, 14);
 }
 
-// --- schedule-tape replay for child cells ---------------------------------
-
-TEST(AdaptiveTape, ChildReplaysParentScheduleAndStaysSound) {
-  auto bench = ode::make_oscillator_benchmark();
-  bench.spec.steps = 8;
-  bench.spec.stop_at_goal = false;
-  const nn::MlpController ctrl = osc_mlp();
-  TmReachOptions opt;
-  opt.adaptive = true;
-  opt.symbolic_remainder = true;
-  const TmVerifier v = osc_verifier(bench, opt);
-
-  const auto parent = v.compute_symbolic(bench.spec.x0, ctrl);
-  ASSERT_TRUE(parent.fp.valid) << parent.fp.failure;
-  ASSERT_NE(parent.prefix, nullptr);
-  // The parent recorded a non-empty (h, order) tape for every period.
-  ASSERT_FALSE(parent.prefix->periods.empty());
-  for (const auto& period : parent.prefix->periods) {
-    ASSERT_EQ(period.h.size(), period.tube.size());
-    ASSERT_EQ(period.order.size(), period.tube.size());
-  }
-
-  // A child quadrant of x0, replayed from the parent's recorded models.
-  interval::IVec half(2);
-  for (std::size_t d = 0; d < 2; ++d) {
-    const Interval& dom = bench.spec.x0[d];
-    half[d] = Interval(dom.lo(), dom.mid());
-  }
-  geom::Box child(half);
-  ode::Benchmark child_bench = bench;
-  child_bench.spec.x0 = child;
-  const auto replayed = v.compute_symbolic(child, ctrl, parent.prefix.get());
-  ASSERT_TRUE(replayed.fp.valid) << replayed.fp.failure;
-  expect_contains_trajectories(child_bench, ctrl, replayed.fp, 10,
-                               "adaptive-child-replay");
-  // The replayed prefix carries the parent's tape forward verbatim, so a
-  // grandchild replays the same schedule.
-  ASSERT_NE(replayed.prefix, nullptr);
-  const std::size_t shared =
-      std::min(replayed.prefix->periods.size(), parent.prefix->periods.size());
-  ASSERT_GT(shared, 0u);
-  for (std::size_t p = 0; p < shared; ++p) {
-    const auto& pp = parent.prefix->periods[p];
-    const auto& cp = replayed.prefix->periods[p];
-    ASSERT_EQ(cp.h.size(), pp.h.size()) << "period " << p;
-    for (std::size_t s = 0; s < pp.h.size(); ++s) {
-      EXPECT_EQ(cp.h[s], pp.h[s]) << "period " << p << " sub " << s;
-      EXPECT_EQ(cp.order[s], pp.order[s]) << "period " << p << " sub " << s;
-    }
-  }
-}
-
 // --- gradient dual pass ---------------------------------------------------
 
 TEST(AdaptiveGradient, DualPassReproducesAdaptiveValueBits) {

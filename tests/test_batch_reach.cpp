@@ -447,30 +447,6 @@ TEST(TmBatch, CacheStatsMatchScalarAtSmallCapacity) {
   }
 }
 
-// The prefix-reuse frontier verifies each popped group cell by cell
-// through compute_symbolic with the cell's parent prefix: groups of 3
-// must reproduce one-cell groups bit for bit, at 1 and 2 threads.
-TEST(TmBatch, SymbolicBatchPrefixReplayMatchesSequential) {
-  const auto bm = ode::make_acc_benchmark();
-  const reach::TmVerifier v(bm.system, bm.spec,
-                            std::make_shared<reach::LinearAbstraction>(),
-                            reach::TmReachOptions{});
-  const nn::LinearController ctrl(linalg::Mat{{0.75, -2.6}});
-  core::InitialSetOptions o;
-  o.max_depth = 4;
-  o.reuse_parent_prefix = true;
-  o.batch = 1;
-  o.threads = 1;
-  const core::InitialSetResult ref =
-      core::search_initial_set(v, bm.spec, ctrl, o);
-  ASSERT_GT(ref.verifier_calls, 3u);
-  for (std::size_t threads : {1ul, 2ul}) {
-    o.batch = 3;
-    o.threads = threads;
-    expect_result_eq(core::search_initial_set(v, bm.spec, ctrl, o), ref);
-  }
-}
-
 // Expression-tree dynamics are not replay-safe: the TM driver must keep
 // the full remainder channel live for them and still match scalar.
 TEST(TmBatch, ExprDynamicsBatchMatchesScalar) {
@@ -489,12 +465,6 @@ TEST(TmBatch, ExprDynamicsBatchMatchesScalar) {
 std::uint64_t pipes_digest(const std::vector<reach::Flowpipe>& fps) {
   reach::ser::Writer w;
   for (const reach::Flowpipe& fp : fps) reach::ser::put(w, fp);
-  return reach::ser::checksum64(w.bytes().data(), w.bytes().size());
-}
-
-std::uint64_t search_digest(const core::InitialSetResult& r) {
-  reach::ser::Writer w;
-  core::put(w, r);
   return reach::ser::checksum64(w.bytes().data(), w.bytes().size());
 }
 
@@ -577,43 +547,6 @@ TEST(TmBatchBits, CachingBatchDigestsPinned) {
   }
 }
 
-// search_initial_set with parent-prefix reuse: the result bytes at every
-// batch width and thread count, for a gain that certifies most of X0 at
-// depth 3 and one that certifies a single cell at depth 4.
-TEST(TmBatchBits, PrefixSearchDigestsPinned) {
-  const auto bm = ode::make_acc_benchmark();
-  const reach::TmVerifier v(bm.system, bm.spec,
-                            std::make_shared<reach::LinearAbstraction>(),
-                            reach::TmReachOptions{});
-  struct Case {
-    linalg::Mat gain;
-    std::size_t depth;
-    std::uint64_t golden;
-  };
-  const std::vector<Case> cases{{linalg::Mat{{0.8, -2.75}}, 3, 0xc0693b1ca9c9b298ULL},
-                                {linalg::Mat{{0.75, -2.6}}, 4, 0xb218405f110dcf85ULL}};
-  for (const Case& c : cases) {
-    const nn::LinearController ctrl(c.gain);
-    for (std::size_t batch : {0ul, 1ul, 3ul}) {
-      for (std::size_t threads : {1ul, 2ul}) {
-        core::InitialSetOptions o;
-        o.max_depth = c.depth;
-        o.reuse_parent_prefix = true;
-        o.batch = batch;
-        o.threads = threads;
-        const core::InitialSetResult r =
-            core::search_initial_set(v, bm.spec, ctrl, o);
-        EXPECT_FALSE(r.certified.empty());
-        EXPECT_FALSE(r.rejected.empty());
-        const std::uint64_t got = search_digest(r);
-        EXPECT_EQ(got, c.golden)
-            << "depth " << c.depth << " batch " << batch << " threads "
-            << threads << ": 0x" << std::hex << got << "ULL";
-      }
-    }
-  }
-}
-
 // SubdividingVerifier over TM: the merged pipe at every batch width.
 TEST(TmBatchBits, SubdivideDigestPinned) {
   auto bm = ode::make_oscillator_benchmark();
@@ -643,35 +576,23 @@ TEST(TmBatchBits, SubdivideDigestPinned) {
 // Algorithm 2 as a serial breadth-first queue, one verifier call per cell:
 // the reference the work-stealing frontier must reproduce bit for bit
 // (certified/rejected lists and the coverage sum in breadth-first order,
-// the call count). With `tmv` set, children restrict their parent's
-// symbolic prefix, as search_initial_set does under reuse_parent_prefix.
+// the call count).
 core::InitialSetResult bfs_search(const reach::Verifier& v,
                                   const ode::ReachAvoidSpec& spec,
                                   const nn::Controller& ctrl,
-                                  const core::InitialSetOptions& opt,
-                                  const reach::TmVerifier* tmv = nullptr) {
+                                  const core::InitialSetOptions& opt) {
   struct Cell {
     geom::Box box;
     std::size_t depth;
-    std::shared_ptr<const reach::TmSymbolicPrefix> parent;
   };
   core::InitialSetResult res;
   double certified_volume = 0.0;
   std::deque<Cell> queue;
-  queue.push_back({spec.x0, 0, nullptr});
+  queue.push_back({spec.x0, 0});
   while (!queue.empty()) {
     Cell cell = std::move(queue.front());
     queue.pop_front();
-    reach::Flowpipe fp;
-    std::shared_ptr<const reach::TmSymbolicPrefix> prefix;
-    if (tmv != nullptr) {
-      reach::TmComputeResult r =
-          tmv->compute_symbolic(cell.box, ctrl, cell.parent.get());
-      fp = std::move(r.fp);
-      prefix = std::move(r.prefix);
-    } else {
-      fp = v.compute(cell.box, ctrl);
-    }
+    const reach::Flowpipe fp = v.compute(cell.box, ctrl);
     ++res.verifier_calls;
     const core::FlowpipeFacts facts = core::analyze_flowpipe(fp, spec);
     const bool safe_ok = !opt.check_safety || facts.safe_certified;
@@ -680,8 +601,8 @@ core::InitialSetResult bfs_search(const reach::Verifier& v,
       res.certified.push_back(cell.box);
     } else if (cell.depth < opt.max_depth) {
       auto [lo, hi] = cell.box.bisect();
-      queue.push_back({std::move(lo), cell.depth + 1, prefix});
-      queue.push_back({std::move(hi), cell.depth + 1, std::move(prefix)});
+      queue.push_back({std::move(lo), cell.depth + 1});
+      queue.push_back({std::move(hi), cell.depth + 1});
     } else {
       res.rejected.push_back(cell.box);
     }
@@ -769,24 +690,6 @@ TEST(WorkStealSearch, ForcedScalarDispatchSameResult) {
   const auto mixed = mixed_acc_spec(bm.spec);
   expect_mixed_batch_invariant(reach::IntervalVerifier(bm.system, mixed, {}),
                                mixed);
-}
-
-TEST(WorkStealSearch, PrefixReuseMatchesLevelSynchronous) {
-  const auto bm = ode::make_acc_benchmark();
-  const auto ctrl = acc_gain();
-  const reach::TmVerifier v(bm.system, bm.spec,
-                            std::make_shared<reach::IntervalAbstraction>(),
-                            {});
-  core::InitialSetOptions base;
-  base.max_depth = 3;
-  base.reuse_parent_prefix = true;
-  const auto ref = bfs_search(v, bm.spec, ctrl, base, &v);
-  for (std::size_t threads : {1ul, 4ul}) {
-    core::InitialSetOptions o = base;
-    o.threads = threads;
-    const auto got = core::search_initial_set(v, bm.spec, ctrl, o);
-    expect_result_eq(got, ref);
-  }
 }
 
 TEST(WorkStealSearch, CachingVerifierStatsMatch) {

@@ -2,8 +2,9 @@
 // value prints "error: --opt expects ..." and exits with status 2 before
 // any work starts, instead of being guessed (strtol garbage -> 0 -> auto,
 // negative values wrapping through size_t, unchecked narrowing, strtod
-// garbage -> 0.0, sscanf ignoring trailing characters). Its --cache-stats
-// line counts the hits of both cache tiers.
+// garbage -> 0.0, sscanf ignoring trailing characters). An unknown or
+// misspelled option fails the same way instead of being ignored. Its
+// --cache-stats line counts the hits of both cache tiers.
 #include <sys/wait.h>
 
 #include <cstdio>
@@ -94,6 +95,25 @@ TEST(Cli, RejectsMalformedRtolAndShard) {
     EXPECT_EQ(run.status, 2) << c.args << "\n" << run.output;
     EXPECT_NE(run.output.find(std::string("error: ") + c.option + " expects"),
               std::string::npos)
+        << c.args << "\n" << run.output;
+  }
+}
+
+TEST(Cli, RejectsUnknownOptions) {
+  const struct {
+    const char* args;
+    const char* option;
+  } cases[] = {
+      {"search acc --reuse-prefix", "--reuse-prefix"},
+      {"verify acc --reuse-prefix", "--reuse-prefix"},
+      {"learn acc --thraeds 2", "--thraeds"},
+  };
+  for (const auto& c : cases) {
+    const CliRun run = run_cli(c.args);
+    EXPECT_EQ(run.status, 2) << c.args << "\n" << run.output;
+    EXPECT_NE(
+        run.output.find(std::string("error: unknown option ") + c.option),
+        std::string::npos)
         << c.args << "\n" << run.output;
   }
 }

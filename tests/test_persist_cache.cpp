@@ -136,27 +136,6 @@ reach::Flowpipe random_flowpipe(std::mt19937_64& rng) {
   return fp;
 }
 
-reach::TmSymbolicPrefix random_prefix(std::mt19937_64& rng) {
-  reach::TmSymbolicPrefix pre;
-  const std::size_t nvars = 3;  // set vars + tau
-  pre.periods.resize(1 + rng() % 3);
-  for (auto& p : pre.periods) {
-    const std::size_t subs = 1 + rng() % 4;
-    for (std::size_t s = 0; s < subs; ++s) {
-      taylor::TmVec tube(2);
-      for (auto& tm : tube) tm = random_tm(rng, nvars);
-      p.tube.push_back(std::move(tube));
-      // Adaptive schedule tape: per-substep h and truncation order.
-      p.h.push_back(0.05 / double(s + 1));
-      p.order.push_back(2 + std::uint32_t(rng() % 3));
-    }
-    p.at_end.resize(2);
-    for (auto& tm : p.at_end) tm = random_tm(rng, nvars - 1);
-  }
-  pre.x0 = random_box(rng, 2);
-  return pre;
-}
-
 // --- Serialization round-trip corpus ------------------------------------
 
 TEST(PersistSerialize, PolyCorpusRoundTripBitIdentical) {
@@ -180,13 +159,6 @@ TEST(PersistSerialize, FlowpipeRoundTripBitIdentical) {
   std::mt19937_64 rng(13);
   for (int i = 0; i < 100; ++i) {
     expect_roundtrip_bit_identical(random_flowpipe(rng));
-  }
-}
-
-TEST(PersistSerialize, SymbolicPrefixWithScheduleTapeRoundTrip) {
-  std::mt19937_64 rng(17);
-  for (int i = 0; i < 50; ++i) {
-    expect_roundtrip_bit_identical(random_prefix(rng));
   }
 }
 

@@ -1,23 +1,21 @@
 // Flowpipe cache tests (CTest label: parallel; the TSan preset runs this
 // suite). The contract under test: a cache hit returns bit-for-bit what
-// recomputation would — at any thread count — plus the counter, eviction,
-// and symbolic-prefix-reuse behavior of DESIGN.md §8.
+// recomputation would — at any thread count — plus the counter and
+// eviction behavior of DESIGN.md §8.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <random>
 #include <vector>
 
-#include "core/initial_set.hpp"
 #include "core/learner.hpp"
-#include "core/verdict.hpp"
 #include "linalg/expm.hpp"
 #include "ode/benchmarks.hpp"
 #include "parallel/pool.hpp"
 #include "reach/cache.hpp"
+#include "reach/interval_reach.hpp"
 #include "reach/linear_reach.hpp"
 #include "reach/tm_flowpipe.hpp"
-#include "sim/simulate.hpp"
 
 namespace dwv {
 namespace {
@@ -107,6 +105,41 @@ TEST(FlowpipeCache, KeyDiscriminatesBoxAndParameters) {
   const geom::Box zb{{-1.0, 1.0}};
   EXPECT_TRUE(reach::FlowpipeCache::make_key(1, zb, z0) ==
               reach::FlowpipeCache::make_key(1, zb, z1));
+}
+
+TEST(FlowpipeCache, IntervalVerifiersOverDifferentSpecsDoNotAlias) {
+  // Same name ("interval-euler"), same (x0, theta) key: only cache_salt()
+  // tells the two horizons apart in a shared cache.
+  const auto bench = ode::make_acc_benchmark();
+  ode::ReachAvoidSpec short_spec = bench.spec;
+  short_spec.steps = 50;
+  ode::ReachAvoidSpec long_spec = bench.spec;
+  long_spec.steps = 100;
+  const auto short_iv = std::make_shared<const reach::IntervalVerifier>(
+      bench.system, short_spec, reach::IntervalReachOptions{});
+  const auto long_iv = std::make_shared<const reach::IntervalVerifier>(
+      bench.system, long_spec, reach::IntervalReachOptions{});
+  EXPECT_NE(short_iv->cache_salt(), long_iv->cache_salt());
+  const auto cache = std::make_shared<reach::FlowpipeCache>();
+  const reach::CachingVerifier short_cv(short_iv, cache);
+  const reach::CachingVerifier long_cv(long_iv, cache);
+  const nn::LinearController ctrl(Mat{{0.5, -1.2}});
+
+  const reach::Flowpipe short_cold = short_iv->compute(bench.spec.x0, ctrl);
+  const reach::Flowpipe long_cold = long_iv->compute(bench.spec.x0, ctrl);
+  // The horizons give different pipes, so an aliased hit would show.
+  EXPECT_NE(short_cold.step_sets.size(), long_cold.step_sets.size());
+  for (int round = 0; round < 2; ++round) {
+    expect_flowpipes_identical(long_cv.compute(bench.spec.x0, ctrl),
+                               long_cold);
+    expect_flowpipes_identical(short_cv.compute(bench.spec.x0, ctrl),
+                               short_cold);
+  }
+  // The first round misses twice; the second hits each verifier's own pipe.
+  const reach::CacheStats s = cache->stats();
+  EXPECT_EQ(s.misses, 2u);
+  EXPECT_EQ(s.hits, 2u);
+  EXPECT_EQ(s.insertions, 2u);
 }
 
 TEST(FlowpipeCache, EvictsLeastRecentlyUsedUnderSmallBudget) {
@@ -252,90 +285,6 @@ TEST(ZohCache, MemoizedDiscretizationMatchesDirect) {
   const auto s = linalg::zoh_cache_stats();
   EXPECT_EQ(s.misses, 1u);
   EXPECT_EQ(s.hits, 1u);
-}
-
-TEST(SymbolicPrefix, ReplayedChildPipeEnclosesSimulatedTrajectories) {
-  auto bench = ode::make_oscillator_benchmark();
-  const auto verifier = oscillator_tm_verifier(bench);
-  const auto ctrl = oscillator_controller(9);
-
-  const reach::TmComputeResult parent =
-      verifier->compute_symbolic(bench.spec.x0, ctrl);
-  ASSERT_TRUE(parent.fp.valid);
-  ASSERT_NE(parent.prefix, nullptr);
-  EXPECT_GT(parent.prefix->periods.size(), 0u);
-
-  const auto [child, _] = bench.spec.x0.bisect();
-  const reach::TmComputeResult replayed =
-      verifier->compute_symbolic(child, ctrl, parent.prefix.get());
-  const reach::Flowpipe cold = verifier->compute(child, ctrl);
-  ASSERT_TRUE(replayed.fp.valid);
-  ASSERT_TRUE(cold.valid);
-  ASSERT_EQ(replayed.fp.step_sets.size(), cold.step_sets.size());
-
-  // Soundness of the replay: closed-loop trajectories from the child box
-  // must stay inside the replayed step sets at every control instant (the
-  // slack only absorbs the RK4 reference's own discretization error).
-  constexpr double kSlack = 1e-6;
-  std::mt19937_64 rng(3);
-  std::uniform_real_distribution<double> unit(0.0, 1.0);
-  for (int sample = 0; sample < 10; ++sample) {
-    Vec x0(child.dim());
-    for (std::size_t i = 0; i < child.dim(); ++i) {
-      x0[i] = child[i].lo() + unit(rng) * (child[i].hi() - child[i].lo());
-    }
-    const sim::Trace trace = sim::simulate(*bench.system, ctrl, x0,
-                                           bench.spec.delta, bench.spec.steps);
-    ASSERT_FALSE(trace.diverged);
-    const std::size_t checked =
-        std::min(trace.states.size(), replayed.fp.step_sets.size());
-    for (std::size_t k = 0; k < checked; ++k) {
-      const geom::Box& box = replayed.fp.step_sets[k];
-      for (std::size_t i = 0; i < box.dim(); ++i) {
-        EXPECT_GE(trace.states[k][i], box[i].lo() - kSlack)
-            << "step " << k << " dim " << i;
-        EXPECT_LE(trace.states[k][i], box[i].hi() + kSlack)
-            << "step " << k << " dim " << i;
-      }
-    }
-  }
-}
-
-TEST(SymbolicPrefix, InitialSetReuseIsThreadCountInvariantAndSound) {
-  const auto bench = ode::make_acc_benchmark();
-  const auto verifier = std::make_shared<const reach::TmVerifier>(
-      bench.system, bench.spec, std::make_shared<reach::LinearAbstraction>(),
-      reach::TmReachOptions{});
-  // Mediocre controller so the search actually branches.
-  const nn::LinearController mid(Mat{{0.45, -1.6}});
-
-  core::InitialSetOptions serial_opt;
-  serial_opt.max_depth = 2;
-  serial_opt.threads = 1;
-  serial_opt.reuse_parent_prefix = true;
-  core::InitialSetOptions parallel_opt = serial_opt;
-  parallel_opt.threads = 4;
-
-  const core::InitialSetResult a =
-      core::search_initial_set(*verifier, bench.spec, mid, serial_opt);
-  const core::InitialSetResult b =
-      core::search_initial_set(*verifier, bench.spec, mid, parallel_opt);
-
-  EXPECT_EQ(a.coverage, b.coverage);
-  EXPECT_EQ(a.verifier_calls, b.verifier_calls);
-  ASSERT_EQ(a.certified.size(), b.certified.size());
-  ASSERT_EQ(a.rejected.size(), b.rejected.size());
-  for (std::size_t i = 0; i < a.certified.size(); ++i) {
-    expect_boxes_identical(a.certified[i], b.certified[i]);
-  }
-
-  // Replay is conservative: every cell certified with reuse on must also
-  // be certified by a cold (reuse-off) computation of that cell.
-  for (const geom::Box& cell : a.certified) {
-    const reach::Flowpipe fp = verifier->compute(cell, mid);
-    const core::FlowpipeFacts facts = core::analyze_flowpipe(fp, bench.spec);
-    EXPECT_TRUE(fp.valid && facts.goal_certified);
-  }
 }
 
 }  // namespace

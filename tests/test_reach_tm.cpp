@@ -464,12 +464,6 @@ std::uint64_t pipe_digest(const Flowpipe& fp) {
   return ser::checksum64(w.bytes().data(), w.bytes().size());
 }
 
-std::uint64_t prefix_digest(const TmSymbolicPrefix& prefix) {
-  ser::Writer w;
-  ser::put(w, prefix);
-  return ser::checksum64(w.bytes().data(), w.bytes().size());
-}
-
 nn::MlpController tanh_mlp(std::size_t state_dim) {
   nn::MlpController ctrl({state_dim, 6, 1}, 1.0, nn::Activation::kTanh,
                          nn::Activation::kTanh);
@@ -490,19 +484,10 @@ TmVerifier polar(const ode::Benchmark& bench, const TmReachOptions& opt) {
                     std::make_shared<PolarAbstraction>(), opt);
 }
 
-// Lower-left quarter of a box: a child cell for prefix replay.
-geom::Box quarter(const geom::Box& b) {
-  IVec q(b.dim());
-  for (std::size_t i = 0; i < b.dim(); ++i) {
-    q[i] = Interval(b[i].lo(), b[i].mid());
-  }
-  return geom::Box(q);
-}
-
 TEST(TmVerifierBits, ComputeBitsPinned) {
-  // Golden digests of the serialized pipes of TmVerifier::compute (and of
-  // compute_symbolic's prefix bytes and a child replay), recorded while the
-  // scalar driver still ran the full-channel kernel sequence. Remainder
+  // Golden digests of the serialized pipes of TmVerifier::compute,
+  // recorded while the scalar driver still ran the full-channel kernel
+  // sequence. Remainder
   // tape, poly-only Picard passes and pinned range domains are pure
   // speedups, so any moved bit is a regression.
   struct Case {
@@ -609,8 +594,7 @@ TEST(TmVerifierBits, ComputeBitsPinned) {
     EXPECT_FALSE(fp.valid);
     pin("osc_fixed_grid_failure", 0xb4fe6c123dd3e7b9ULL, pipe_digest(fp));
   }
-  // The plain pipes of the two compute_symbolic configurations below (the
-  // 12-step oscillator, the 20-step adaptive ACC run without stop-at-goal).
+  // A short oscillator horizon, and an adaptive ACC run past the goal.
   {
     const ode::Benchmark osc12 = oscillator(12);
     const Flowpipe fp = polar(osc12, {}).compute(osc12.spec.x0, osc_ctrl);
@@ -627,36 +611,6 @@ TEST(TmVerifierBits, ComputeBitsPinned) {
         acc_verifier(acc20, opt).compute(acc20.spec.x0, acc_ctrl);
     EXPECT_TRUE(fp.valid) << fp.failure;
     pin("acc20_linear_adaptive", 0x3036858bacede3e3ULL, pipe_digest(fp));
-  }
-  // compute_symbolic: the parent's pipe and prefix bytes, then a child
-  // cell replaying that prefix (the adaptive prefix carries a schedule
-  // tape, so the child restricts each tube over its own tau domain).
-  const auto symbolic = [&](const char* name, const TmVerifier& v,
-                            const geom::Box& x0, const nn::Controller& ctrl,
-                            std::uint64_t golden_parent,
-                            std::uint64_t golden_child) {
-    const TmComputeResult parent = v.compute_symbolic(x0, ctrl);
-    ASSERT_NE(parent.prefix, nullptr) << name;
-    EXPECT_EQ(pipe_digest(parent.fp), pipe_digest(v.compute(x0, ctrl)))
-        << name;
-    const TmComputeResult child =
-        v.compute_symbolic(quarter(x0), ctrl, parent.prefix.get());
-    ASSERT_NE(child.prefix, nullptr) << name;
-    cases.push_back({name, golden_parent,
-                     pipe_digest(parent.fp) ^ prefix_digest(*parent.prefix)});
-    cases.push_back({std::string(name) + "_child", golden_child,
-                     pipe_digest(child.fp) ^ prefix_digest(*child.prefix)});
-  };
-  symbolic("osc_prefix", polar(oscillator(12), {}), osc.spec.x0, osc_ctrl,
-           0x34c0b2ba257af109ULL, 0x5d69208e7fb1fa35ULL);
-  {
-    ode::Benchmark acc20 = acc;
-    acc20.spec.steps = 20;
-    acc20.spec.stop_at_goal = false;
-    TmReachOptions opt;
-    opt.adaptive = true;
-    symbolic("acc_adaptive_prefix", acc_verifier(acc20, opt), acc.spec.x0,
-             acc_ctrl, 0xccee795f5e70d502ULL, 0xfe87dabea9c2cb2dULL);
   }
 
   for (const Case& c : cases) {

@@ -135,7 +135,7 @@ TEST(ShardSearch, BatchWidthDoesNotChangeBits) {
   }
 }
 
-TEST(ShardSearch, PrefixReuseAndSymbolicRemainderMatchSingleProcess) {
+TEST(ShardSearch, SymbolicRemainderMatchesSingleProcess) {
   const auto bench = ode::make_acc_benchmark();
   reach::TmReachOptions tm_opt;
   tm_opt.symbolic_remainder = true;
@@ -147,7 +147,6 @@ TEST(ShardSearch, PrefixReuseAndSymbolicRemainderMatchSingleProcess) {
   InitialSetOptions base;
   base.max_depth = 4;
   base.threads = 2;
-  base.reuse_parent_prefix = true;
   const InitialSetResult single =
       search_initial_set(verifier, bench.spec, mid, base);
   ShardSearchOptions opt;
@@ -536,17 +535,19 @@ TEST(ShardSearch, FalsifyFirstKeepsListsAndSavesCalls) {
 // says version 1 — shard, result or checkpoint — must fail to load rather
 // than be read as a search without falsified cells.
 TEST(ShardSearch, VersionOneFilesFailToLoad) {
+  // Version 1 stored a certified bit per record; version 2 also carried
+  // symbolic flowpipe prefixes in checkpoints. Files of both must throw.
   AccSearch s;
   InitialSetOptions base;
   base.max_depth = 4;
   base.threads = 1;
   // Every file starts with an 8-byte magic and a u32 little-endian version.
-  const auto set_version_one = [](const std::string& path) {
+  const auto set_version = [](const std::string& path, char version) {
     std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
     ASSERT_TRUE(f.good()) << path;
     f.seekp(8);
-    const char one[4] = {1, 0, 0, 0};
-    f.write(one, 4);
+    const char v[4] = {version, 0, 0, 0};
+    f.write(v, 4);
   };
 
   ShardSearchOptions opt;
@@ -557,16 +558,11 @@ TEST(ShardSearch, VersionOneFilesFailToLoad) {
   save_shard_result_file(
       shard, search_initial_set_shard(*s.verifier, s.spec, s.mid, opt));
   EXPECT_NO_THROW(load_shard_result_file(shard));
-  set_version_one(shard);
-  EXPECT_THROW(load_shard_result_file(shard), std::runtime_error);
 
   const std::string result = temp_path("v1_result.bin");
   save_initial_set_result_file(
       result, 7, search_initial_set(*s.verifier, s.spec, s.mid, base));
   EXPECT_NO_THROW(load_initial_set_result_file(result, nullptr));
-  set_version_one(result);
-  EXPECT_THROW(load_initial_set_result_file(result, nullptr),
-               std::runtime_error);
 
   const std::string ck = temp_path("v1.ck");
   std::remove(ck.c_str());
@@ -575,10 +571,37 @@ TEST(ShardSearch, VersionOneFilesFailToLoad) {
   const InitialSetResult full =
       search_initial_set_sharded(*s.verifier, s.spec, s.mid, opt);
   EXPECT_FALSE(full.certified.empty());
-  set_version_one(ck);
-  EXPECT_THROW(search_initial_set_sharded(*s.verifier, s.spec, s.mid, opt),
-               std::runtime_error);
+
+  for (const char version : {1, 2}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    set_version(shard, version);
+    EXPECT_THROW(load_shard_result_file(shard), std::runtime_error);
+    set_version(result, version);
+    EXPECT_THROW(load_initial_set_result_file(result, nullptr),
+                 std::runtime_error);
+    set_version(ck, version);
+    EXPECT_THROW(search_initial_set_sharded(*s.verifier, s.spec, s.mid, opt),
+                 std::runtime_error);
+  }
   for (const std::string& p : {shard, result, ck}) std::remove(p.c_str());
+}
+
+TEST(ShardSearch, ReuseParentPrefixThrows) {
+  // The removed option fails loudly instead of silently verifying cold.
+  AccSearch s;
+  InitialSetOptions base;
+  base.max_depth = 2;
+  base.reuse_parent_prefix = true;
+  EXPECT_THROW(search_initial_set(*s.verifier, s.spec, s.mid, base),
+               std::invalid_argument);
+  ShardSearchOptions opt;
+  opt.base = base;
+  EXPECT_THROW(search_initial_set_sharded(*s.verifier, s.spec, s.mid, opt),
+               std::invalid_argument);
+  opt.shards = 2;
+  opt.shard_index = 1;
+  EXPECT_THROW(search_initial_set_shard(*s.verifier, s.spec, s.mid, opt),
+               std::invalid_argument);
 }
 
 TEST(ShardSearch, MaxDepthPastSequenceBoundThrows) {

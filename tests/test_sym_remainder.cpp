@@ -422,34 +422,4 @@ TEST(SymRemainderBatch, BatchedQueueMatchesScalarBitForBitForcedScalar) {
   batched_queue_matches_scalar(true);
 }
 
-// --- prefix reuse under the queue ----------------------------------------
-
-TEST(SymRemainderPrefix, ChildReplayStaysSound) {
-  auto bench = ode::make_oscillator_benchmark();
-  bench.spec.steps = 8;
-  bench.spec.stop_at_goal = false;
-  const nn::MlpController ctrl = osc_mlp();
-  TmReachOptions opt;
-  opt.symbolic_remainder = true;
-  const TmVerifier v = osc_verifier(bench, opt);
-
-  const auto parent = v.compute_symbolic(bench.spec.x0, ctrl);
-  ASSERT_TRUE(parent.fp.valid) << parent.fp.failure;
-  ASSERT_NE(parent.prefix, nullptr);
-
-  // A child quadrant of x0, replayed from the parent's recorded models.
-  interval::IVec half(2);
-  for (std::size_t d = 0; d < 2; ++d) {
-    const Interval& dom = bench.spec.x0[d];
-    half[d] = Interval(dom.lo(), dom.mid());
-  }
-  geom::Box child(half);
-  ode::Benchmark child_bench = bench;
-  child_bench.spec.x0 = child;
-  const auto replayed = v.compute_symbolic(child, ctrl, parent.prefix.get());
-  ASSERT_TRUE(replayed.fp.valid) << replayed.fp.failure;
-  expect_contains_trajectories(child_bench, ctrl, replayed.fp, 10,
-                               "child-replay");
-}
-
 }  // namespace

@@ -11,11 +11,12 @@
 //                                        (name, dimension, X0, goal box)
 //
 // Benchmarks: acc, oscillator, sys3d, b1, b2, b3, b4.
-// Integer option values are parsed strictly (whole string, base 10, within
-// the option's range; see kIntOptions), and so are --adaptive-rtol (a
-// finite number > 0) and --shard (I/K, digits only, I < K): a malformed
-// value prints "error: --opt expects ..." and exits with status 2 before
-// any work.
+// Every --option is checked against one table of known names (kOptions):
+// an unknown one prints "error: unknown option --x" and exits with status
+// 2. Integer option values are parsed strictly (whole string, base 10,
+// within the option's range), and so are --adaptive-rtol (a finite number
+// > 0) and --shard (I/K, digits only, I < K): a malformed value prints
+// "error: --opt expects ..." and exits with status 2 before any work.
 // Common options:
 //   --verifier linear|linctrl|poly|polar|reachnn|interval
 //                             linear: zonotope verifier (linear
@@ -53,8 +54,6 @@
 //                             bit for bit (implies --cache). Corrupt or
 //                             stale records degrade to a cold start; an
 //                             unwritable directory is an error (exit 1)
-//   --reuse-prefix            (verify) child cells of the X_I search reuse
-//                             the parent's symbolic flowpipe prefix
 //   --sym-rem                 symbolic remainder queue for TM verifiers
 //                             (Flow*-style; sound, typically tighter, only
 //                             containment-comparable with queue-off runs)
@@ -111,6 +110,7 @@
 #include <cstring>
 #include <limits>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -139,31 +139,49 @@ struct UsageError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-// Every integer option and the values it accepts. A value must be a whole
-// base-10 integer within the range (no sign prefix '+', no whitespace, no
-// trailing characters); anything else is a usage error, never a guess.
+// Every option dwv knows; any other --option is a usage error. Integer
+// options carry the values they accept: a value must be a whole base-10
+// integer within the range (no sign prefix '+', no whitespace, no trailing
+// characters); anything else is a usage error, never a guess.
 struct IntRange {
   long lo;
   long hi;
 };
-const std::map<std::string, IntRange> kIntOptions = {
-    {"--batch", {0, 4096}},
-    {"--checkpoint-every", {1, 1'000'000'000}},
-    {"--depth", {0, static_cast<long>(core::kMaxSearchDepth)}},
-    {"--iters", {0, 1'000'000'000}},
-    {"--order", {1, 32}},
-    {"--samples", {1, 1'000'000'000}},
-    {"--seed", {0, std::numeric_limits<long>::max()}},
-    {"--shard-grain", {1, 1'000'000}},
-    {"--shards", {1, 4096}},
-    {"--substeps", {1, 1 << 20}},
-    {"--sym-queue", {1, 1'000'000}},
-    {"--threads", {0, 1024}},
+const std::map<std::string, std::optional<IntRange>> kOptions = {
+    {"--adaptive", std::nullopt},
+    {"--adaptive-rtol", std::nullopt},
+    {"--batch", IntRange{0, 4096}},
+    {"--cache", std::nullopt},
+    {"--cache-dir", std::nullopt},
+    {"--cache-stats", std::nullopt},
+    {"--checkpoint", std::nullopt},
+    {"--checkpoint-every", IntRange{1, 1'000'000'000}},
+    {"--controller", std::nullopt},
+    {"--depth", IntRange{0, static_cast<long>(core::kMaxSearchDepth)}},
+    {"--grad", std::nullopt},
+    {"--iters", IntRange{0, 1'000'000'000}},
+    {"--merge", std::nullopt},
+    {"--metric", std::nullopt},
+    {"--no-batch", std::nullopt},
+    {"--order", IntRange{1, 32}},
+    {"--out", std::nullopt},
+    {"--progress", std::nullopt},
+    {"--samples", IntRange{1, 1'000'000'000}},
+    {"--seed", IntRange{0, std::numeric_limits<long>::max()}},
+    {"--shard", std::nullopt},
+    {"--shard-grain", IntRange{1, 1'000'000}},
+    {"--shards", IntRange{1, 4096}},
+    {"--substeps", IntRange{1, 1 << 20}},
+    {"--sym-queue", IntRange{1, 1'000'000}},
+    {"--sym-rem", std::nullopt},
+    {"--threads", IntRange{0, 1024}},
+    {"--verbose", std::nullopt},
+    {"--verifier", std::nullopt},
 };
 
-/// Strictly parses `value` as integer option `key` (see kIntOptions).
+/// Strictly parses `value` as integer option `key` (see kOptions).
 long parse_int_option(const std::string& key, const std::string& value) {
-  const IntRange r = kIntOptions.at(key);
+  const IntRange r = *kOptions.at(key);
   long v = 0;
   const char* end = value.data() + value.size();
   const auto [ptr, ec] = std::from_chars(value.data(), end, v);
@@ -538,7 +556,6 @@ int cmd_verify(const Args& args) {
     core::InitialSetOptions iopt;
     iopt.threads = static_cast<std::size_t>(args.get_long("--threads", 0));
     iopt.batch = batch_width(args);
-    iopt.reuse_parent_prefix = args.options.count("--reuse-prefix") != 0;
     const core::InitialSetResult xi =
         core::search_initial_set(*verifier, bench.spec, *ctrl, iopt);
     std::printf("X_I search: %.1f%% of X0 certified (%zu cells)\n",
@@ -581,7 +598,6 @@ int cmd_search(const Args& args) {
   sopt.base.max_depth =
       static_cast<std::size_t>(args.get_long("--depth", 7));
   sopt.base.batch = batch_width(args);
-  sopt.base.reuse_parent_prefix = args.options.count("--reuse-prefix") != 0;
   sopt.shards = static_cast<std::size_t>(args.get_long("--shards", 1));
   sopt.prefix_grain =
       static_cast<std::size_t>(args.get_long("--shard-grain", 8));
@@ -750,7 +766,7 @@ int main(int argc, char** argv) {
   for (; i < argc; ++i) {
     if (std::strncmp(argv[i], "--", 2) != 0) return usage();
     // Options take a value; a trailing option or one followed by another
-    // --option is a boolean flag (--cache, --cache-stats, --reuse-prefix).
+    // --option is a boolean flag (--cache, --cache-stats, --adaptive).
     if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
       args.options[argv[i]] = argv[i + 1];
       ++i;
@@ -760,9 +776,11 @@ int main(int argc, char** argv) {
   }
 
   try {
-    // Validate every numeric option up front, before any work starts.
+    // Validate every option up front, before any work starts.
     for (const auto& [key, value] : args.options) {
-      if (kIntOptions.count(key) != 0) (void)parse_int_option(key, value);
+      const auto known = kOptions.find(key);
+      if (known == kOptions.end()) throw UsageError("unknown option " + key);
+      if (known->second) (void)parse_int_option(key, value);
       if (key == "--adaptive-rtol") (void)parse_positive_double(key, value);
       if (key == "--shard") (void)parse_shard(value);
     }
