@@ -568,11 +568,34 @@ TEST(TmVerifierBits, ComputeBitsPinned) {
     pend.spec.steps = 12;
     pend.spec.stop_at_goal = false;
     const nn::LinearController ctrl(Mat{{-2.0, -1.5}});
-    const Flowpipe fp = TmVerifier(pend.system, pend.spec,
-                                   std::make_shared<LinearAbstraction>(), {})
-                            .compute(pend.spec.x0, ctrl);
+    const auto pend_pipe = [&](const TmReachOptions& opt) {
+      return TmVerifier(pend.system, pend.spec,
+                        std::make_shared<LinearAbstraction>(), opt)
+          .compute(pend.spec.x0, ctrl);
+    };
+    const Flowpipe fp = pend_pipe({});
     EXPECT_TRUE(fp.valid) << fp.failure;
     pin("pendulum_expr", 0x1ef650d2f630031ULL, pipe_digest(fp));
+    // Without a tape the adaptive controller still tracks convergence.
+    TmReachOptions adaptive;
+    adaptive.adaptive = true;
+    const Flowpipe ad = pend_pipe(adaptive);
+    EXPECT_TRUE(ad.valid) << ad.failure;
+    pin("pendulum_expr_adaptive", 0x1ce02ab2bd5ab260ULL, pipe_digest(ad));
+    // Tape-off retries recompute the defect range at every attempt.
+    TmReachOptions retry;
+    retry.rem_init = 1e-13;
+    retry.max_inflations = 0;
+    EXPECT_FALSE(pend_pipe(retry).valid);
+    retry.max_inflations = 60;
+    const Flowpipe re = pend_pipe(retry);
+    EXPECT_TRUE(re.valid) << re.failure;
+    pin("pendulum_expr_retry", 0xab8b222a57f6df38ULL, pipe_digest(re));
+    TmReachOptions symrem;
+    symrem.symbolic_remainder = true;
+    const Flowpipe sr = pend_pipe(symrem);
+    EXPECT_TRUE(sr.valid) << sr.failure;
+    pin("pendulum_expr_symrem", 0x79bc955c0403c4fcULL, pipe_digest(sr));
   }
   {
     // Validation retries from a tiny first guess: without inflations the
