@@ -118,9 +118,9 @@ inline void dual_mul_into(const DualPoly& a, const DualPoly& b, DualPoly& out,
 }
 
 /// Forward-mode analogue of Poly::eval_range over domain `dom`: the value
-/// channel replicates Poly::eval_range bit for bit (which RangeEngine's
-/// kSeedIdentical mode also reproduces, so this matches TmEnv::poly_range
-/// in the default mode); the tangent channel differentiates it.
+/// channel replicates Poly::eval_range bit for bit (which RangeEngine
+/// also reproduces, so this matches TmEnv::poly_range); the tangent
+/// channel differentiates it.
 ///
 /// Value-present terms chain dual multiplications whose selection follows
 /// the actual endpoint comparisons. Tangent-only keys contribute

@@ -88,8 +88,6 @@ RangeEngine::DomainTable& RangeEngine::table_for(const IVec& dom) {
   DomainTable& t = tables_[slot];
   t.dom = dom;
   t.powers.assign(dom.size(), {});
-  t.mid.clear();
-  t.mid_powers.assign(dom.size(), {});
   t.memo.clear();
   t.smemo.clear();
   t.smemo_clock = 0;
@@ -145,25 +143,6 @@ const Interval& RangeEngine::power(DomainTable& t, std::size_t v,
   return row[e];
 }
 
-const Interval& RangeEngine::mid_power(DomainTable& t, std::size_t v,
-                                       std::uint32_t e) {
-  if (t.mid.size() != t.dom.size()) {
-    t.mid.resize(t.dom.size());
-    for (std::size_t i = 0; i < t.dom.size(); ++i) t.mid[i] = t.dom[i].mid();
-  }
-  std::vector<Interval>& row = t.mid_powers[v];
-  if (e >= row.size()) {
-    if (row.empty()) row.push_back(Interval(1.0));
-    const Interval m(t.mid[v]);
-    for (std::uint32_t k = static_cast<std::uint32_t>(row.size()); k <= e;
-         ++k) {
-      row.push_back(interval::pow_n(m, k));
-      ++stats_.pow_evals;
-    }
-  }
-  return row[e];
-}
-
 // Extends every power row of `t` to the exponents this poly uses and
 // returns raw row pointers, so the walk kernels below read `rows[i][e]`
 // with no growth checks or stats bookkeeping per multiply. The pointer
@@ -210,59 +189,6 @@ Interval RangeEngine::naive_range(const Poly& p, const Interval* const* rows) {
   return s;
 }
 
-// Mean-value form: f(x) = f(m) + grad f(xi) . (x - m) for some xi on the
-// segment [m, x] subset dom, so f(m) + grad f(dom) . (dom - m) encloses the
-// range. Every operation is outward-rounded interval arithmetic, hence the
-// result is sound (but not bit-comparable to the seed).
-Interval RangeEngine::centered_range(const Poly& p, DomainTable& t) {
-  const std::size_t n = p.nvars();
-  const std::uint32_t bits = key_bits(n);
-  const std::uint64_t mask = key_field_mask(n);
-
-  // f(mid), evaluated in point-interval arithmetic for soundness.
-  std::uint64_t exact = 0;
-  Interval c(0.0);
-  for (const Term& term : p.terms()) {
-    Interval m(term.coeff);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint32_t e = static_cast<std::uint32_t>(
-          (term.key >> (bits * (n - 1 - i))) & mask);
-      if (e > 0) exact += interval::mul_assign_exact(m, mid_power(t, i, e));
-    }
-    c += m;
-  }
-
-  const Interval* const* rows = prepare_rows(p, t);
-  for (std::size_t v = 0; v < n; ++v) {
-    if (t.dom[v].is_point()) continue;  // zero offset contributes nothing
-    // grad_v over the full domain, from the same power table.
-    Interval g(0.0);
-    bool any = false;
-    for (const Term& term : p.terms()) {
-      const std::uint32_t ev = static_cast<std::uint32_t>(
-          (term.key >> (bits * (n - 1 - v))) & mask);
-      if (ev == 0) continue;
-      const double dc = term.coeff * static_cast<double>(ev);
-      if (dc == 0.0) continue;
-      Interval m(dc);
-      for (std::size_t i = 0; i < n; ++i) {
-        std::uint32_t e = static_cast<std::uint32_t>(
-            (term.key >> (bits * (n - 1 - i))) & mask);
-        if (i == v) --e;
-        if (e > 0) exact += interval::mul_assign_exact(m, rows[i][e]);
-      }
-      g += m;
-      any = true;
-    }
-    if (!any) continue;
-    const Interval offset = t.dom[v] - Interval(t.dom[v].mid());
-    exact += interval::mul_assign_exact(g, offset);
-    c += g;
-  }
-  stats_.exact_products += exact;
-  return c;
-}
-
 void RangeEngine::pin_domain(const IVec& dom, std::uint32_t cap_hint) {
   DomainTable& t = table_for(dom);
   t.pinned = true;
@@ -286,13 +212,11 @@ void RangeEngine::unpin_all() {
   for (DomainTable& t : tables_) t.pinned = false;
 }
 
-Interval RangeEngine::eval_range_pinned(const Poly& p, Pin& pin,
-                                        const RangeOptions& opt) {
+Interval RangeEngine::eval_range_pinned(const Poly& p, Pin& pin) {
   ++stats_.pin_hits;
   ++stats_.table_reuses;
   DomainTable& t = tables_[pin.slot];
-  const std::uint32_t kind =
-      opt.mode == RangeMode::kSeedIdentical ? 0u : 1u;
+  constexpr std::uint32_t kind = 0;  // eval (derivatives use 2 + var)
   const bool memo = memo_enabled_ &&
                     p.terms().size() >= kStreamMemoMinTerms &&
                     p.terms().size() <= kMaxMemoTerms;
@@ -313,12 +237,7 @@ Interval RangeEngine::eval_range_pinned(const Poly& p, Pin& pin,
       if (e.last_use < slot->last_use) slot = &e;
     }
   }
-  Interval out = naive_range(p, prepare_rows(p, t));
-  if (opt.mode != RangeMode::kSeedIdentical) {
-    const Interval centered = centered_range(p, t);
-    const interval::IntersectResult r = interval::intersect(out, centered);
-    out = r.ok ? r.value : out;
-  }
+  const Interval out = naive_range(p, prepare_rows(p, t));
   if (memo) {
     ++stats_.memo_stores;
     slot->hash = h;
@@ -330,35 +249,25 @@ Interval RangeEngine::eval_range_pinned(const Poly& p, Pin& pin,
   return out;
 }
 
-Interval RangeEngine::eval_range(const Poly& p, const IVec& dom,
-                                 const RangeOptions& opt) {
+Interval RangeEngine::eval_range(const Poly& p, const IVec& dom) {
   assert(dom.size() == p.nvars());
   ++stats_.queries;
   if (!pins_.empty()) {
     if (Pin* pin = find_pin(dom)) {
       assert(same_bits(*pin->dom, tables_[pin->slot].dom) &&
              "pinned domain mutated without re-pinning");
-      return eval_range_pinned(p, *pin, opt);
+      return eval_range_pinned(p, *pin);
     }
   }
   DomainTable& t = table_for(dom);
-  const std::uint32_t kind =
-      opt.mode == RangeMode::kSeedIdentical ? 0u : 1u;
+  constexpr std::uint32_t kind = 0;  // eval (derivatives use 2 + var)
   const bool memo = memo_enabled_ && p.terms().size() <= kMaxMemoTerms;
   std::uint64_t h = 0;
   if (memo) {
     h = hash_terms(p, kind);
     if (const Interval* r = memo_find(t, p, kind, h)) return *r;
   }
-  const Interval naive = naive_range(p, prepare_rows(p, t));
-  Interval out = naive;
-  if (opt.mode != RangeMode::kSeedIdentical) {
-    const Interval centered = centered_range(p, t);
-    const interval::IntersectResult r = interval::intersect(naive, centered);
-    // Two sound enclosures always intersect; the guard only protects
-    // against NaN bounds from overflowed coefficients.
-    out = r.ok ? r.value : naive;
-  }
+  const Interval out = naive_range(p, prepare_rows(p, t));
   if (memo) memo_store(t, p, kind, h, out);
   return out;
 }

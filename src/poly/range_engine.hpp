@@ -15,20 +15,12 @@
 // constraint, tube hulls, remainder validation retries), and a memo hit
 // returns the recorded bits of the earlier identical query.
 //
-// Bit-identity contract (DESIGN.md section 10): in the default
-// kSeedIdentical mode the engine reproduces Poly::eval_range (and the
-// map-based poly::ref::RefPoly::eval_range oracle) bit for bit. The table
-// entries are exactly interval::pow_n(dom[v], k), and the kernel preserves
-// the seed's term order and per-term accumulation order, so every
-// floating-point operation sequence is unchanged — only redundant pow_n
-// evaluations disappear.
-//
-// The opt-in kCenteredForm mode additionally intersects the naive
-// extension with a mean-value (centered) form f(m) + grad_f(dom)·(dom - m)
-// computed from the same cached tables. It is sound (always contains the
-// true range, verified by containment tests, not bit tests) but NOT
-// bit-identical to the seed; keep it off when reproducibility against
-// recorded trajectories matters.
+// Bit-identity contract (DESIGN.md section 10): the engine reproduces
+// Poly::eval_range (and the map-based poly::ref::RefPoly::eval_range
+// oracle) bit for bit. The table entries are exactly
+// interval::pow_n(dom[v], k), and the kernel preserves the seed's term
+// order and per-term accumulation order, so every floating-point operation
+// sequence is unchanged — only redundant pow_n evaluations disappear.
 //
 // Ownership / threading: engines are NOT thread-safe. Each
 // taylor::TmScratch owns one (so every TmEnv copy handed to a worker
@@ -45,19 +37,6 @@
 #include "poly/poly.hpp"
 
 namespace dwv::poly {
-
-/// Range-bounding mode; see the bit-identity contract above.
-enum class RangeMode {
-  /// Bit-identical to the seed's Poly::eval_range (default).
-  kSeedIdentical,
-  /// Naive extension intersected with the mean-value/centered form.
-  /// Sound but tighter: results are contained in the kSeedIdentical ones.
-  kCenteredForm,
-};
-
-struct RangeOptions {
-  RangeMode mode = RangeMode::kSeedIdentical;
-};
 
 /// Counters for cache behaviour (per engine, monotone).
 struct RangeStats {
@@ -76,13 +55,9 @@ struct RangeStats {
 /// Amortizing range bounder; one per computation context (see above).
 class RangeEngine {
  public:
-  /// Sound enclosure of p's range over dom in the given mode.
-  interval::Interval eval_range(const Poly& p, const interval::IVec& dom,
-                                const RangeOptions& opt);
-  /// Default-mode (seed-identical) convenience overload.
-  interval::Interval eval_range(const Poly& p, const interval::IVec& dom) {
-    return eval_range(p, dom, RangeOptions{});
-  }
+  /// Sound enclosure of p's range over dom, bit-identical to
+  /// p.eval_range(dom).
+  interval::Interval eval_range(const Poly& p, const interval::IVec& dom);
 
   /// Sound enclosure of (d p / d x_var)'s range over dom — what
   /// p.derivative(var).eval_range(dom) computes, bit for bit, without
@@ -131,16 +106,12 @@ class RangeEngine {
     interval::IVec dom;
     /// powers[v][k] == interval::pow_n(dom[v], k); [v] grown on demand.
     std::vector<std::vector<interval::Interval>> powers;
-    /// mid[v] == dom[v].mid(); mid_powers like powers but for the point
-    /// interval [mid, mid]. Filled only when kCenteredForm queries run.
-    std::vector<double> mid;
-    std::vector<std::vector<interval::Interval>> mid_powers;
     /// Memoized query results for this domain: exact poly bits + query
     /// kind -> recorded result. Hash for quick reject, full term-byte
     /// compare before a hit, LRU within kMaxMemo entries.
     struct MemoEntry {
       std::uint64_t hash = 0;
-      std::uint32_t kind = 0;  ///< 0 seed eval, 1 centered eval, 2+v deriv
+      std::uint32_t kind = 0;  ///< 0 eval, 2+v derivative in var v
       std::vector<Term> terms;
       interval::Interval result;
       std::uint64_t last_use = 0;
@@ -180,9 +151,6 @@ class RangeEngine {
   /// dom[v]^e from the table, extending the row as needed.
   const interval::Interval& power(DomainTable& t, std::size_t v,
                                   std::uint32_t e);
-  /// [mid_v, mid_v]^e from the table, extending the row as needed.
-  const interval::Interval& mid_power(DomainTable& t, std::size_t v,
-                                      std::uint32_t e);
 
   /// Extends t's power rows to the exponents p uses and returns
   /// raw row pointers (engine-owned scratch; valid until the next call) so
@@ -196,16 +164,12 @@ class RangeEngine {
   interval::Interval naive_range(const Poly& p,
                                  const interval::Interval* const* rows);
   /// The pinned fast path of eval_range (same result bits).
-  interval::Interval eval_range_pinned(const Poly& p, Pin& pin,
-                                       const RangeOptions& opt);
+  interval::Interval eval_range_pinned(const Poly& p, Pin& pin);
   Pin* find_pin(const interval::IVec& dom) {
     for (Pin& pin : pins_)
       if (pin.dom == &dom) return &pin;
     return nullptr;
   }
-  /// Mean-value form f(mid) + sum_v df/dx_v(dom) * (dom_v - mid_v).
-  interval::Interval centered_range(const Poly& p, DomainTable& t);
-
   /// Result-memo lookup/insert for query `kind` on poly `p` (hash `h`).
   const interval::Interval* memo_find(DomainTable& t, const Poly& p,
                                       std::uint32_t kind, std::uint64_t h);

@@ -8,6 +8,7 @@
 
 #include "linalg/matrix.hpp"
 #include "nn/poly_controller.hpp"
+#include "reach/picard_step.hpp"
 #include "reach/step_control.hpp"
 
 namespace dwv::reach {
@@ -22,227 +23,83 @@ using taylor::DualTmEnv;
 using taylor::DualTmVec;
 
 // Every function in this file mirrors its scalar counterpart in
-// tm_flowpipe.cpp on the value channel; see the header. The dual step runs
-// the scalar step's kernel sequence (remainder tape, poly-only Picard
-// passes, converged-pass break): those only skip work whose bits are dead
-// or repeated, in every channel, so the value and tangent bits are those of
-// the full-channel sequence.
+// tm_flowpipe.cpp on the value channel; see the header.
+
+namespace {
+
+// The dual channel of detail::picard_step: dual Taylor models (value and
+// tangent polynomials, DualInterval remainders), dynamics as dual
+// polynomials, the step workspace in the driver's DualStepScratch. The
+// dynamics are polynomial, hence always replay-safe.
+struct DualChannel {
+  using Env = DualTmEnv;
+  using Vec = DualTmVec;
+  using Rem = DualInterval;
+  using Box = std::vector<DualInterval>;
+
+  const std::vector<DualPoly>& fd;
+  taylor::DualTmScratch& s;  ///< kernel scratch of the step env
+  DualStepScratch& w;        ///< step workspace
+  std::size_t nd;            ///< tangent directions
+
+  static bool replay_safe() { return true; }
+  void lift(const DualTm& in, std::size_t nvars, DualTm& out) const {
+    in.p.val.lift_vars_into(nvars, out.p.val);
+    out.p.tan.resize(nd);
+    for (std::size_t k = 0; k < nd; ++k) {
+      in.p.tan[k].lift_vars_into(nvars, out.p.tan[k]);
+    }
+    out.rem = in.rem;
+  }
+  void eval(const DualTmEnv& env, const DualTmVec& args,
+            DualTmVec& g) const {
+    g.resize(fd.size());
+    for (std::size_t i = 0; i < fd.size(); ++i) {
+      taylor::dual_tm_eval_poly_into(env, fd[i], args, g[i]);
+    }
+  }
+  static constexpr auto integrate_time = &taylor::dual_tm_integrate_time_into;
+  static constexpr auto subst_last = &taylor::dual_tm_subst_last_into;
+
+  static DualPoly& poly(DualTm& tm) { return tm.p; }
+  static const DualPoly& poly(const DualTm& tm) { return tm.p; }
+  static constexpr auto poly_add = &poly::dual_add_into;
+  static constexpr auto poly_sub = &poly::dual_sub_into;
+  static constexpr auto poly_range = &taylor::dual_poly_range;
+
+  static constexpr auto add = &interval::dual_add;
+  static constexpr auto sub = &interval::dual_sub;
+  static constexpr auto hull = &interval::dual_hull;
+  static constexpr auto widen = &interval::dual_widen;
+  DualInterval zero() const { return DualInterval::constant(Interval(0.0), nd); }
+  DualInterval symmetric(double r) const {
+    return DualInterval::constant(Interval::symmetric(r), nd);
+  }
+
+  static const Poly& value(const DualPoly& p) { return p.val; }
+  static const Interval& value(const DualInterval& r) { return r.v; }
+  static bool tangents_equal(const DualPoly& a, const DualPoly& b) {
+    for (std::size_t k = 0; k < a.tan.size(); ++k) {
+      if (!(a.tan[k].terms() == b.tan[k].terms())) return false;
+    }
+    return true;
+  }
+
+  void tape_record() { s.tape_record(); }
+  void tape_replay() { s.tape_replay(); }
+  void tape_stop() { s.tape_stop(); }
+};
+
+}  // namespace
 
 void dual_integrate_step(const DualTmEnv& env_set, const DualTmVec& state,
                          const DualTmVec& control,
                          const std::vector<DualPoly>& fd, double h,
                          const TmReachOptions& opt, DualStepScratch& ss,
                          DualStepResult& res) {
-  const std::size_t n = state.size();
-  const std::size_t m = control.size();
-  const std::size_t nv = env_set.nvars();
-  const std::size_t nd = env_set.dirs;
-  assert(fd.size() == n);
-
-  taylor::DualTmScratch& s = env_set.scratch();
-  const DualInterval zero = DualInterval::constant(Interval(0.0), nd);
-
-  // Time-extended environment (set vars..., tau in [0, h]), persisted in
-  // the scratch exactly like TmScratch::env_time.
-  DualTmEnv& env = s.env_time;
-  if (!s.env_time_init) {
-    env.borrow_scratch(env_set);
-    s.env_time_init = true;
-  }
-  env.dom.resize(nv + 1);
-  for (std::size_t i = 0; i < nv; ++i) env.dom[i] = env_set.dom[i];
-  env.dom[nv] = Interval(0.0, h);
-  env.order = env_set.order;
-  env.cutoff = env_set.cutoff;
-  env.dirs = nd;
-  const std::size_t tau = nv;
-
-  const auto lift = [&](const DualTm& in, DualTm& out) {
-    in.p.val.lift_vars_into(nv + 1, out.p.val);
-    out.p.tan.resize(nd);
-    for (std::size_t k = 0; k < nd; ++k) {
-      in.p.tan[k].lift_vars_into(nv + 1, out.p.tan[k]);
-    }
-    out.rem = in.rem;
-  };
-  ss.x0.resize(n);
-  for (std::size_t i = 0; i < n; ++i) lift(state[i], ss.x0[i]);
-  ss.u.resize(m);
-  for (std::size_t j = 0; j < m; ++j) lift(control[j], ss.u[j]);
-
-  // Remainder-replay tape (taylor::RemTape over DualInterval), as in
-  // tm_integrate_step: polynomial dynamics are always replay-safe. When
-  // set, a replayed Picard pass materializes out[i].p from its input
-  // (valid exactly when every channel's fixpoint converged).
-  taylor::RemTape<DualInterval>& tape = s.rem_tape;
-  bool replay_poly_from_input = false;
-
-  const auto picard = [&](const DualTmVec& phi, DualTmVec& out) {
-    const bool rp = tape.replaying();
-    ss.args.resize(n + m);
-    if (rp) {
-      // Replay reads no argument poly; only the remainders move.
-      for (std::size_t i = 0; i < n; ++i) ss.args[i].rem = phi[i].rem;
-      for (std::size_t j = 0; j < m; ++j) ss.args[n + j].rem = ss.u[j].rem;
-    } else {
-      for (std::size_t i = 0; i < n; ++i) ss.args[i] = phi[i];
-      for (std::size_t j = 0; j < m; ++j) ss.args[n + j] = ss.u[j];
-    }
-    ss.g.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      taylor::dual_tm_eval_poly_into(env, fd[i], ss.args, ss.g[i]);
-    }
-    out.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      taylor::dual_tm_integrate_time_into(env, ss.g[i], tau, s.integ);
-      if (rp) {
-        if (replay_poly_from_input) out[i].p = phi[i].p;
-      } else {
-        poly::dual_add_into(ss.x0[i].p, s.integ.p, out[i].p);
-      }
-      out[i].rem = interval::dual_add(ss.x0[i].rem, s.integ.rem);
-    }
-  };
-
-  // Polynomial fixpoint by iteration; pass remainders are dead (zeroed
-  // between passes), so passes before the predicted convergence index
-  // run poly-only and recording starts there (DualStepScratch::conv_pred),
-  // exactly as in tm_integrate_step.
-  //
-  // Break rule: stop after the first pass that maps the value polynomial
-  // AND every tangent polynomial to themselves bitwise. Every later pass
-  // would then map (phi, 0) back to phi in all channels — a no-op. The
-  // value channel alone is not enough: it never reads the tangents, so it
-  // can converge while the tangents are still moving. conv_index is the
-  // value channel's own convergence index (the step controller's signal,
-  // the same bits the scalar step reports); conv_pred predicts the
-  // all-channel index, where the tape must be recorded.
-  bool tape_valid = false;  ///< tape's polys == the (phi, u) composition
-  const std::size_t iters_eff =
-      opt.adaptive
-          ? std::max(opt.picard_iters,
-                     static_cast<std::size_t>(env_set.order) + 1)
-          : opt.picard_iters;
-  std::size_t conv_index = iters_eff;
-  ss.phi.resize(n);
-  for (std::size_t i = 0; i < n; ++i) ss.phi[i] = ss.x0[i];
-  for (std::size_t it = 0; it < iters_eff; ++it) {
-    const bool record = it >= ss.conv_pred;
-    s.poly_only = !record;
-    if (record) s.tape_record();
-    picard(ss.phi, ss.picard_out);
-    s.poly_only = false;
-    if (record) s.tape_stop();
-    bool converged = true;
-    for (std::size_t i = 0; i < n && converged; ++i) {
-      converged = ss.picard_out[i].p.val.terms() == ss.phi[i].p.val.terms();
-    }
-    if (converged && conv_index == iters_eff) conv_index = it;
-    for (std::size_t i = 0; i < n && converged; ++i) {
-      for (std::size_t k = 0; k < nd && converged; ++k) {
-        converged =
-            ss.picard_out[i].p.tan[k].terms() == ss.phi[i].p.tan[k].terms();
-      }
-    }
-    if (converged) {
-      ss.conv_pred = it;
-      tape_valid = record;
-    }
-    std::swap(ss.phi, ss.picard_out);
-    for (auto& tm : ss.phi) tm.rem = zero;
-    if (converged) break;
-  }
-  res.conv_index = conv_index;
-
-  // Remainder validation: find J with P(poly + J) inside poly + J. All
-  // containment decisions are taken on the value channel.
-  ss.rem_j.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    ss.rem_j[i] = interval::dual_hull(
-        ss.x0[i].rem,
-        DualInterval::constant(Interval::symmetric(opt.rem_init), nd));
-  }
-
-  res.ok = false;
-  res.failure.clear();
-  res.attempts = 0;
-  res.defect_rel = 0.0;
-  res.max_poly_terms = 0;
-  // Every attempt evaluates the Picard operator at the same polynomials,
-  // so at most one runs in full (tm_integrate_step): the fixpoint loop's
-  // tape already serves attempt 0, or attempt 0 records for the retries.
-  // Only attempt 0 reads the output polys (the defect poly below).
-  ss.diff_poly_range.resize(n);
-  for (std::size_t attempt = 0; attempt <= opt.max_inflations; ++attempt) {
-    ss.cand.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (attempt == 0) ss.cand[i].p = ss.phi[i].p;
-      ss.cand[i].rem = ss.rem_j[i];
-    }
-    if (tape_valid) {
-      replay_poly_from_input = attempt == 0;
-      s.tape_replay();
-      picard(ss.cand, ss.pnext);
-      s.tape_stop();
-    } else {
-      s.tape_record();
-      picard(ss.cand, ss.pnext);
-      s.tape_stop();
-      tape_valid = true;
-    }
-
-    bool contained = true;
-    ss.d_range.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      // d = P(cand)_i - {cand_i.p, 0}: the defect polys are fixed across
-      // attempts, so retries reuse the attempt-0 poly range.
-      if (attempt == 0) {
-        poly::dual_sub_into(ss.pnext[i].p, ss.cand[i].p, s.diff.p);
-        ss.diff_poly_range[i] = taylor::dual_poly_range(env, s.diff.p);
-      }
-      ss.d_range[i] = interval::dual_add(
-          ss.diff_poly_range[i], interval::dual_sub(ss.pnext[i].rem, zero));
-      if (!ss.rem_j[i].v.contains(ss.d_range[i].v)) contained = false;
-    }
-
-    if (contained) {
-      ss.validated.resize(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        ss.validated[i].p = ss.cand[i].p;
-        ss.validated[i].rem = ss.d_range[i];
-      }
-      res.tube_range.resize(n);
-      res.at_end.resize(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        res.tube_range[i] = taylor::dual_tm_range(env, ss.validated[i]);
-        taylor::dual_tm_subst_last_into(env, ss.validated[i], h,
-                                        res.at_end[i]);
-      }
-      // Step-controller signals, value channel only (same bits as scalar).
-      res.attempts = attempt;
-      res.max_poly_terms = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        const double tube_rad = res.tube_range[i].v.rad();
-        if (tube_rad > 0.0) {
-          const double rel = ss.d_range[i].v.rad() / tube_rad;
-          if (rel > res.defect_rel) res.defect_rel = rel;
-        }
-        res.max_poly_terms =
-            std::max(res.max_poly_terms, ss.validated[i].p.val.term_count());
-      }
-      res.ok = true;
-      return;
-    }
-
-    for (std::size_t i = 0; i < n; ++i) {
-      ss.rem_j[i] =
-          interval::dual_widen(interval::dual_hull(ss.rem_j[i], ss.d_range[i]),
-                               opt.rem_inflate, opt.rem_init);
-    }
-  }
-
-  res.attempts = opt.max_inflations + 1;
-  res.failure = "remainder validation failed (Picard operator not contracting)";
+  assert(fd.size() == state.size());
+  DualChannel c{fd, env_set.scratch(), ss, env_set.dirs};
+  detail::picard_step(c, env_set, state, control, h, opt, res);
 }
 
 namespace {
@@ -447,9 +304,6 @@ TmGradient::TmGradient(const TmVerifier& v)
 
 const char* TmGradient::unsupported_reason(const TmVerifier& v,
                                            const nn::Controller& ctrl) {
-  if (v.options().range_mode != poly::RangeMode::kSeedIdentical) {
-    return "range-bounding mode is not kSeedIdentical";
-  }
   if (v.options().symbolic_remainder) {
     return "symbolic remainder queue is enabled";
   }

@@ -15,7 +15,6 @@
 // pipeline to first order at every theta where no branch decision flips.
 //
 // Supported configurations (TmGradient::unsupported_reason):
-//  - kSeedIdentical range mode (the only mode dual_range replicates),
 //  - symbolic remainder queue off,
 //  - polynomial dynamics (PolyTmDynamics),
 //  - LinearAbstraction + LinearController, or PolynomialAbstraction +
@@ -44,27 +43,14 @@ struct GradFlowpipe {
   std::vector<std::vector<interval::DualInterval>> interval_hulls_d;
 };
 
-/// One dual-validated integration step (mirrors TmStepResult for the
-/// gradient driver; tube models are not recorded — no symbolic prefix).
-struct DualStepResult {
-  taylor::DualTmVec at_end;
-  std::vector<interval::DualInterval> tube_range;
-  bool ok = false;
-  std::string failure;
-  /// Step-controller signals (see reach::StepSignals), computed from the
-  /// VALUE channel only — the same bits the scalar TmStepResult carries,
-  /// so the dual pass derives the identical adaptive schedule.
-  std::size_t attempts = 0;
-  std::size_t conv_index = 0;
-  double defect_rel = 0.0;
-  /// Largest term count over the validated VALUE polynomials — the dual
-  /// kernels keep the value channel's term vector identical to the scalar
-  /// pipeline's, so this matches TmStepResult::max_poly_terms bitwise.
-  std::size_t max_poly_terms = 0;
-};
+/// One dual-validated integration step: TmStepResult's fields over dual
+/// models and dual tube bounds (the signals come from the value channel).
+using DualStepResult =
+    StepResult<taylor::DualTmVec, std::vector<interval::DualInterval>>;
 
-/// Scratch for dual_integrate_step (the dual analogue of the step buffers
-/// in taylor::TmScratch); owned by the driver, reused across substeps.
+/// Step workspace of dual_integrate_step (the dual analogue of the step
+/// buffers in taylor::TmScratch); owned by the driver, reused across
+/// substeps.
 struct DualStepScratch {
   taylor::DualTmVec x0, u, args, g, phi, picard_out, cand, pnext, validated;
   std::vector<interval::DualInterval> rem_j, d_range;
@@ -76,10 +62,10 @@ struct DualStepScratch {
   std::size_t conv_pred = 0;
 };
 
-/// Dual mirror of reach::tm_integrate_step, with its kernel sequence
-/// (remainder tape, poly-only fixpoint passes, converged-pass break): the
-/// value channel performs the identical Picard fixpoint + remainder
-/// validation; tangents ride along, and the pass loop breaks only once
+/// The dual channel of the validated step (reach/picard_step.hpp, the
+/// body tm_integrate_step runs too): the value channel performs the
+/// scalar step's Picard fixpoint and remainder validation operation for
+/// operation, tangents ride along, and the fixpoint loop breaks only once
 /// every channel has converged. `fd` is the dynamics' dual polynomials
 /// (value = f_i, tangents as supplied — zero for parameter-independent
 /// dynamics).

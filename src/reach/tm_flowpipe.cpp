@@ -9,6 +9,7 @@
 
 #include "ode/expr_system.hpp"
 #include "reach/cache.hpp"
+#include "reach/picard_step.hpp"
 #include "reach/step_control.hpp"
 #include "reach/sym_remainder.hpp"
 
@@ -17,16 +18,11 @@ namespace dwv::reach {
 using interval::Interval;
 using interval::IVec;
 using poly::Poly;
+using taylor::TaylorModel;
 using taylor::TmEnv;
 using taylor::TmVec;
 
 namespace {
-
-Interval widen(const Interval& v, double factor, double bump) {
-  const double r = v.rad() * factor + bump;
-  const double m = v.mid();
-  return Interval(m - r, m + r);
-}
 
 // Fresh affine parameterization absorbing remainders. Tries to keep the
 // current linear shape (parallelotope, preconditioning the wrapping away on
@@ -36,7 +32,6 @@ TmVec reinitialize(const TmEnv& env, const TmVec& x, const IVec& end_range) {
   const std::size_t n = x.size();
   const IVec unit(n, Interval(-1.0, 1.0));
   poly::RangeEngine& range = env.scratch().range;
-  const poly::RangeOptions ropt{env.range_mode};
 
   const auto box_reinit = [&]() {
     TmVec fresh(n);
@@ -66,7 +61,7 @@ TmVec reinitialize(const TmEnv& env, const TmVec& x, const IVec& end_range) {
         nonlin.add_term_key(key, coeff);
       }
     }
-    const Interval resid = range.eval_range(nonlin, unit, ropt) + x[i].rem;
+    const Interval resid = range.eval_range(nonlin, unit) + x[i].rem;
     c[i] += resid.mid();
     r[i] = resid.rad();
   }
@@ -114,6 +109,61 @@ TmVec reinitialize(const TmEnv& env, const TmVec& x, const IVec& end_range) {
   return fresh;
 }
 
+// The scalar channel of detail::picard_step: plain Taylor models with
+// interval remainders, dynamics through TmDynamics, the step workspace in
+// the env's own TmScratch.
+struct ScalarChannel {
+  using Env = TmEnv;
+  using Vec = TmVec;
+  using Rem = Interval;
+  using Box = IVec;
+
+  const TmDynamics& f;
+  taylor::TmScratch& s;  ///< kernel scratch of the step env
+  taylor::TmScratch& w;  ///< step workspace (the same scratch)
+
+  bool replay_safe() const { return f.replay_safe(); }
+  static void lift(const TaylorModel& in, std::size_t nvars,
+                   TaylorModel& out) {
+    in.poly.lift_vars_into(nvars, out.poly);
+    out.rem = in.rem;
+  }
+  void eval(const TmEnv& env, const TmVec& args, TmVec& g) const {
+    f.eval_into(env, args, g);
+  }
+  static constexpr auto integrate_time = &taylor::tm_integrate_time_into;
+  static constexpr auto subst_last = &taylor::tm_subst_last_into;
+
+  static Poly& poly(TaylorModel& tm) { return tm.poly; }
+  static const Poly& poly(const TaylorModel& tm) { return tm.poly; }
+  static constexpr auto poly_add = &Poly::add_into;
+  static constexpr auto poly_sub = &Poly::sub_into;
+  static Interval poly_range(const TmEnv& env, const Poly& p) {
+    return env.poly_range(p);
+  }
+
+  static Interval add(const Interval& a, const Interval& b) { return a + b; }
+  static Interval sub(const Interval& a, const Interval& b) { return a - b; }
+  static Interval hull(const Interval& a, const Interval& b) {
+    return interval::hull(a, b);
+  }
+  static Interval widen(const Interval& v, double factor, double bump) {
+    const double r = v.rad() * factor + bump;
+    const double m = v.mid();
+    return Interval(m - r, m + r);
+  }
+  static Interval zero() { return Interval(0.0); }
+  static Interval symmetric(double r) { return Interval::symmetric(r); }
+
+  static const Poly& value(const Poly& p) { return p; }
+  static const Interval& value(const Interval& r) { return r; }
+  static bool tangents_equal(const Poly&, const Poly&) { return true; }
+
+  void tape_record() { s.rem_tape.start_record(); }
+  void tape_replay() { s.rem_tape.start_replay(); }
+  void tape_stop() { s.rem_tape.stop(); }
+};
+
 }  // namespace
 
 TmStepResult tm_integrate_step(const TmEnv& env_set, const TmVec& state,
@@ -135,251 +185,10 @@ TmStepResult tm_integrate_step(const TmEnv& env_set, const TmVec& state,
 void tm_integrate_step(const TmEnv& env_set, const TmVec& state,
                        const TmVec& control, const TmDynamics& f, double h,
                        const TmReachOptions& opt, TmStepResult& res) {
-  const std::size_t n = state.size();
-  const std::size_t m = control.size();
-  const std::size_t nv = env_set.nvars();
-  assert(f.state_dim() == n);
-
+  assert(f.state_dim() == state.size());
   taylor::TmScratch& s = env_set.scratch();
-
-  // Time-extended environment: variables (set vars..., tau in [0, h]).
-  // Lives in the scratch so its domain vector (and the buffers of the TM
-  // ops it is passed to, which it borrows from env_set) persist across
-  // steps.
-  TmEnv& env = s.env_time;
-  if (!s.env_time_init) {
-    env.borrow_scratch(env_set);
-    s.env_time_init = true;
-  }
-  env.dom.resize(nv + 1);
-  for (std::size_t i = 0; i < nv; ++i) env.dom[i] = env_set.dom[i];
-  env.dom[nv] = Interval(0.0, h);
-  env.order = env_set.order;
-  env.cutoff = env_set.cutoff;
-  env.range_mode = env_set.range_mode;
-  const std::size_t tau = nv;
-
-  s.x0.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    state[i].poly.lift_vars_into(nv + 1, s.x0[i].poly);
-    s.x0[i].rem = state[i].rem;
-  }
-  s.u.resize(m);
-  for (std::size_t j = 0; j < m; ++j) {
-    control[j].poly.lift_vars_into(nv + 1, s.u[j].poly);
-    s.u[j].rem = control[j].rem;
-  }
-
-  // Remainder-replay tape (taylor::RemTape), on for replay-safe dynamics.
-  // When a Picard evaluation's polynomial channel is known to repeat
-  // bitwise, one recorded pass captures the remainder-formula constants and
-  // later passes replay the remainder arithmetic only.
-  taylor::RemTape<Interval>& tape = s.rem_tape;
-  const bool tape_on = f.replay_safe();
-  // In replay mode the kernels leave output polys untouched; when set, the
-  // replayed Picard pass materializes out[i].poly from its input (valid
-  // exactly when the poly fixpoint converged, so output == input bitwise).
-  bool replay_poly_from_input = false;
-
-  const auto picard = [&](const TmVec& phi, TmVec& out) {
-    const bool rp = tape.replaying();
-    s.args.resize(n + m);
-    if (rp) {
-      // Replay never reads the argument polys (every poly-derived constant
-      // comes off the tape), so only the remainders need to move.
-      for (std::size_t i = 0; i < n; ++i) s.args[i].rem = phi[i].rem;
-      for (std::size_t j = 0; j < m; ++j) s.args[n + j].rem = s.u[j].rem;
-    } else {
-      for (std::size_t i = 0; i < n; ++i) s.args[i] = phi[i];
-      for (std::size_t j = 0; j < m; ++j) s.args[n + j] = s.u[j];
-    }
-    f.eval_into(env, s.args, s.g);
-    out.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      taylor::tm_integrate_time_into(env, s.g[i], tau, s.integ);
-      if (rp) {
-        if (replay_poly_from_input) out[i].poly = phi[i].poly;
-      } else {
-        Poly::add_into(s.x0[i].poly, s.integ.poly, out[i].poly);
-      }
-      out[i].rem = s.x0[i].rem + s.integ.rem;
-    }
-  };
-
-  // Polynomial fixpoint by iteration (tau-degree grows by one per pass).
-  // Remainders are zeroed between passes: this phase only constructs the
-  // polynomial part, and letting interval remainders compound across the
-  // passes would inflate the validated remainder by (1 + hL)^iters instead
-  // of (1 + hL) per step.
-  //
-  // Because the pass remainders are dead, their arithmetic — and the range
-  // queries feeding it — is skipped outright (TmScratch::poly_only)
-  // whenever the dynamics' polynomial outputs are remainder-independent
-  // (replay_safe: polynomial composition; expression trees linearize
-  // enclosures around ranges that include remainders, so they keep the
-  // full channel). The polynomial bits are unchanged either way.
-  //
-  // Replay-safe steps also test for poly convergence: once a pass
-  // maps the polynomials to themselves bitwise, every remaining pass maps
-  // (phi, 0) back to phi with the remainder re-zeroed — a bitwise no-op —
-  // so they are skipped. The validation attempts below need a remainder
-  // tape recorded AT the fixpoint; the convergence index is structural
-  // (tau-degree saturates at the order), so each step predicts it from
-  // the previous step (TmScratch::conv_pred) and records only from there,
-  // running the earlier passes poly-only. A misprediction stays correct:
-  // converging on a poly-only pass just leaves validation to record its
-  // own tape, converging later keeps recording until the compare
-  // succeeds. (Skipping no-op passes or range queries only changes what
-  // the engine sees; that is bit-invisible by the RangeEngine contract.)
-  bool tape_valid = false;  ///< tape's poly channel == (phi, u) composition
-  // Adaptive runs track convergence on every path (the break is a bitwise
-  // no-op — a converged pass maps (phi, 0) back to phi with the remainder
-  // re-zeroed — and conv_index feeds the step controller), and guarantee
-  // enough passes for the escalated orders the controller may pick
-  // (picard_iters >= order reaches the poly fixpoint).
-  const bool track_conv = tape_on || opt.adaptive;
-  const std::size_t iters_eff =
-      opt.adaptive
-          ? std::max(opt.picard_iters,
-                     static_cast<std::size_t>(env_set.order) + 1)
-          : opt.picard_iters;
-  std::size_t conv_index = iters_eff;
-  s.phi.resize(n);
-  for (std::size_t i = 0; i < n; ++i) s.phi[i] = s.x0[i];
-  for (std::size_t it = 0; it < iters_eff; ++it) {
-    const bool record = tape_on && it >= s.conv_pred;
-    s.poly_only = tape_on && !record;
-    if (record) tape.start_record();
-    picard(s.phi, s.picard_out);
-    s.poly_only = false;
-    bool converged = false;
-    if (record) tape.stop();
-    if (track_conv) {
-      converged = true;
-      for (std::size_t i = 0; i < n && converged; ++i)
-        converged = s.picard_out[i].poly.terms() == s.phi[i].poly.terms();
-      if (converged) {
-        conv_index = it;
-        if (tape_on) {
-          s.conv_pred = it;
-          tape_valid = record;
-        }
-      }
-    }
-    std::swap(s.phi, s.picard_out);
-    for (auto& tm : s.phi) tm.rem = Interval(0.0);
-    if (converged) break;
-  }
-  res.conv_index = conv_index;
-
-  // Remainder validation: find J with P(poly + J) inside poly + J.
-  s.rem_j.resize(n);
-  for (std::size_t i = 0; i < n; ++i)
-    s.rem_j[i] = interval::hull(s.x0[i].rem, Interval::symmetric(opt.rem_init));
-
-  res.ok = false;
-  res.failure.clear();
-  res.attempts = 0;
-  res.defect_rel = 0.0;
-  res.max_poly_terms = 0;
-  // Every attempt evaluates the Picard operator at the same polynomials
-  // (cand.poly is fixed to phi; only the remainder guess changes), so with
-  // the tape on at most one attempt runs in full: either the fixpoint
-  // loop converged and left a valid tape (attempt 0 already replays, with
-  // the output polys materialized from phi), or attempt 0 records and the
-  // retries replay (their output polys persist in s.pnext from attempt 0).
-  bool pnext_poly_ready = false;
-  for (std::size_t attempt = 0; attempt <= opt.max_inflations; ++attempt) {
-    s.cand.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      // phi is fixed for the whole loop; the poly copy only needs to happen
-      // on the first attempt (identical bits either way).
-      if (attempt == 0) s.cand[i].poly = s.phi[i].poly;
-      s.cand[i].rem = s.rem_j[i];
-    }
-    if (tape_on && tape_valid) {
-      replay_poly_from_input = !pnext_poly_ready;
-      tape.start_replay();
-      picard(s.cand, s.pnext);
-      tape.stop();
-      replay_poly_from_input = false;
-      pnext_poly_ready = true;
-    } else if (tape_on) {
-      tape.start_record();
-      picard(s.cand, s.pnext);
-      tape.stop();
-      tape_valid = true;
-      pnext_poly_ready = true;
-    } else {
-      picard(s.cand, s.pnext);
-    }
-
-    bool contained = true;
-    s.d_range.resize(n);
-    if (tape_on) s.diff_poly_range.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      // d = P(cand)_i - {cand_i.poly, 0}; the interval subtraction of the
-      // zero interval outward-widens exactly like the legacy tm_sub did.
-      // Both polys are fixed across attempts (cand.poly is pinned to phi
-      // and the Picard output polys are attempt-invariant), so the defect
-      // poly — and hence its range — is too; with the tape on, retries
-      // reuse the attempt-0 range and redo only the remainder arithmetic.
-      if (tape_on && attempt > 0) {
-        s.d_range[i] =
-            s.diff_poly_range[i] + (s.pnext[i].rem - Interval(0.0));
-      } else {
-        Poly::sub_into(s.pnext[i].poly, s.cand[i].poly, s.diff.poly);
-        s.diff.rem = s.pnext[i].rem - Interval(0.0);
-        if (tape_on) {
-          s.diff_poly_range[i] = env.poly_range(s.diff.poly);
-          s.d_range[i] = s.diff_poly_range[i] + s.diff.rem;
-        } else {
-          s.d_range[i] = taylor::tm_range(env, s.diff);
-        }
-      }
-      if (!s.rem_j[i].contains(s.d_range[i])) contained = false;
-    }
-
-    if (contained) {
-      // P(cand) encloses the flow and is at least as tight as cand.
-      s.validated.resize(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        s.validated[i].poly = s.cand[i].poly;
-        s.validated[i].rem = s.d_range[i];
-      }
-
-      res.tube_range.resize(n);
-      res.at_end.resize(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        res.tube_range[i] = taylor::tm_range(env, s.validated[i]);
-        taylor::tm_subst_last_into(env, s.validated[i], h, res.at_end[i]);
-      }
-      // Step-controller signals: which attempt proved containment, and the
-      // defect magnitude relative to the tube. Pure observation — nothing
-      // below reads them on the fixed path.
-      res.attempts = attempt;
-      res.max_poly_terms = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        const double tube_rad = res.tube_range[i].rad();
-        if (tube_rad > 0.0) {
-          const double rel = s.d_range[i].rad() / tube_rad;
-          if (rel > res.defect_rel) res.defect_rel = rel;
-        }
-        res.max_poly_terms =
-            std::max(res.max_poly_terms, s.validated[i].poly.term_count());
-      }
-      res.ok = true;
-      return;
-    }
-
-    for (std::size_t i = 0; i < n; ++i) {
-      s.rem_j[i] = widen(interval::hull(s.rem_j[i], s.d_range[i]),
-                         opt.rem_inflate, opt.rem_init);
-    }
-  }
-
-  res.attempts = opt.max_inflations + 1;
-  res.failure = "remainder validation failed (Picard operator not contracting)";
+  ScalarChannel c{f, s, s};
+  detail::picard_step(c, env_set, state, control, h, opt, res);
 }
 
 namespace {
@@ -442,9 +251,9 @@ std::string TmVerifier::name() const {
 
 std::uint64_t TmVerifier::cache_salt() const {
   std::vector<std::uint64_t> w;
-  // Range-bounding mode changes remainders (hence verdicts): results
-  // computed under different modes must never collide in the cache.
-  w.push_back(static_cast<std::uint64_t>(opt_.range_mode));
+  // Once the range-bounding mode; kept as a constant word so every salt
+  // (and every cache and search file keyed by one) keeps its bits.
+  w.push_back(0);
   // The symbolic remainder queue changes remainders (sound both ways, but
   // queue-on and queue-off pipes must never alias in a FlowpipeCache).
   w.push_back(opt_.symbolic_remainder ? 1 + opt_.sym_queue_size : 0);
@@ -514,7 +323,6 @@ struct TmVerifier::Lane {
     env.dom = IVec(n, Interval(-1.0, 1.0));
     env.order = v->opt_.order;
     env.cutoff = v->opt_.cutoff;
-    env.range_mode = v->opt_.range_mode;
 
     // Pin the two domains every hot range query of a run uses: the
     // set box, and the time-extended box tm_integrate_step writes into its
@@ -531,7 +339,6 @@ struct TmVerifier::Lane {
     et.dom[n] = Interval(0.0, h);
     et.order = env.order;
     et.cutoff = env.cutoff;
-    et.range_mode = env.range_mode;
     s.range.pin_domain(et.dom, pin_cap);
 
     ctrl = &c;

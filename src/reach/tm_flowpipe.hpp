@@ -41,12 +41,6 @@ struct TmReachOptions {
   /// the current box (sound; absorbs the remainder into the polynomial so
   /// the closed-loop contraction can act on it). 0 disables.
   double reinit_rem_fraction = 0.5;
-  /// Polynomial range-bounding mode for every interval query of the run.
-  /// kSeedIdentical (default) is bit-identical to the historical
-  /// Poly::eval_range; kCenteredForm intersects it with a mean-value form
-  /// computed from the same cached power tables — sound and at least as
-  /// tight, but results are only containment-comparable (DESIGN.md §10).
-  poly::RangeMode range_mode = poly::RangeMode::kSeedIdentical;
   /// Flow*-style symbolic remainder queue (DESIGN.md §12): keep validated
   /// step remainders OUT of the Taylor-model channel as a queue of
   /// (transport matrix, local remainder) pairs, transported through an
@@ -89,28 +83,33 @@ struct TmReachOptions {
 };
 
 /// One validated integration step: enclosure over [0, h] and at t = h.
-struct TmStepResult {
-  taylor::TmVec at_end;        ///< state TMs at tau = h (tau substituted)
-  interval::IVec tube_range;   ///< box hull of the enclosure over [0, h]
+/// `Vec` is the channel's model vector and `Box` its interval vector:
+/// TmStepResult for the scalar step, DualStepResult (grad_flowpipe.hpp)
+/// for the dual one.
+template <class Vec, class Box>
+struct StepResult {
+  Vec at_end;       ///< state models at tau = h (tau substituted)
+  Box tube_range;   ///< box hull of the enclosure over [0, h]
   bool ok = false;
   std::string failure;
 
   // Controller signals of the step (reach::StepSignals semantics),
-  // computed on every path — the TM driver and the gradient dual pass
-  // reproduce the same bits. attempts is the index of the
+  // computed on every path from the value channel only — the TM driver
+  // and the gradient dual pass reproduce the same bits, so both derive the
+  // identical adaptive schedule. attempts is the index of the
   // remainder-validation attempt that proved containment; conv_index the
-  // Picard pass at which the polynomial fixpoint converged bitwise
+  // Picard pass at which the value polynomials converged bitwise
   // (picard-iteration count when never observed); defect_rel the largest
   // defect-range radius relative to the tube-range radius.
   std::size_t attempts = 0;
   std::size_t conv_index = 0;
   double defect_rel = 0.0;
-  /// Largest term count over the validated state polynomials — the cost
+  /// Largest term count over the validated value polynomials — the cost
   /// signal the controller's grow gate compares against the dense basis.
-  /// Term counts of validated polys are part of the value channel, so the
-  /// signal is bit-identical across the TM and dual drivers.
   std::size_t max_poly_terms = 0;
 };
+
+using TmStepResult = StepResult<taylor::TmVec, interval::IVec>;
 
 /// Integrates x' = f(x, u) for tau in [0, h] with u held constant (as TMs
 /// over the set variables). `env_set` is the environment WITHOUT the time

@@ -295,7 +295,6 @@ void dual_tm_eval_poly_into(const DualTmEnv& env, const DualPoly& f,
     se.dom = env.dom;
     se.order = env.order;
     se.cutoff = env.cutoff;
-    se.range_mode = poly::RangeMode::kSeedIdentical;
     se.scratch().poly_only = s.poly_only;
     s.side_args.resize(args.size());
     for (std::size_t i = 0; i < args.size(); ++i) {

@@ -15,14 +15,14 @@
 //    the tangent-only paths (see dual_poly.hpp).
 //
 // The value channel's range queries replicate Poly::eval_range directly
-// (dual_range), which matches TmEnv::poly_range bit for bit in the default
-// kSeedIdentical mode — the only mode the gradient engine supports. The
-// dual kernels are therefore stateless w.r.t. the scalar RangeEngine:
-// running a dual computation can never perturb scalar results.
+// (dual_range), which matches TmEnv::poly_range bit for bit. The dual
+// kernels are therefore stateless w.r.t. the scalar RangeEngine: running a
+// dual computation can never perturb scalar results.
 //
 // Like their scalar counterparts, the kernels honour the scratch's
-// poly_only flag and remainder tape (DualTmScratch), so the dual Picard
-// step runs the scalar step's kernel sequence (DESIGN.md §12).
+// poly_only flag and remainder tape (DualTmScratch), so the validated step
+// (reach/picard_step.hpp) runs one kernel sequence in both channels
+// (DESIGN.md §12).
 //
 // Scratch ownership follows TmScratch's rules (DESIGN.md §9): one
 // DualTmScratch per DualTmEnv, never shared across threads, each kernel
@@ -147,7 +147,7 @@ struct DualTmScratch {
     side_env.scratch().rem_tape.stop();
   }
 
-  /// The step's time-extended dual environment (reach::dual_integrate_step).
+  /// The step's time-extended dual environment (reach/picard_step.hpp).
   DualTmEnv env_time;
   bool env_time_init = false;
 };
@@ -163,7 +163,7 @@ inline void DualTmEnv::borrow_scratch(const DualTmEnv& owner) const {
 }
 
 /// dual_range of the model's polynomial through the env (value channel ==
-/// TmEnv::poly_range bits in kSeedIdentical mode).
+/// TmEnv::poly_range bits).
 interval::DualInterval dual_poly_range(const DualTmEnv& env,
                                        const poly::DualPoly& p);
 

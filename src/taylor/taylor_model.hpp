@@ -31,23 +31,15 @@ struct TmEnv {
   /// Coefficients with magnitude <= cutoff are swept into the remainder to
   /// keep polynomials short. 0 disables sweeping.
   double cutoff = 1e-12;
-  /// Range-bounding mode for every polynomial range query made through
-  /// this env (truncation remainders, tm_mul cross terms, tm_range). The
-  /// default is bit-identical to the seed; kCenteredForm is tighter but
-  /// only containment-comparable (DESIGN.md section 10).
-  poly::RangeMode range_mode = poly::RangeMode::kSeedIdentical;
 
   TmEnv() = default;
   /// Copies settings but NOT the scratch: each copy lazily builds its own
   /// buffers, so envs handed to different worker threads never race.
-  TmEnv(const TmEnv& o)
-      : dom(o.dom), order(o.order), cutoff(o.cutoff),
-        range_mode(o.range_mode) {}
+  TmEnv(const TmEnv& o) : dom(o.dom), order(o.order), cutoff(o.cutoff) {}
   TmEnv& operator=(const TmEnv& o) {
     dom = o.dom;
     order = o.order;
     cutoff = o.cutoff;
-    range_mode = o.range_mode;
     return *this;  // this env keeps its own (possibly borrowed) scratch
   }
 
@@ -62,7 +54,7 @@ struct TmEnv {
   void borrow_scratch(const TmEnv& owner) const;
 
   /// Range of `p` over this env's domain through the scratch's shared
-  /// range engine (amortized interval power tables, mode = range_mode).
+  /// range engine (amortized interval power tables).
   interval::Interval poly_range(const poly::Poly& p) const;
 
  private:
@@ -119,10 +111,10 @@ using TmVec = std::vector<TaylorModel>;
 ///
 /// Kernels leave the output polynomial untouched in replay mode; the
 /// driver is responsible for materializing any output poly it still needs
-/// (reach::tm_integrate_step and reach::dual_integrate_step copy the
-/// converged fixpoint polynomial). Those two drivers run the tape on every
-/// replay-safe dynamics (reach::TmDynamics::replay_safe); the kernels only
-/// look at `mode`.
+/// (the validated step, reach/picard_step.hpp, copies the converged
+/// fixpoint polynomial). That step runs the tape on every replay-safe
+/// dynamics (reach::TmDynamics::replay_safe) in both of its channels; the
+/// kernels only look at `mode`.
 template <class I>
 struct RemTape {
   enum Mode : int { kOff = 0, kRecord = 1, kReplay = 2 };
@@ -156,7 +148,7 @@ struct RemTape {
 ///  - tm_pow_into: pow_base, pow_tmp (and the Poly layer via tm_mul_into).
 ///  - tm_eval_poly_into: acc, term, add_out, mul_out, pow_out (and tm_pow).
 ///  - tm_subst_var_into: pscratch (as the term stream buffer).
-///  - Flowpipe step (tm_integrate_step): the step workspace below.
+///  - Flowpipe step (reach/picard_step.hpp): the step workspace below.
 struct TmScratch {
   // Poly layer.
   poly::PolyScratch pscratch;
@@ -197,7 +189,8 @@ struct TmScratch {
   /// start; 0 until first observed (record everything).
   std::size_t conv_pred = 0;
 
-  // Flowpipe-step workspace (reach::tm_integrate_step).
+  // Flowpipe-step workspace (reach::tm_integrate_step's channel of
+  // reach/picard_step.hpp).
   TmVec x0;
   TmVec u;
   TmVec args;
@@ -209,9 +202,10 @@ struct TmScratch {
   TmVec validated;
   std::vector<interval::Interval> rem_j;
   std::vector<interval::Interval> d_range;
-  /// Per-component range of the defect polynomial P(cand)_i - cand_i.poly;
-  /// fixed across validation attempts (only the remainder guess changes),
-  /// so tape-on steps compute it once per step and reuse it.
+  /// Per-component range of the defect polynomial P(cand)_i - cand_i.poly.
+  /// Tape-on steps fix it across validation attempts (only the remainder
+  /// guess changes), so they compute it once per step and reuse it;
+  /// tape-off steps recompute it at every attempt.
   std::vector<interval::Interval> diff_poly_range;
 
   /// The step's time-extended environment; its scratch borrows from the
@@ -231,7 +225,7 @@ inline void TmEnv::borrow_scratch(const TmEnv& owner) const {
 }
 
 inline interval::Interval TmEnv::poly_range(const poly::Poly& p) const {
-  return scratch().range.eval_range(p, dom, poly::RangeOptions{range_mode});
+  return scratch().range.eval_range(p, dom);
 }
 
 TaylorModel tm_add(const TaylorModel& a, const TaylorModel& b);

@@ -1,9 +1,8 @@
 // The batched range-bounding engine (poly/range_engine.hpp):
 //  * randomized differential suite vs the map-based RefPoly oracle —
-//    kSeedIdentical results must be bit-identical to the seed's
+//    results must be bit-identical to the seed's
 //    Poly::eval_range / RefPoly::eval_range,
 //  * domain-table reuse and exact-bits invalidation,
-//  * soundness (containment) of the opt-in centered form,
 //  * derivative_range bit-identity vs derivative(i).eval_range(dom),
 //  * the TM step domains, whose -denorm_min power bounds run the exact
 //    subnormal product path (interval::mul_assign_exact),
@@ -34,8 +33,6 @@ using dwv::interval::Interval;
 using dwv::interval::IVec;
 using dwv::poly::Poly;
 using dwv::poly::RangeEngine;
-using dwv::poly::RangeMode;
-using dwv::poly::RangeOptions;
 
 bool bit_equal(const Interval& a, const Interval& b) {
   return std::bit_cast<std::uint64_t>(a.lo()) ==
@@ -139,7 +136,7 @@ TEST(RangeEngine, ReusesTablesAndInvalidatesOnExactBitsChange) {
 }
 
 // The per-table result memo must be invisible in results: hits return the
-// recorded bits, distinct polys / query kinds / modes never collide, and
+// recorded bits, distinct polys / query kinds never collide, and
 // disabling it changes nothing but the stats.
 TEST(RangeEngine, ResultMemoIsBitInvisible) {
   std::mt19937_64 rng(4242);
@@ -156,58 +153,21 @@ TEST(RangeEngine, ResultMemoIsBitInvisible) {
   EXPECT_TRUE(bit_equal(first, again));
   EXPECT_TRUE(bit_equal(first, p.eval_range(dom)));
 
-  // A different poly, a derivative query, and the centered mode must all
-  // miss the seed-eval entry and still be exact.
+  // A different poly and a derivative query must both miss the eval
+  // entry and still be exact.
   EXPECT_TRUE(bit_equal(engine.eval_range(q, dom), q.eval_range(dom)));
   EXPECT_TRUE(bit_equal(engine.derivative_range(p, 0, dom),
                         p.derivative(0).eval_range(dom)));
-  const Interval tight =
-      engine.eval_range(p, dom, RangeOptions{RangeMode::kCenteredForm});
-  EXPECT_TRUE(first.contains(tight));
-  // Repeat queries of every kind now hit and reproduce their bits.
+  // A repeat derivative query now hits and reproduces its bits.
   const std::uint64_t hits = engine.stats().memo_hits;
   EXPECT_TRUE(bit_equal(engine.derivative_range(p, 0, dom),
                         p.derivative(0).eval_range(dom)));
-  EXPECT_TRUE(bit_equal(
-      engine.eval_range(p, dom, RangeOptions{RangeMode::kCenteredForm}),
-      tight));
-  EXPECT_EQ(engine.stats().memo_hits, hits + 2);
+  EXPECT_EQ(engine.stats().memo_hits, hits + 1);
 
   // Memo off: same bits, no new hits.
   engine.set_result_memo(false);
   EXPECT_TRUE(bit_equal(engine.eval_range(p, dom), first));
-  EXPECT_EQ(engine.stats().memo_hits, hits + 2);
-}
-
-TEST(RangeEngine, CenteredFormIsContainedAndSound) {
-  std::mt19937_64 rng(99);
-  RangeEngine engine;
-  const RangeOptions centered{RangeMode::kCenteredForm};
-  std::uniform_real_distribution<double> unit(0.0, 1.0);
-  for (int iter = 0; iter < 300; ++iter) {
-    const std::size_t nvars = 1 + rng() % 4;
-    const Poly p = random_poly(rng, nvars, 1 + rng() % 10, 3);
-    const IVec dom = random_domain(rng, nvars);
-
-    const Interval naive = p.eval_range(dom);
-    const Interval tight = engine.eval_range(p, dom, centered);
-    // new subset of naive: never looser than the seed bound.
-    EXPECT_TRUE(naive.contains(tight))
-        << "centered form looser than naive at iter " << iter;
-
-    // true range subset of new (sampled): every sampled value must lie
-    // inside, modulo the float rounding of the sample evaluation itself.
-    for (int s = 0; s < 32; ++s) {
-      dwv::linalg::Vec x(nvars);
-      for (std::size_t i = 0; i < nvars; ++i)
-        x[i] = dom[i].lo() + unit(rng) * dom[i].width();
-      const double v = p.eval(x);
-      const double slack =
-          1e-9 * (1.0 + std::abs(v) + tight.mag());
-      EXPECT_GE(v, tight.lo() - slack) << "iter " << iter;
-      EXPECT_LE(v, tight.hi() + slack) << "iter " << iter;
-    }
-  }
+  EXPECT_EQ(engine.stats().memo_hits, hits + 1);
 }
 
 TEST(RangeEngine, DerivativeRangeMatchesMaterializedDerivative) {
@@ -311,95 +271,44 @@ TEST(RangeEngine, BernsteinRange1dBitIdenticalAfterHoist) {
   }
 }
 
-// One validated flowpipe step under both modes: polynomials are identical,
-// the centered-form remainders must be contained in the seed's.
-TEST(RangeEngine, CenteredFormStepIsContainedInSeedStep) {
-  using dwv::reach::TmReachOptions;
-  using dwv::taylor::TmEnv;
-
-  Poly f0(3);
-  f0.add_term({0, 1, 0}, 1.0);
-  Poly f1(3);
-  f1.add_term({1, 0, 0}, -1.0);
-  f1.add_term({0, 1, 0}, -0.5);
-  f1.add_term({2, 1, 0}, 0.4);
-  f1.add_term({0, 0, 1}, 1.0);
-  const dwv::reach::PolyTmDynamics dyn({f0, f1});
-
-  const auto run = [&](RangeMode mode) {
-    TmEnv env;
-    env.dom = IVec(2, Interval(-1.0, 1.0));
-    env.order = 3;
-    env.range_mode = mode;
-    dwv::taylor::TmVec state;
-    state.push_back({Poly::constant(2, 0.3) + Poly::variable(2, 0) * 0.1,
-                     Interval(0.0)});
-    state.push_back({Poly::constant(2, -0.2) + Poly::variable(2, 1) * 0.1,
-                     Interval(0.0)});
-    dwv::taylor::TmVec control;
-    control.push_back(dwv::taylor::TaylorModel::constant(env, 0.25));
-    TmReachOptions opt;
-    opt.range_mode = mode;
-    return dwv::reach::tm_integrate_step(env, state, control, dyn, 0.05,
-                                         opt);
-  };
-
-  const auto seed = run(RangeMode::kSeedIdentical);
-  const auto tight = run(RangeMode::kCenteredForm);
-  ASSERT_TRUE(seed.ok);
-  ASSERT_TRUE(tight.ok);
-  for (std::size_t i = 0; i < seed.tube_range.size(); ++i) {
-    EXPECT_TRUE(seed.tube_range[i].contains(tight.tube_range[i]))
-        << "dim " << i << ": " << tight.tube_range[i] << " not within "
-        << seed.tube_range[i];
-    EXPECT_TRUE(seed.at_end[i].rem.contains(tight.at_end[i].rem));
-    EXPECT_EQ(seed.at_end[i].poly.terms().size(),
-              tight.at_end[i].poly.terms().size());
-  }
-}
-
 // Pinned-domain streaming profile: identical bits to the classic path on
 // a randomized query stream mixing pinned, unpinned, and re-pinned
-// domains, in both range modes, with growth past the pre-extended cap.
+// domains, with growth past the pre-extended cap.
 TEST(RangeEngine, PinnedDomainIsBitIdenticalToClassicPath) {
   std::mt19937_64 rng(20260808);
-  for (const RangeMode mode :
-       {RangeMode::kSeedIdentical, RangeMode::kCenteredForm}) {
-    RangeEngine pinned;
-    RangeEngine classic;
-    const RangeOptions opt{mode};
-    const std::size_t nvars = 3;
-    IVec dom_a = random_domain(rng, nvars);
-    IVec dom_b = random_domain(rng, nvars);
-    pinned.pin_domain(dom_a, 2);  // low cap: forces mid-stream row growth
-    pinned.pin_domain(dom_b, 2);
-    for (int iter = 0; iter < 600; ++iter) {
-      const Poly p = random_poly(rng, nvars, 1 + rng() % 10, 1 + rng() % 5);
-      const IVec& dom = (rng() % 3 == 0) ? dom_b : dom_a;
-      const Interval a = pinned.eval_range(p, dom, opt);
-      const Interval b = classic.eval_range(p, dom, opt);
-      ASSERT_TRUE(bit_equal(a, b))
-          << "pinned drifted from classic at iter " << iter << ": " << a
-          << " vs " << b;
-      if (iter % 50 == 17) {
-        // Interleave an unpinned domain: must fall through unchanged and
-        // must not disturb the pins.
-        const IVec other = random_domain(rng, nvars);
-        ASSERT_TRUE(bit_equal(pinned.eval_range(p, other, opt),
-                              classic.eval_range(p, other, opt)));
-      }
-      if (iter == 300) {
-        // Mutate + re-pin: the pin must follow the new bits.
-        dom_a = random_domain(rng, nvars);
-        pinned.pin_domain(dom_a, 2);
-      }
+  RangeEngine pinned;
+  RangeEngine classic;
+  const std::size_t nvars = 3;
+  IVec dom_a = random_domain(rng, nvars);
+  IVec dom_b = random_domain(rng, nvars);
+  pinned.pin_domain(dom_a, 2);  // low cap: forces mid-stream row growth
+  pinned.pin_domain(dom_b, 2);
+  for (int iter = 0; iter < 600; ++iter) {
+    const Poly p = random_poly(rng, nvars, 1 + rng() % 10, 1 + rng() % 5);
+    const IVec& dom = (rng() % 3 == 0) ? dom_b : dom_a;
+    const Interval a = pinned.eval_range(p, dom);
+    const Interval b = classic.eval_range(p, dom);
+    ASSERT_TRUE(bit_equal(a, b))
+        << "pinned drifted from classic at iter " << iter << ": " << a
+        << " vs " << b;
+    if (iter % 50 == 17) {
+      // Interleave an unpinned domain: must fall through unchanged and
+      // must not disturb the pins.
+      const IVec other = random_domain(rng, nvars);
+      ASSERT_TRUE(bit_equal(pinned.eval_range(p, other),
+                            classic.eval_range(p, other)));
     }
-    EXPECT_GT(pinned.stats().pin_hits, 0u);
-    pinned.unpin_all();
-    const Poly p = random_poly(rng, nvars, 6, 3);
-    EXPECT_TRUE(bit_equal(pinned.eval_range(p, dom_a, opt),
-                          classic.eval_range(p, dom_a, opt)));
+    if (iter == 300) {
+      // Mutate + re-pin: the pin must follow the new bits.
+      dom_a = random_domain(rng, nvars);
+      pinned.pin_domain(dom_a, 2);
+    }
   }
+  EXPECT_GT(pinned.stats().pin_hits, 0u);
+  pinned.unpin_all();
+  const Poly p = random_poly(rng, nvars, 6, 3);
+  EXPECT_TRUE(bit_equal(pinned.eval_range(p, dom_a),
+                        classic.eval_range(p, dom_a)));
 }
 
 // The domains TM verifiers actually bound over: the unit set-variable box

@@ -98,7 +98,6 @@ TmStepResult full_channel_step(const TmEnv& env_set, const TmVec& state,
   env.dom[nv] = Interval(0.0, h);
   env.order = env_set.order;
   env.cutoff = env_set.cutoff;
-  env.range_mode = env_set.range_mode;
 
   TmVec x0(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -208,10 +207,10 @@ void expect_tm_bits(const TaylorModel& a, const TaylorModel& b) {
 
 TEST(TmIntegrateStep, MatchesFullChannelOracleBitForBit) {
   // Seeded polynomial dynamics over n = 1..3 states and one input, orders
-  // 2-5, with Picard pass counts below and above the order, tight first
-  // remainder guesses (validation retries) and both range modes. Each case
-  // runs several consecutive steps on one env, so the scratch carries its
-  // convergence prediction from step to step like a driver lane.
+  // 2-5, with Picard pass counts below and above the order and tight
+  // first remainder guesses (validation retries). Each case runs several
+  // consecutive steps on one env, so the scratch carries its convergence
+  // prediction from step to step like a driver lane.
   std::size_t steps = 0;
   std::size_t retried = 0;
   std::size_t failed = 0;
@@ -226,7 +225,6 @@ TEST(TmIntegrateStep, MatchesFullChannelOracleBitForBit) {
     TmEnv env;
     env.dom = IVec(n, Interval(-1.0, 1.0));
     env.order = static_cast<std::uint32_t>(2 + seed % 4);
-    if (seed % 5 == 0) env.range_mode = poly::RangeMode::kCenteredForm;
     TmReachOptions opt;
     opt.order = env.order;
     opt.picard_iters = env.order - 1 + seed % 4;
