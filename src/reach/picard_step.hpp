@@ -198,7 +198,6 @@ void picard_step(C& c, const typename C::Env& env_set,
       c.tape_replay();
       picard(w.cand, w.pnext);
       c.tape_stop();
-      replay_poly_from_input = false;
     } else if (tape_on) {
       c.tape_record();
       picard(w.cand, w.pnext);
