@@ -219,6 +219,18 @@ TmReachOptions validated(TmReachOptions opt) {
         "TmReachOptions::order must be >= 1 (order 0 keeps no polynomial "
         "channel)");
   }
+  // StepController counts substeps << halvings ticks per period, and its
+  // step sizes are exact only up to 2^53 ticks. Tested without forming the
+  // shift (undefined at 64 halvings and beyond).
+  constexpr std::uint32_t kExactBits = 53;
+  if (opt.adaptive &&
+      (opt.adaptive_max_halvings > kExactBits ||
+       opt.substeps > (std::uint64_t{1} << kExactBits) >>
+                          opt.adaptive_max_halvings)) {
+    throw std::invalid_argument(
+        "TmReachOptions: substeps * 2^adaptive_max_halvings must be <= "
+        "2^53 (the adaptive schedule's exact tick range)");
+  }
   return opt;
 }
 }  // namespace

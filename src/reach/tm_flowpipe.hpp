@@ -71,7 +71,9 @@ struct TmReachOptions {
   /// this grow; steps breaching it shrink.
   double adaptive_rtol = 1e-2;
   /// Halvings below the base step delta/substeps the controller may take
-  /// (the tick resolution of the schedule).
+  /// (the tick resolution of the schedule). With adaptive on,
+  /// substeps * 2^halvings ticks per period must not exceed 2^53, the
+  /// range in which step sizes stay exact.
   std::uint32_t adaptive_max_halvings = 6;
   /// Truncation-order band the controller may roam in; 0 picks
   /// max(2, order - 1) / order + 2 respectively.
@@ -144,7 +146,9 @@ class TmVerifier final : public Verifier {
   /// available, expression trees for an ode::ExprSystem. Both
   /// constructors validate the options and throw std::invalid_argument
   /// for meaningless values (substeps = 0 would make h = delta/0
-  /// infinite, order = 0 leaves no polynomial channel).
+  /// infinite, order = 0 leaves no polynomial channel, and an adaptive
+  /// tick count substeps * 2^adaptive_max_halvings above 2^53 overflows
+  /// the schedule).
   TmVerifier(ode::SystemPtr sys, ode::ReachAvoidSpec spec,
              ControlAbstractionPtr abstraction, TmReachOptions opt = {});
   /// Explicit dynamics (custom TmDynamics implementations).

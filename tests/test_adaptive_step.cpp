@@ -105,6 +105,23 @@ TEST(AdaptiveOptions, DegenerateValuesThrow) {
   TmReachOptions bad_order;
   bad_order.order = 0;
   EXPECT_THROW(osc_verifier(bench, bad_order), std::invalid_argument);
+  // The adaptive schedule counts substeps * 2^halvings ticks per period,
+  // exact only up to 2^53.
+  TmReachOptions wide;
+  wide.adaptive = true;
+  wide.adaptive_max_halvings = 64;
+  EXPECT_THROW(osc_verifier(bench, wide), std::invalid_argument);
+  TmReachOptions fine;
+  fine.adaptive = true;
+  fine.substeps = std::size_t{1} << 20;
+  fine.adaptive_max_halvings = 40;
+  EXPECT_THROW(osc_verifier(bench, fine), std::invalid_argument);
+  TmReachOptions defaults;
+  defaults.adaptive = true;
+  EXPECT_NO_THROW(osc_verifier(bench, defaults));
+  // The fixed grid ignores the halving knob.
+  wide.adaptive = false;
+  EXPECT_NO_THROW(osc_verifier(bench, wide));
 }
 
 TEST(AdaptiveOptions, NameAndCacheSaltReflectAdaptive) {
