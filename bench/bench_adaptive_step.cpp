@@ -7,8 +7,8 @@
 //    (Monte-Carlo guard, 10 trials x 16 fine substeps per period),
 //  - tightness: the adaptive enclosure is no wider than the fixed grid's
 //    (final-box width-sum ratio <= 1.0),
-//  - determinism: adaptive cells grouped through reach::BatchVerifier
-//    (2 threads) reproduce the per-cell adaptive runs bit for bit.
+//  - determinism: adaptive cells computed concurrently on 2 threads
+//    reproduce the per-cell adaptive runs bit for bit.
 // Results are printed as a table and written to BENCH_adaptive_step.json.
 //
 //   $ ./bench_adaptive_step
@@ -23,7 +23,7 @@
 
 #include "nn/controller.hpp"
 #include "ode/benchmarks.hpp"
-#include "reach/batch.hpp"
+#include "parallel/pool.hpp"
 #include "reach/control_abstraction.hpp"
 #include "reach/tm_flowpipe.hpp"
 #include "sim/simulate.hpp"
@@ -170,21 +170,22 @@ void bench_case(Results& out, const char* tag, const ode::Benchmark& bench,
   const double ratio = final_width_sum(f_adapt) / final_width_sum(f_fixed);
   require(ratio <= 1.0, "adaptive enclosure no wider than the fixed grid");
 
-  // Determinism guard: the cells as one BatchVerifier group sharded over
-  // 2 threads must reproduce the per-cell adaptive results bit for bit.
+  // Determinism guard: the cells computed concurrently on 2 threads must
+  // reproduce the per-cell adaptive results bit for bit.
   {
     const std::vector<geom::Box> cells =
         bench.spec.x0.grid(std::vector<std::size_t>(bench.spec.x0.dim(), 2));
     std::vector<reach::Flowpipe> seq;
     for (const geom::Box& c : cells) seq.push_back(v_adapt.compute(c, ctrl));
-    const reach::BatchVerifier bv(&v_adapt, 0, 2);
-    const std::vector<reach::Flowpipe> bat = bv.compute(cells, ctrl);
-    require(seq.size() == bat.size(), "adaptive batch flowpipe count");
+    std::vector<reach::Flowpipe> par(cells.size());
+    parallel::parallel_for(2, cells.size(), [&](std::size_t i) {
+      par[i] = v_adapt.compute(cells[i], ctrl);
+    });
     for (std::size_t i = 0; i < seq.size(); ++i) {
-      require(seq[i].valid == bat[i].valid &&
-                  boxes_eq(seq[i].step_sets, bat[i].step_sets) &&
-                  boxes_eq(seq[i].interval_hulls, bat[i].interval_hulls),
-              "batched adaptive flowpipe == scalar adaptive flowpipe");
+      require(seq[i].valid == par[i].valid &&
+                  boxes_eq(seq[i].step_sets, par[i].step_sets) &&
+                  boxes_eq(seq[i].interval_hulls, par[i].interval_hulls),
+              "concurrent adaptive flowpipe == scalar adaptive flowpipe");
     }
   }
 

@@ -170,45 +170,6 @@ void bench_batch_verifier(Results& out) {
   out.add("batch_reach_speedup", t_seq / t_bat, "x");
 }
 
-// --- TmVerifier: BatchVerifier groups vs sequential compute --------------
-void bench_tm_batch(Results& out) {
-  const auto bm = ode::make_acc_benchmark();
-  linalg::Mat k(1, 2);
-  k(0, 0) = 0.5;
-  k(0, 1) = -1.2;
-  const nn::LinearController ctrl(k);
-  const reach::TmVerifier v(bm.system, bm.spec,
-                            std::make_shared<reach::LinearAbstraction>());
-  const std::vector<geom::Box> cells = make_cells(bm.spec.x0, 6);  // 36
-
-  // Best-of-9: a TM rep runs ~40ms, long enough for scheduler noise to
-  // distort a best-of-5 minimum on either side of the reported ratio.
-  std::vector<reach::Flowpipe> seq;
-  const double t_seq = time_best_seconds(9, [&] {
-    seq.clear();
-    for (const geom::Box& c : cells) seq.push_back(v.compute(c, ctrl));
-  });
-
-  // The batched verifier as shipped: TM cells one at a time, sharded
-  // across the process thread pool (threads = 0 resolves via DWV_THREADS /
-  // hardware_concurrency), so the ratio is thread-level parallelism only.
-  const reach::BatchVerifier bv(&v, 0, 0);
-  std::vector<reach::Flowpipe> bat;
-  const double t_bat =
-      time_best_seconds(9, [&] { bat = bv.compute(cells, ctrl); });
-
-  require(seq.size() == bat.size(), "tm batch flowpipe count");
-  for (std::size_t i = 0; i < seq.size(); ++i) {
-    require(seq[i].valid == bat[i].valid &&
-                boxes_eq(seq[i].step_sets, bat[i].step_sets) &&
-                boxes_eq(seq[i].interval_hulls, bat[i].interval_hulls),
-            "batched TM flowpipe == scalar TM flowpipe");
-  }
-  out.add("tm_batch_seq_seconds", t_seq, "s");
-  out.add("tm_batch_batch_seconds", t_bat, "s");
-  out.add("tm_batch_speedup", t_seq / t_bat, "x");
-}
-
 // --- symbolic remainder queue: enclosure tightness vs queue-off ----------
 //
 // The queued mode's contract (DESIGN.md §12): final enclosures no wider
@@ -369,7 +330,6 @@ int main() {
   Results out;
   bench_lane_kernels(out);
   bench_batch_verifier(out);
-  bench_tm_batch(out);
   bench_sym_tightness(out);
   bench_initial_set(out);
   bench_spsa_probes(out);

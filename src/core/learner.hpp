@@ -75,8 +75,8 @@ struct LearnerOptions {
   /// Lane-batch width for grouped probe evaluations: each SPSA iteration
   /// submits its +-probe pair (and all averaged samples / coordinate
   /// probes) to a reach::BatchVerifier, which steps interval verifiers
-  /// through the SoA lane kernels in lockstep and runs TM probes one at a
-  /// time (DESIGN.md section 11).
+  /// through the SoA lane kernels in lockstep; other verifiers (TM among
+  /// them) evaluate probes one per task (DESIGN.md section 11).
   /// 0 = auto (the SIMD lane width), 1 = evaluate probes one at a time
   /// (the seed path). Results are bit-identical at any setting.
   std::size_t batch = 0;

@@ -3,31 +3,32 @@
 #include <cassert>
 #include <chrono>
 #include <optional>
+#include <stdexcept>
 
 #include "interval/lanes.hpp"
-#include "parallel/pool.hpp"
 #include "reach/cache.hpp"
 #include "reach/interval_reach.hpp"
 #include "reach/linear_reach.hpp"
-#include "reach/tm_flowpipe.hpp"
 
 namespace dwv::reach {
 
 BatchVerifier::BatchVerifier(const Verifier* verifier, std::size_t batch,
                              std::size_t threads)
-    : outer_(verifier), threads_(threads) {
+    : outer_(verifier) {
   assert(outer_ != nullptr);
+  if (threads != 1) {
+    throw std::invalid_argument(
+        "BatchVerifier: threads must be 1 (parallelize above the batch)");
+  }
   caching_ = dynamic_cast<const CachingVerifier*>(outer_);
   inner_ = caching_ != nullptr ? caching_->inner().get() : outer_;
   lane_ = dynamic_cast<const IntervalVerifier*>(inner_);
   linear_ = dynamic_cast<const LinearVerifier*>(inner_);
-  tm_ = dynamic_cast<const TmVerifier*>(inner_) != nullptr;
   batch_ = batch == 0 ? interval::lanes::kWidth : batch;
 }
 
 bool BatchVerifier::batched() const {
-  return batch_ > 1 &&
-         (lane_ != nullptr || linear_ != nullptr || tm_);
+  return batch_ > 1 && (lane_ != nullptr || linear_ != nullptr);
 }
 
 std::vector<Flowpipe> BatchVerifier::compute_direct(
@@ -51,29 +52,18 @@ std::vector<Flowpipe> BatchVerifier::compute_direct(
     }
     return out;
   }
-  if (linear_ != nullptr) {
-    // The per-batch map hoist needs one shared gain; mixed-controller
-    // batches (SPSA probe fans) get the plain per-job path.
-    bool shared = true;
-    for (const BatchJob& j : jobs) shared = shared && j.ctrl == jobs[0].ctrl;
-    if (shared && !jobs.empty()) {
-      std::vector<geom::Box> boxes;
-      boxes.reserve(jobs.size());
-      for (const BatchJob& j : jobs) boxes.push_back(j.x0);
-      return linear_->compute_batch(boxes.data(), boxes.size(),
-                                    *jobs[0].ctrl);
-    }
-    for (const BatchJob& j : jobs)
-      out.push_back(linear_->compute(j.x0, *j.ctrl));
-    return out;
+  // The per-batch map hoist needs one shared gain; mixed-controller
+  // batches (SPSA probe fans) get the plain per-job path.
+  bool shared = true;
+  for (const BatchJob& j : jobs) shared = shared && j.ctrl == jobs[0].ctrl;
+  if (shared && !jobs.empty()) {
+    std::vector<geom::Box> boxes;
+    boxes.reserve(jobs.size());
+    for (const BatchJob& j : jobs) boxes.push_back(j.x0);
+    return linear_->compute_batch(boxes.data(), boxes.size(), *jobs[0].ctrl);
   }
-  // TM: one cell at a time through the inner verifier, sharded over
-  // threads_ into index-addressed slots. Never outer_: on the cache path
-  // these jobs already missed, and its lookup would count them twice.
-  out.resize(jobs.size());
-  parallel::parallel_for(threads_, jobs.size(), [&](std::size_t i) {
-    out[i] = inner_->compute(jobs[i].x0, *jobs[i].ctrl);
-  });
+  for (const BatchJob& j : jobs)
+    out.push_back(linear_->compute(j.x0, *j.ctrl));
   return out;
 }
 

@@ -7,9 +7,9 @@
 // search_initial_set. BatchVerifier is the shared entry point: it unwraps
 // an optional CachingVerifier layer, detects a groupable inner verifier
 // (IntervalVerifier lane groups, LinearVerifier per-batch closed-loop map
-// hoist, TmVerifier cells one at a time, sharded over `threads`), and
-// falls back to plain sequential compute() calls otherwise — so callers
-// can submit batches unconditionally.
+// hoist), and falls back to plain sequential compute() calls otherwise
+// (TmVerifier among them: its cells share no work) — so callers can submit
+// batches unconditionally.
 //
 // Bit-identity contract (DESIGN.md section 11): result j of compute(jobs)
 // is bit-identical to verifier->compute(jobs[j].x0, *jobs[j].ctrl), for
@@ -47,17 +47,14 @@ class BatchVerifier {
   /// `batch` is the lane-group width: 0 resolves to the SIMD lane width
   /// (interval::lanes::kWidth), 1 disables batching (pure sequential
   /// compute() calls), any other value groups jobs in chunks of `batch`.
-  /// `threads` shards a group's TM cells across the process thread pool
-  /// (0 = auto via DWV_THREADS); the default 1 runs them on the calling
-  /// thread in index order, for callers that parallelize above it.
-  /// Bit-identity holds at every thread count (index-addressed result
-  /// slots over independent cells).
+  /// `threads` must be 1 (throws std::invalid_argument otherwise): callers
+  /// parallelize above the batch.
   explicit BatchVerifier(const Verifier* verifier, std::size_t batch = 0,
                          std::size_t threads = 1);
 
   /// The resolved group width (callers chunk parallel work by this).
   std::size_t batch() const { return batch_; }
-  /// True when a grouped inner path (lanes, map hoist or TM) is in use.
+  /// True when a grouped inner path (lanes or map hoist) is in use.
   bool batched() const;
 
   /// Flowpipes for all jobs; result j bit-identical to
@@ -79,9 +76,7 @@ class BatchVerifier {
   const Verifier* inner_;             ///< outer_ minus its cache layer
   const IntervalVerifier* lane_;      ///< inner lane-batched path, if any
   const LinearVerifier* linear_;      ///< inner map-hoisted path, if any
-  bool tm_;                           ///< inner verifier is a TmVerifier
   std::size_t batch_;
-  std::size_t threads_;               ///< TM cell shard count (1 = inline)
 };
 
 }  // namespace dwv::reach

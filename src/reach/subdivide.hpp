@@ -21,8 +21,8 @@ struct SubdivideOptions {
   std::size_t threads = 0;
   /// Lane-batch width for grouped per-cell computations: cells go through
   /// a reach::BatchVerifier over the inner verifier, which steps interval
-  /// groups in lockstep through the SoA lane kernels and runs TM cells one
-  /// at a time (DESIGN.md section 11).
+  /// groups in lockstep through the SoA lane kernels; other verifiers
+  /// (TM among them) fan out per cell (DESIGN.md section 11).
   /// 0 = auto (the SIMD lane width), 1 = per-cell (the seed path).
   /// Merged pipes are bit-identical at any setting.
   std::size_t batch = 0;

@@ -1,7 +1,7 @@
 // Adaptive step/order control suite (DESIGN.md §14): option validation,
 // Monte-Carlo soundness of adaptive flowpipes on the paper benchmarks,
-// bit-identical determinism of the adaptive schedule through BatchVerifier
-// across thread counts and lane backends, the degenerate-controller no-op
+// bit-identical determinism of the adaptive schedule across thread counts
+// and lane backends, the degenerate-controller no-op
 // contract (an adaptive run pinned to the fixed grid reproduces the
 // fixed-grid bits), schedule-tape replay for child cells, and the
 // gradient engine's value-channel bit-identity under adaptation.
@@ -15,7 +15,7 @@
 #include "interval/lanes.hpp"
 #include "nn/controller.hpp"
 #include "ode/benchmarks.hpp"
-#include "reach/batch.hpp"
+#include "parallel/pool.hpp"
 #include "reach/control_abstraction.hpp"
 #include "reach/grad_flowpipe.hpp"
 #include "reach/step_control.hpp"
@@ -224,14 +224,16 @@ void adaptive_batch_matches_scalar(bool force_scalar) {
   for (const geom::Box& c : cells) ref.push_back(v.compute(c, ctrl));
   for (std::size_t threads :
        {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    const reach::BatchVerifier bv(&v, 0, threads);
-    const std::vector<Flowpipe> got = bv.compute(cells, ctrl);
+    std::vector<Flowpipe> got(cells.size());
+    parallel::parallel_for(threads, cells.size(), [&](std::size_t i) {
+      got[i] = v.compute(cells[i], ctrl);
+    });
     ASSERT_EQ(got.size(), ref.size());
     for (std::size_t i = 0; i < got.size(); ++i) {
       SCOPED_TRACE(::testing::Message()
                    << "threads " << threads << " cell " << i);
       expect_flowpipe_bits(got[i], ref[i]);
-      // Grouped cells must also replay the same schedule, not merely land
+      // Concurrent cells must also replay the same schedule, not merely land
       // on the same boxes.
       EXPECT_EQ(got[i].tm_stats.substeps, ref[i].tm_stats.substeps);
       EXPECT_EQ(got[i].tm_stats.rejects, ref[i].tm_stats.rejects);
@@ -310,8 +312,10 @@ void fixed_grid_failure_stands(bool queue, std::size_t step_sets) {
   const std::vector<geom::Box> cells(3, bench.spec.x0);
   for (std::size_t threads :
        {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    const reach::BatchVerifier bv(&v, 0, threads);
-    const std::vector<Flowpipe> got = bv.compute(cells, ctrl);
+    std::vector<Flowpipe> got(cells.size());
+    parallel::parallel_for(threads, cells.size(), [&](std::size_t i) {
+      got[i] = v.compute(cells[i], ctrl);
+    });
     ASSERT_EQ(got.size(), cells.size());
     for (const Flowpipe& g : got) {
       expect_flowpipe_bits(g, fp);

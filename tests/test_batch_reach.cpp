@@ -14,6 +14,7 @@
 #include <deque>
 #include <memory>
 #include <random>
+#include <stdexcept>
 #include <vector>
 
 #include "core/initial_set.hpp"
@@ -23,6 +24,7 @@
 #include "nn/controller.hpp"
 #include "ode/benchmarks.hpp"
 #include "ode/expr_system.hpp"
+#include "parallel/pool.hpp"
 #include "parallel/work_steal.hpp"
 #include "plantless_verifier.hpp"
 #include "poly/range_engine.hpp"
@@ -246,6 +248,15 @@ TEST(BatchVerifier, WidthOneFallsBackToScalarPath) {
     expect_flowpipe_eq(got[i], v.compute(cells[i], ctrl));
 }
 
+// Callers parallelize above the batch; a thread count is rejected.
+TEST(BatchVerifier, ThreadsOtherThanOneThrow) {
+  const auto bm = ode::make_acc_benchmark();
+  const reach::IntervalVerifier v(bm.system, bm.spec, {});
+  EXPECT_NO_THROW(reach::BatchVerifier(&v, 0, 1));
+  EXPECT_THROW(reach::BatchVerifier(&v, 0, 0), std::invalid_argument);
+  EXPECT_THROW(reach::BatchVerifier(&v, 0, 2), std::invalid_argument);
+}
+
 // Cache-aware batching must reproduce the sequential lookup/insert stat
 // sequence — including intra-batch duplicates, which a scalar loop scores
 // as hits of the first occurrence's insert.
@@ -290,18 +301,38 @@ reach::TmVerifier osc_tm_verifier(const ode::Benchmark& bm,
                            std::make_shared<reach::PolarAbstraction>(), opt);
 }
 
-// Per-cell compute of every cell, then the same cells as one group through
-// BatchVerifier over the TM verifier at 1, 2 and 4 threads: every pipe
-// must match its per-cell run bit for bit. Returns the per-cell pipes.
+// The cells computed concurrently on `threads` pool threads, one
+// index-addressed slot per cell.
+std::vector<reach::Flowpipe> compute_on_threads(
+    const reach::Verifier& v, const std::vector<geom::Box>& cells,
+    const nn::Controller& ctrl, std::size_t threads) {
+  std::vector<reach::Flowpipe> out(cells.size());
+  parallel::parallel_for(threads, cells.size(), [&](std::size_t i) {
+    out[i] = v.compute(cells[i], ctrl);
+  });
+  return out;
+}
+
+// Per-cell compute of every cell, then the same cells through BatchVerifier
+// (which runs TM cells one by one) and concurrently at 1, 2 and 4 threads:
+// every pipe must match its per-cell run bit for bit. Returns the per-cell
+// pipes.
 std::vector<reach::Flowpipe> expect_tm_batch_matches_scalar(
     const reach::TmVerifier& v, const std::vector<geom::Box>& cells,
     const nn::Controller& ctrl) {
   std::vector<reach::Flowpipe> ref;
   for (const geom::Box& c : cells) ref.push_back(v.compute(c, ctrl));
+  const reach::BatchVerifier bv(&v, 0);
+  EXPECT_FALSE(bv.batched());
+  const std::vector<reach::Flowpipe> seq = bv.compute(cells, ctrl);
+  EXPECT_EQ(seq.size(), ref.size());
+  for (std::size_t i = 0; i < ref.size() && i < seq.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "BatchVerifier cell " << i);
+    expect_flowpipe_eq(seq[i], ref[i]);
+  }
   for (std::size_t threads : {1ul, 2ul, 4ul}) {
-    const reach::BatchVerifier bv(&v, 0, threads);
-    EXPECT_TRUE(bv.batched());
-    const std::vector<reach::Flowpipe> got = bv.compute(cells, ctrl);
+    const std::vector<reach::Flowpipe> got =
+        compute_on_threads(v, cells, ctrl, threads);
     EXPECT_EQ(got.size(), ref.size());
     for (std::size_t i = 0; i < ref.size() && i < got.size(); ++i) {
       SCOPED_TRACE(::testing::Message()
@@ -338,7 +369,7 @@ TEST(TmBatch, FlowpipesBitIdenticalSymbolicRemainder) {
   tm_batch_matches_scalar(false, true);
 }
 
-// Thread sharding must not change bits: cells land in index-addressed
+// The thread count must not change bits: cells land in index-addressed
 // slots regardless of which thread integrates them.
 TEST(TmBatch, ThreadCountBitIdentical) {
   auto bm = ode::make_oscillator_benchmark();
@@ -399,11 +430,11 @@ TEST(TmBatch, ExhaustedCellMidHorizonMatchesScalar) {
   EXPECT_TRUE(any_invalid_mid && any_valid);
 }
 
-// Cache-aware batching over the TM verifier at a capacity SMALLER than the
+// BatchVerifier over a caching TM verifier at a capacity SMALLER than the
 // batch, with intra-batch duplicate keys: the scalar lookup/insert/evict
 // stat transcript must be replayed exactly (the dropped-fallback bugfix),
-// and a miss must be computed by the inner verifier without a second
-// lookup, at every thread count.
+// and concurrent computes through the cache must return the same pipes at
+// every thread count.
 TEST(TmBatch, CacheStatsMatchScalarAtSmallCapacity) {
   auto bm = ode::make_oscillator_benchmark();
   bm.spec.steps = 5;
@@ -430,20 +461,27 @@ TEST(TmBatch, CacheStatsMatchScalarAtSmallCapacity) {
   const reach::CacheStats sref = scalar_cv.cache()->stats();
   EXPECT_GT(sref.evictions, 0u);
 
-  for (std::size_t threads : {1ul, 2ul, 4ul}) {
-    const auto batch_cv = make();
-    const reach::BatchVerifier bv(&batch_cv, 4, threads);
-    ASSERT_TRUE(bv.batched());
-    const std::vector<reach::Flowpipe> got = bv.compute(cells, ctrl);
-    const reach::CacheStats sgot = batch_cv.cache()->stats();
+  const auto batch_cv = make();
+  const reach::BatchVerifier bv(&batch_cv, 4);
+  ASSERT_FALSE(bv.batched());
+  const std::vector<reach::Flowpipe> got = bv.compute(cells, ctrl);
+  const reach::CacheStats sgot = batch_cv.cache()->stats();
+  ASSERT_EQ(got.size(), ref.size());
+  for (std::size_t i = 0; i < ref.size(); ++i)
+    expect_flowpipe_eq(got[i], ref[i]);
+  EXPECT_EQ(sgot.hits, sref.hits);
+  EXPECT_EQ(sgot.misses, sref.misses);
+  EXPECT_EQ(sgot.insertions, sref.insertions);
+  EXPECT_EQ(sgot.evictions, sref.evictions);
 
-    ASSERT_EQ(got.size(), ref.size());
+  for (std::size_t threads : {1ul, 2ul, 4ul}) {
+    SCOPED_TRACE(::testing::Message() << "threads " << threads);
+    const auto cv = make();
+    const std::vector<reach::Flowpipe> par =
+        compute_on_threads(cv, cells, ctrl, threads);
+    ASSERT_EQ(par.size(), ref.size());
     for (std::size_t i = 0; i < ref.size(); ++i)
-      expect_flowpipe_eq(got[i], ref[i]);
-    EXPECT_EQ(sgot.hits, sref.hits);
-    EXPECT_EQ(sgot.misses, sref.misses);
-    EXPECT_EQ(sgot.insertions, sref.insertions);
-    EXPECT_EQ(sgot.evictions, sref.evictions);
+      expect_flowpipe_eq(par[i], ref[i]);
   }
 }
 
@@ -477,9 +515,10 @@ std::vector<geom::Box> pinned_osc_cells(const geom::Box& x0) {
   return cells;
 }
 
-// BatchVerifier over the oscillator POLAR verifier: the serialized pipes
-// of a fixed-grid, an adaptive and a queue-on run, each at 1 and 2
-// threads, must keep these bits (and equal the per-cell compute bits).
+// The oscillator POLAR verifier: the serialized pipes of a fixed-grid, an
+// adaptive and a queue-on run, through BatchVerifier and concurrently at 1
+// and 2 threads, must keep these bits (and equal the per-cell compute
+// bits).
 TEST(TmBatchBits, BatchVerifierDigestsPinned) {
   auto bm = ode::make_oscillator_benchmark();
   bm.spec.steps = 8;
@@ -504,10 +543,13 @@ TEST(TmBatchBits, BatchVerifierDigestsPinned) {
     ASSERT_LT(ref[3].step_sets.size(), ref[0].step_sets.size()) << c.name;
     EXPECT_EQ(pipes_digest(ref), c.golden)
         << c.name << " scalar: 0x" << std::hex << pipes_digest(ref) << "ULL";
+    const reach::BatchVerifier bv(&v, 0);
+    const std::uint64_t seq = pipes_digest(bv.compute(cells, ctrl));
+    EXPECT_EQ(seq, c.golden) << c.name << " BatchVerifier: 0x" << std::hex
+                             << seq << "ULL";
     for (std::size_t threads : {1ul, 2ul}) {
-      const reach::BatchVerifier bv(&v, 0, threads);
-      ASSERT_TRUE(bv.batched());
-      const std::uint64_t got = pipes_digest(bv.compute(cells, ctrl));
+      const std::uint64_t got =
+          pipes_digest(compute_on_threads(v, cells, ctrl, threads));
       EXPECT_EQ(got, c.golden) << c.name << " threads " << threads << ": 0x"
                                << std::hex << got << "ULL";
     }
@@ -525,26 +567,22 @@ TEST(TmBatchBits, CachingBatchDigestsPinned) {
   cells.push_back(cells[1]);
   cells.push_back(cells[3]);
   cells.push_back(cells[1]);
-  for (std::size_t threads : {1ul, 2ul}) {
-    reach::FlowpipeCache::Config cfg;
-    cfg.capacity = 2;
-    cfg.shards = 1;
-    const reach::CachingVerifier cv(
-        std::make_shared<reach::TmVerifier>(
-            bm.system, bm.spec, std::make_shared<reach::PolarAbstraction>(),
-            reach::TmReachOptions{}),
-        cfg);
-    const reach::BatchVerifier bv(&cv, 4, threads);
-    ASSERT_TRUE(bv.batched());
-    const std::uint64_t got = pipes_digest(bv.compute(cells, ctrl));
-    EXPECT_EQ(got, 0xf52f24d611f3bcdaULL) << "threads " << threads << ": 0x" << std::hex
-                           << got << "ULL";
-    const reach::CacheStats s = cv.cache()->stats();
-    EXPECT_EQ(s.hits, 1u);
-    EXPECT_EQ(s.misses, 7u);
-    EXPECT_EQ(s.insertions, 7u);
-    EXPECT_EQ(s.evictions, 5u);
-  }
+  reach::FlowpipeCache::Config cfg;
+  cfg.capacity = 2;
+  cfg.shards = 1;
+  const reach::CachingVerifier cv(
+      std::make_shared<reach::TmVerifier>(
+          bm.system, bm.spec, std::make_shared<reach::PolarAbstraction>(),
+          reach::TmReachOptions{}),
+      cfg);
+  const reach::BatchVerifier bv(&cv, 4);
+  const std::uint64_t got = pipes_digest(bv.compute(cells, ctrl));
+  EXPECT_EQ(got, 0xf52f24d611f3bcdaULL) << "0x" << std::hex << got << "ULL";
+  const reach::CacheStats s = cv.cache()->stats();
+  EXPECT_EQ(s.hits, 1u);
+  EXPECT_EQ(s.misses, 7u);
+  EXPECT_EQ(s.insertions, 7u);
+  EXPECT_EQ(s.evictions, 5u);
 }
 
 // SubdividingVerifier over TM: the merged pipe at every batch width.

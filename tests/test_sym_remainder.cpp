@@ -1,8 +1,8 @@
 // Symbolic remainder queue suite (DESIGN.md §12): interval-matrix
 // transport enclosures, queue mechanics (push/transport/overflow flush),
 // Monte-Carlo soundness of queued flowpipes on the paper benchmarks,
-// the queued-vs-conventional tightness guarantee, bit-identity of
-// BatchVerifier groups under the queue, and prefix reuse for child cells.
+// the queued-vs-conventional tightness guarantee, and bit-identity of
+// concurrently computed cells under the queue.
 // Runs under the `parallel` CTest label (threaded groups inside).
 #include <gtest/gtest.h>
 
@@ -14,7 +14,7 @@
 #include "nn/controller.hpp"
 #include "ode/benchmarks.hpp"
 #include "ode/expr_system.hpp"
-#include "reach/batch.hpp"
+#include "parallel/pool.hpp"
 #include "reach/control_abstraction.hpp"
 #include "reach/sym_remainder.hpp"
 #include "reach/tm_flowpipe.hpp"
@@ -405,8 +405,10 @@ void batched_queue_matches_scalar(bool force_scalar) {
   for (const geom::Box& c : cells) ref.push_back(v.compute(c, ctrl));
   for (std::size_t threads :
        {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    const reach::BatchVerifier bv(&v, 0, threads);
-    const std::vector<Flowpipe> got = bv.compute(cells, ctrl);
+    std::vector<Flowpipe> got(cells.size());
+    parallel::parallel_for(threads, cells.size(), [&](std::size_t i) {
+      got[i] = v.compute(cells[i], ctrl);
+    });
     ASSERT_EQ(got.size(), ref.size());
     for (std::size_t i = 0; i < got.size(); ++i) {
       expect_flowpipe_bits(got[i], ref[i]);
