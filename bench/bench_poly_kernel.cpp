@@ -9,14 +9,13 @@
 // the two differ in any bit.
 //
 //   $ ./bench_poly_kernel
-#include <algorithm>
 #include <bit>
-#include <chrono>
 #include <cstdio>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "bench_timing.hpp"
 #include "poly/poly.hpp"
 #include "poly/poly_ref.hpp"
 #include "reach/tm_dynamics.hpp"
@@ -24,14 +23,9 @@
 #include "taylor/taylor_model.hpp"
 
 using namespace dwv;
+using dwvbench::time_ns;
 
 namespace {
-
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 struct Results {
   std::vector<std::pair<std::string, double>> rows;  // name -> ns/op
@@ -64,44 +58,17 @@ struct Results {
   }
 };
 
-// Times `reps` invocations of `fn` and returns ns per invocation. A short
-// warm-up run fills caches/scratch before the measured pass.
-template <typename Fn>
-double time_ns(std::size_t reps, Fn&& fn) {
-  for (std::size_t i = 0; i < reps / 10 + 1; ++i) fn();
-  const double t0 = now_seconds();
-  for (std::size_t i = 0; i < reps; ++i) fn();
-  return (now_seconds() - t0) * 1e9 / static_cast<double>(reps);
-}
-
-double median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
-}
-
-// Times `base` against `test` in alternating blocks, reps calls each side
-// in all, and records <tag>_<base_name> and <tag>_<test_name> (median
-// ns/op per block) and <tag>_speedup, the median of the per-round ratios
-// base/test. A drift in machine speed hits both blocks of a round alike,
-// so the ratio holds still where two separately timed passes would not.
+// Times `base` against `test` (dwvbench::time_pair) and records
+// <tag>_<base_name> and <tag>_<test_name> (median ns/op per block) and
+// <tag>_speedup, the median of the per-round ratios base/test.
 template <typename Base, typename Test>
 void time_pair(Results& out, const std::string& tag,
                const std::string& base_name, Base&& base,
                const std::string& test_name, Test&& test, std::size_t reps) {
-  constexpr int kRounds = 15;
-  const std::size_t block = reps / kRounds + 1;
-  std::vector<double> tb, tt, ratio;
-  for (int r = 0; r < kRounds; ++r) {
-    // Alternate which side runs first so neither always follows the other.
-    const double first = time_ns(block, [&] { r % 2 ? test() : base(); });
-    const double second = time_ns(block, [&] { r % 2 ? base() : test(); });
-    tb.push_back(r % 2 ? second : first);
-    tt.push_back(r % 2 ? first : second);
-    ratio.push_back(tb.back() / tt.back());
-  }
-  out.add(tag + "_" + base_name, median(tb));
-  out.add(tag + "_" + test_name, median(tt));
-  out.add_ratio(tag + "_speedup", median(ratio));
+  const dwvbench::PairTiming t = dwvbench::time_pair(base, test, reps);
+  out.add(tag + "_" + base_name, t.base_ns);
+  out.add(tag + "_" + test_name, t.test_ns);
+  out.add_ratio(tag + "_speedup", t.speedup);
 }
 
 // The hot polynomial shape in the verifiers: 3 variables (2 state + 1

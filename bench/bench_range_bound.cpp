@@ -7,14 +7,12 @@
 // verification wall clock. Results are printed as a table and written to
 // BENCH_range_bound.json.
 //
-// The engine sections are gated on the range_engine header, so the same
-// source compiles against the pre-engine tree and produces the before
-// numbers quoted in the PR (only the naive and end-to-end rows run there).
+// Every naive-vs-engine pair is timed in alternating blocks
+// (dwvbench::time_pair), and its *_speedup key is the median of the
+// per-round ratios: the keys the CI regression gate compares.
 //
 //   $ ./bench_range_bound
-#include <algorithm>
 #include <bit>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -22,28 +20,21 @@
 #include <string>
 #include <vector>
 
+#include "bench_timing.hpp"
 #include "core/learner.hpp"
 #include "ode/benchmarks.hpp"
 #include "poly/poly.hpp"
+#include "poly/range_engine.hpp"
 #include "reach/control_abstraction.hpp"
 #include "reach/tm_dynamics.hpp"
 #include "reach/tm_flowpipe.hpp"
 #include "taylor/taylor_model.hpp"
 
-#if __has_include("poly/range_engine.hpp")
-#include "poly/range_engine.hpp"
-#define DWV_HAVE_RANGE_ENGINE 1
-#endif
-
 using namespace dwv;
+using dwvbench::now_seconds;
+using dwvbench::time_ns;
 
 namespace {
-
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 struct Results {
   std::vector<std::pair<std::string, double>> rows;
@@ -66,16 +57,18 @@ struct Results {
   }
 };
 
-// Times `reps` invocations of `fn` and returns ns per invocation, after a
-// short warm-up pass (fills the engine's power tables, so the measured
-// engine numbers are the amortized steady state — the regime every query
-// after the first one in a flowpipe run sees).
-template <typename Fn>
-double time_ns(std::size_t reps, Fn&& fn) {
-  for (std::size_t i = 0; i < reps / 10 + 1; ++i) fn();
-  const double t0 = now_seconds();
-  for (std::size_t i = 0; i < reps; ++i) fn();
-  return (now_seconds() - t0) * 1e9 / static_cast<double>(reps);
+// Records the naive-vs-engine pair `t` as <tag>_naive_ns, <tag>_engine_ns
+// and <tag>_speedup, per query (or per step bound) when `per` calls are
+// folded into one timed invocation. The timers warm up first, filling the
+// engine's power tables, so the engine numbers are the amortized steady
+// state — the regime every query after the first one in a flowpipe run
+// sees.
+void add_pair(Results& out, const std::string& tag,
+              const dwvbench::PairTiming& t, const char* unit,
+              double per = 1.0) {
+  out.add(tag + "_naive_ns", t.base_ns / per, unit);
+  out.add(tag + "_engine_ns", t.test_ns / per, unit);
+  out.add(tag + "_speedup", t.speedup, "x");
 }
 
 poly::Poly make_poly(std::uint64_t seed, std::size_t nvars,
@@ -121,22 +114,15 @@ void bench_per_query(Results& out, const char* tag, std::uint64_t seed,
     d = interval::Interval(m - 0.2, m + 0.2);
   }
 
-  const double naive_ns = time_ns(200000, [&] {
-    g_sink += p.eval_range(dom).hi();
-  });
-  out.add(std::string(tag) + "_eval_range_naive_ns", naive_ns, "ns/query");
-
-#ifdef DWV_HAVE_RANGE_ENGINE
   poly::RangeEngine engine;
   engine.set_result_memo(false);  // time the table-amortized walk itself
   g_identical = g_identical && bits_equal(engine.eval_range(p, dom),
                                           p.eval_range(dom));
-  const double engine_ns = time_ns(200000, [&] {
-    g_sink += engine.eval_range(p, dom).hi();
-  });
-  out.add(std::string(tag) + "_eval_range_engine_ns", engine_ns, "ns/query");
-  out.add(std::string(tag) + "_eval_range_speedup", naive_ns / engine_ns,
-          "x");
+  add_pair(out, std::string(tag) + "_eval_range",
+           dwvbench::time_pair(
+               [&] { g_sink += p.eval_range(dom).hi(); },
+               [&] { g_sink += engine.eval_range(p, dom).hi(); }, 200000),
+           "ns/query");
   engine.set_result_memo(true);  // default config: repeat queries hit
   g_identical = g_identical && bits_equal(engine.eval_range(p, dom),
                                           p.eval_range(dom));
@@ -144,7 +130,6 @@ void bench_per_query(Results& out, const char* tag, std::uint64_t seed,
     g_sink += engine.eval_range(p, dom).hi();
   });
   out.add(std::string(tag) + "_eval_range_memo_ns", memo_ns, "ns/query");
-#endif
 }
 
 // Derivative-range bound: naive = materialize derivative(v) then bound it;
@@ -153,23 +138,17 @@ void bench_derivative_range(Results& out) {
   const poly::Poly p = make_poly(41, 3, 10, 3);
   const interval::IVec dom(3, interval::Interval(-0.4, 0.6));
 
-  const double naive_ns = time_ns(100000, [&] {
-    g_sink += p.derivative(1).eval_range(dom).hi();
-  });
-  out.add("deriv3_range_naive_ns", naive_ns, "ns/query");
-
-#ifdef DWV_HAVE_RANGE_ENGINE
   poly::RangeEngine engine;
   engine.set_result_memo(false);
   g_identical = g_identical &&
                 bits_equal(engine.derivative_range(p, 1, dom),
                            p.derivative(1).eval_range(dom));
-  const double engine_ns = time_ns(100000, [&] {
-    g_sink += engine.derivative_range(p, 1, dom).hi();
-  });
-  out.add("deriv3_range_engine_ns", engine_ns, "ns/query");
-  out.add("deriv3_range_speedup", naive_ns / engine_ns, "x");
-#endif
+  add_pair(out, "deriv3_range",
+           dwvbench::time_pair(
+               [&] { g_sink += p.derivative(1).eval_range(dom).hi(); },
+               [&] { g_sink += engine.derivative_range(p, 1, dom).hi(); },
+               100000),
+           "ns/query");
 }
 
 // ----------------------------------------------------------------------
@@ -179,7 +158,7 @@ void bench_derivative_range(Results& out) {
 // TM magnitudes. Every power of [0,h] and every even power of [-1,1] has
 // the lower bound -denorm_min, so Poly::eval_range pays a hardware
 // subnormal assist per such multiply while the engine takes the exact
-// integer path. Memo off (fresh models); median of 5 timing rounds.
+// integer path. Memo off (fresh models).
 // ----------------------------------------------------------------------
 
 void bench_step_domain(Results& out) {
@@ -197,30 +176,23 @@ void bench_step_domain(Results& out) {
     }
     polys.push_back(p);
   }
-  const auto median_ns = [](auto&& fn) {
-    std::vector<double> ns;
-    for (int round = 0; round < 5; ++round) ns.push_back(time_ns(2000, fn));
-    std::sort(ns.begin(), ns.end());
-    return ns[2] / 16.0;  // per query
-  };
-
-  const double naive_ns = median_ns([&] {
-    for (const poly::Poly& p : polys) g_sink += p.eval_range(dom).hi();
-  });
-  out.add("step_domain_range_naive_ns", naive_ns, "ns/query");
-
-#ifdef DWV_HAVE_RANGE_ENGINE
   poly::RangeEngine engine;
   engine.set_result_memo(false);
   for (const poly::Poly& p : polys)
     g_identical =
         g_identical && bits_equal(engine.eval_range(p, dom), p.eval_range(dom));
-  const double engine_ns = median_ns([&] {
-    for (const poly::Poly& p : polys) g_sink += engine.eval_range(p, dom).hi();
-  });
-  out.add("step_domain_range_engine_ns", engine_ns, "ns/query");
-  out.add("step_domain_range_speedup", naive_ns / engine_ns, "x");
-#endif
+  add_pair(out, "step_domain_range",
+           dwvbench::time_pair(
+               [&] {
+                 for (const poly::Poly& p : polys)
+                   g_sink += p.eval_range(dom).hi();
+               },
+               [&] {
+                 for (const poly::Poly& p : polys)
+                   g_sink += engine.eval_range(p, dom).hi();
+               },
+               15000),
+           "ns/query", static_cast<double>(polys.size()));
 }
 
 // ----------------------------------------------------------------------
@@ -262,15 +234,6 @@ void bench_step_bound(Results& out) {
   dom_time[1] = env.dom[1];
   dom_time[2] = interval::Interval(0.0, h);
 
-  const double naive_ns = time_ns(50000, [&] {
-    for (const auto& tm : tube)
-      g_sink += (tm.poly.eval_range(dom_time) + tm.rem).hi();
-    for (const auto& tm : res.at_end)
-      g_sink += (tm.poly.eval_range(env.dom) + tm.rem).hi();
-  });
-  out.add("step_bound_naive_ns", naive_ns, "ns/step-bound");
-
-#ifdef DWV_HAVE_RANGE_ENGINE
   // One engine serves both domains, exactly like the borrowed scratch the
   // env_set/env_time pair shares inside tm_integrate_step. Default config
   // (result memo on): re-bounding the same models — what the verifier does
@@ -284,24 +247,26 @@ void bench_step_bound(Results& out) {
     g_identical = g_identical && bits_equal(engine.eval_range(tm.poly,
                                                               env.dom),
                                             tm.poly.eval_range(env.dom));
-  const double engine_ns = time_ns(50000, [&] {
+  const auto engine_bound = [&] {
     for (const auto& tm : tube)
       g_sink += (engine.eval_range(tm.poly, dom_time) + tm.rem).hi();
     for (const auto& tm : res.at_end)
       g_sink += (engine.eval_range(tm.poly, env.dom) + tm.rem).hi();
-  });
-  out.add("step_bound_engine_ns", engine_ns, "ns/step-bound");
-  out.add("step_bound_speedup", naive_ns / engine_ns, "x");
+  };
+  add_pair(out, "step_bound",
+           dwvbench::time_pair(
+               [&] {
+                 for (const auto& tm : tube)
+                   g_sink += (tm.poly.eval_range(dom_time) + tm.rem).hi();
+                 for (const auto& tm : res.at_end)
+                   g_sink += (tm.poly.eval_range(env.dom) + tm.rem).hi();
+               },
+               engine_bound, 50000),
+           "ns/step-bound");
   // Walk-only variant (memo off): the first-bound cost of fresh models.
   engine.set_result_memo(false);
-  const double walk_ns = time_ns(50000, [&] {
-    for (const auto& tm : tube)
-      g_sink += (engine.eval_range(tm.poly, dom_time) + tm.rem).hi();
-    for (const auto& tm : res.at_end)
-      g_sink += (engine.eval_range(tm.poly, env.dom) + tm.rem).hi();
-  });
-  out.add("step_bound_walk_ns", walk_ns, "ns/step-bound");
-#endif
+  out.add("step_bound_walk_ns", time_ns(50000, engine_bound),
+          "ns/step-bound");
 }
 
 // ----------------------------------------------------------------------
@@ -371,11 +336,9 @@ int main() {
   bench_step_domain(out);
   bench_step_bound(out);
   bench_end_to_end(out);
-#ifdef DWV_HAVE_RANGE_ENGINE
   std::printf("\nengine results bit-identical to naive: %s\n",
               g_identical ? "yes" : "NO");
   if (!g_identical) return 1;
-#endif
   out.write_json("BENCH_range_bound.json");
   std::printf("wrote BENCH_range_bound.json (sink %.3g)\n", g_sink);
   return 0;
