@@ -21,9 +21,10 @@ BatchVerifier::BatchVerifier(const Verifier* verifier, std::size_t batch,
         "BatchVerifier: threads must be 1 (parallelize above the batch)");
   }
   caching_ = dynamic_cast<const CachingVerifier*>(outer_);
-  inner_ = caching_ != nullptr ? caching_->inner().get() : outer_;
-  lane_ = dynamic_cast<const IntervalVerifier*>(inner_);
-  linear_ = dynamic_cast<const LinearVerifier*>(inner_);
+  const Verifier* inner =
+      caching_ != nullptr ? caching_->inner().get() : outer_;
+  lane_ = dynamic_cast<const IntervalVerifier*>(inner);
+  linear_ = dynamic_cast<const LinearVerifier*>(inner);
   batch_ = batch == 0 ? interval::lanes::kWidth : batch;
 }
 

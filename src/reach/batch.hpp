@@ -73,7 +73,6 @@ class BatchVerifier {
 
   const Verifier* outer_;             ///< as handed in (cache layer included)
   const CachingVerifier* caching_;    ///< outer_ if it is a CachingVerifier
-  const Verifier* inner_;             ///< outer_ minus its cache layer
   const IntervalVerifier* lane_;      ///< inner lane-batched path, if any
   const LinearVerifier* linear_;      ///< inner map-hoisted path, if any
   std::size_t batch_;

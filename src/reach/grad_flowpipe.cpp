@@ -71,7 +71,9 @@ struct DualChannel {
   static constexpr auto sub = &interval::dual_sub;
   static constexpr auto hull = &interval::dual_hull;
   static constexpr auto widen = &interval::dual_widen;
-  DualInterval zero() const { return DualInterval::constant(Interval(0.0), nd); }
+  DualInterval zero() const {
+    return DualInterval::constant(Interval(0.0), nd);
+  }
   DualInterval symmetric(double r) const {
     return DualInterval::constant(Interval::symmetric(r), nd);
   }
