@@ -5,7 +5,8 @@
 // reference definitions: four hardware products with a per-direction tie
 // fold, a range walk that recomputes every power and binary-searches every
 // tangent coefficient, and the full product followed by a degree split.
-// A warm dual_tm_mul_into must also perform no heap allocation.
+// A warm dual_tm_mul_into must also perform no heap allocation, and every
+// dual TM kernel's value channel must reproduce its scalar twin bit for bit.
 #include <algorithm>
 #include <atomic>
 #include <bit>
@@ -22,6 +23,7 @@
 
 #include "interval/dual_interval.hpp"
 #include "poly/dual_poly.hpp"
+#include "reach/serialize.hpp"
 #include "taylor/dual_tm.hpp"
 
 // ---------------------------------------------------------------------------
@@ -615,6 +617,241 @@ TEST(DualKernels, WarmDualTmMulIsAllocationFree) {
     if (count == 3) EXPECT_EQ(s.memo_stores, stores);
     else EXPECT_GT(s.memo_stores, stores + DualPolyScratch::kRangeMemo);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Every dual TM kernel against its scalar twin. The value channel of a dual
+// kernel must give the scalar kernel's polynomial, remainder and tape bits;
+// the tangent bits it produces are pinned by a golden checksum.
+
+enum class KernelMode { kFull, kPolyOnly, kRecordReplay };
+
+// A random dual model over n variables with tangent-only keys, stored zero
+// and sub-cutoff value coefficients (Gen::dual_poly), and a random
+// remainder whose tangents are nonzero.
+dwv::taylor::DualTm random_model(Gen& g, std::size_t n, std::size_t nd) {
+  dwv::taylor::DualTm tm = random_dual_tm(g, n, nd);
+  tm.rem.v = Interval(-g.uniform(0.0, 1e-5), g.uniform(0.0, 1e-5));
+  return tm;
+}
+
+dwv::taylor::TaylorModel value_of(const dwv::taylor::DualTm& tm) {
+  return {tm.p.val, tm.rem.v};
+}
+
+void expect_same_interval(const Interval& got, const Interval& want,
+                          const std::string& what) {
+  EXPECT_EQ(bits(got.lo()), bits(want.lo())) << what << " lo";
+  EXPECT_EQ(bits(got.hi()), bits(want.hi())) << what << " hi";
+}
+
+// Every tangent bit of the dual outputs, as one word stream.
+struct TangentLog {
+  std::vector<std::uint64_t> words;
+  void add(const DualInterval& r) {
+    for (std::size_t k = 0; k < r.nd; ++k) {
+      words.push_back(bits(r.dlo[k]));
+      words.push_back(bits(r.dhi[k]));
+    }
+  }
+  void add_tangent_polys(const DualPoly& p) {
+    for (const Poly& t : p.tan) {
+      words.push_back(t.term_count());
+      for (const Term& term : t.terms()) {
+        words.push_back(term.key);
+        words.push_back(bits(term.coeff));
+      }
+    }
+  }
+  std::uint64_t checksum() const {
+    return dwv::reach::ser::checksum64(
+        reinterpret_cast<const std::uint8_t*>(words.data()),
+        words.size() * sizeof(std::uint64_t));
+  }
+};
+
+// Runs the scalar kernel `ks` and the dual kernel `kd` on `in` (the scalar
+// side on its value channels) in `mode` and compares the value channel.
+// kRecordReplay records a pass, compares the tapes, then replays it on
+// inputs with fresh remainders and compares the replayed remainders.
+template <class KS, class KD>
+void check_value_channel(Gen& g, dwv::taylor::TmEnv& senv,
+                         dwv::taylor::DualTmEnv& denv, KernelMode mode,
+                         const std::vector<dwv::taylor::DualTm>& in,
+                         const KS& ks, const KD& kd, const std::string& what,
+                         TangentLog& log) {
+  using dwv::taylor::DualTm;
+  using dwv::taylor::TaylorModel;
+  auto& ss = senv.scratch();
+  auto& ds = denv.scratch();
+  std::vector<TaylorModel> sin;
+  for (const DualTm& tm : in) sin.push_back(value_of(tm));
+  TaylorModel sout;
+  DualTm dout;
+  const bool poly_only = mode == KernelMode::kPolyOnly;
+  const bool record = mode == KernelMode::kRecordReplay;
+  ss.poly_only = ds.poly_only = poly_only;
+  if (record) {
+    ss.rem_tape.start_record();
+    ds.rem_tape.start_record();
+  }
+  ks(senv, sin, sout);
+  kd(denv, in, dout);
+  ss.poly_only = ds.poly_only = false;
+  ss.rem_tape.stop();
+  ds.rem_tape.stop();
+  expect_same_terms(dout.p.val, sout.poly, what + " poly");
+  expect_same_interval(dout.rem.v, sout.rem, what + " rem");
+  ASSERT_EQ(dout.p.dirs(), denv.dirs) << what;
+  log.add_tangent_polys(dout.p);
+  log.add(dout.rem);
+  if (!record) return;
+
+  const auto& stape = ss.rem_tape.consts;
+  const auto& dtape = ds.rem_tape.consts;
+  ASSERT_EQ(dtape.size(), stape.size()) << what << " tape length";
+  for (std::size_t i = 0; i < stape.size(); ++i) {
+    expect_same_interval(dtape[i].v, stape[i],
+                         what + " tape " + std::to_string(i));
+    log.add(dtape[i]);
+  }
+  std::vector<DualTm> rin = in;
+  for (std::size_t i = 0; i < rin.size(); ++i) {
+    rin[i].rem = random_model(g, 0, denv.dirs).rem;
+    sin[i].rem = rin[i].rem.v;
+  }
+  ss.rem_tape.start_replay();
+  ds.rem_tape.start_replay();
+  ks(senv, sin, sout);
+  kd(denv, rin, dout);
+  EXPECT_EQ(ss.rem_tape.pos, stape.size()) << what << " scalar replay";
+  EXPECT_EQ(ds.rem_tape.pos, dtape.size()) << what << " dual replay";
+  ss.rem_tape.stop();
+  ds.rem_tape.stop();
+  expect_same_interval(dout.rem.v, sout.rem, what + " replayed rem");
+  log.add(dout.rem);
+}
+
+TEST(DualKernels, ValueChannelMatchesScalarKernels) {
+  namespace tt = dwv::taylor;
+  using tt::DualTm;
+  using tt::TaylorModel;
+  using DIn = std::vector<DualTm>;
+  using SIn = std::vector<TaylorModel>;
+  constexpr std::size_t n = 3;
+  constexpr double h = 0.05;
+  Gen g(20261019);
+  TangentLog log;
+  std::size_t tangent_only_tails = 0;  // truncations dropping tangents only
+  std::size_t swept = 0;               // truncations sweeping value terms
+  for (int it = 0; it < 24; ++it) {
+    tt::TmEnv senv;
+    senv.dom = step_domain(n, h);
+    senv.order = 3;
+    tt::DualTmEnv denv;
+    denv.dom = senv.dom;
+    denv.order = senv.order;
+    denv.dirs = 1 + it % 3;
+    const std::size_t nd = denv.dirs;
+    for (const KernelMode mode : {KernelMode::kFull, KernelMode::kPolyOnly,
+                                  KernelMode::kRecordReplay}) {
+      const std::string tag = "it " + std::to_string(it) + " mode " +
+                              std::to_string(static_cast<int>(mode));
+      const DualTm a = random_model(g, n, nd);
+      const DualTm b = random_model(g, n, nd);
+      const auto check = [&](const DIn& in, const auto& ks, const auto& kd,
+                             const std::string& what) {
+        check_value_channel(g, senv, denv, mode, in, ks, kd,
+                            tag + " " + what, log);
+      };
+
+      check(
+          {a, b},
+          [](const tt::TmEnv& e, const SIn& x, TaylorModel& o) {
+            tt::tm_mul_into(e, x[0], x[1], o);
+          },
+          [](const tt::DualTmEnv& e, const DIn& x, DualTm& o) {
+            tt::dual_tm_mul_into(e, x[0], x[1], o);
+          },
+          "mul");
+      for (std::uint32_t p = 0; p <= 6; ++p) {
+        check(
+            {a},
+            [p](const tt::TmEnv& e, const SIn& x, TaylorModel& o) {
+              tt::tm_pow_into(e, x[0], p, o);
+            },
+            [p](const tt::DualTmEnv& e, const DIn& x, DualTm& o) {
+              tt::dual_tm_pow_into(e, x[0], p, o);
+            },
+            "pow " + std::to_string(p));
+      }
+      bool val_tail = false, tan_tail = false, small = false;
+      for (const Term& t : b.p.val.terms()) {
+        val_tail |= dwv::poly::key_degree(t.key, n) > senv.order;
+        small |= t.coeff != 0.0 && std::abs(t.coeff) <= senv.cutoff;
+      }
+      for (const Poly& tp : b.p.tan)
+        for (const Term& t : tp.terms())
+          tan_tail |= dwv::poly::key_degree(t.key, n) > senv.order;
+      tangent_only_tails += !val_tail && tan_tail;
+      swept += small;
+      check(
+          {b},
+          [](const tt::TmEnv& e, const SIn& x, TaylorModel& o) {
+            o = x[0];
+            tt::tm_truncate_inplace(e, o);
+          },
+          [](const tt::DualTmEnv& e, const DIn& x, DualTm& o) {
+            o = x[0];
+            tt::dual_tm_truncate_inplace(e, o);
+          },
+          "truncate");
+      for (std::size_t v = 0; v < n; ++v) {
+        check(
+            {a},
+            [v](const tt::TmEnv& e, const SIn& x, TaylorModel& o) {
+              tt::tm_integrate_time_into(e, x[0], v, o);
+            },
+            [v](const tt::DualTmEnv& e, const DIn& x, DualTm& o) {
+              tt::dual_tm_integrate_time_into(e, x[0], v, o);
+            },
+            "integrate_time " + std::to_string(v));
+      }
+      check(
+          {b},
+          [](const tt::TmEnv& e, const SIn& x, TaylorModel& o) {
+            tt::tm_subst_last_into(e, x[0], h, o);
+          },
+          [](const tt::DualTmEnv& e, const DIn& x, DualTm& o) {
+            tt::dual_tm_subst_last_into(e, x[0], h, o);
+          },
+          "subst_last");
+
+      // The range kernels read no mode; they must match in every one.
+      auto& ss = senv.scratch();
+      auto& ds = denv.scratch();
+      ss.poly_only = ds.poly_only = mode == KernelMode::kPolyOnly;
+      const DualInterval dr = tt::dual_tm_range(denv, a);
+      expect_same_interval(dr.v, tt::tm_range(senv, value_of(a)),
+                           tag + " range");
+      log.add(dr);
+      const auto dv = tt::dual_tm_vec_range(denv, {a, b});
+      const dwv::interval::IVec sv =
+          tt::tm_vec_range(senv, {value_of(a), value_of(b)});
+      ASSERT_EQ(dv.size(), sv.size());
+      for (std::size_t i = 0; i < dv.size(); ++i) {
+        expect_same_interval(dv[i].v, sv[i],
+                             tag + " vec_range " + std::to_string(i));
+        log.add(dv[i]);
+      }
+      ss.poly_only = ds.poly_only = false;
+      if (HasFailure()) return;
+    }
+  }
+  EXPECT_GT(tangent_only_tails, 0u);
+  EXPECT_GT(swept, 0u);
+  EXPECT_EQ(log.checksum(), 0x4ce21f728c132de5ull)
+      << std::hex << log.checksum();
 }
 
 }  // namespace
