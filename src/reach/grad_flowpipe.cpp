@@ -27,30 +27,16 @@ using taylor::DualTmVec;
 
 namespace {
 
-// The dual channel of detail::picard_step: dual Taylor models (value and
-// tangent polynomials, DualInterval remainders), dynamics as dual
-// polynomials, the step workspace in the driver's DualStepScratch. The
-// dynamics are polynomial, hence always replay-safe.
-struct DualChannel {
-  using Env = DualTmEnv;
-  using Vec = DualTmVec;
-  using Rem = DualInterval;
-  using Box = std::vector<DualInterval>;
-
+// The dual channel of detail::picard_step: dual Taylor models (the
+// kernels' DualOps), dynamics as dual polynomials, the step workspace in
+// the driver's DualStepScratch. The dynamics are polynomial, hence always
+// replay-safe.
+struct DualChannel : taylor::detail::DualOps {
   const std::vector<DualPoly>& fd;
   taylor::DualTmScratch& s;  ///< kernel scratch of the step env
   DualStepScratch& w;        ///< step workspace
-  std::size_t nd;            ///< tangent directions
 
   static bool replay_safe() { return true; }
-  void lift(const DualTm& in, std::size_t nvars, DualTm& out) const {
-    in.p.val.lift_vars_into(nvars, out.p.val);
-    out.p.tan.resize(nd);
-    for (std::size_t k = 0; k < nd; ++k) {
-      in.p.tan[k].lift_vars_into(nvars, out.p.tan[k]);
-    }
-    out.rem = in.rem;
-  }
   void eval(const DualTmEnv& env, const DualTmVec& args,
             DualTmVec& g) const {
     g.resize(fd.size());
@@ -60,32 +46,6 @@ struct DualChannel {
   }
   static constexpr auto integrate_time = &taylor::dual_tm_integrate_time_into;
   static constexpr auto subst_last = &taylor::dual_tm_subst_last_into;
-
-  static DualPoly& poly(DualTm& tm) { return tm.p; }
-  static const DualPoly& poly(const DualTm& tm) { return tm.p; }
-  static constexpr auto poly_add = &poly::dual_add_into;
-  static constexpr auto poly_sub = &poly::dual_sub_into;
-  static constexpr auto poly_range = &taylor::dual_poly_range;
-
-  static constexpr auto add = &interval::dual_add;
-  static constexpr auto sub = &interval::dual_sub;
-  static constexpr auto hull = &interval::dual_hull;
-  static constexpr auto widen = &interval::dual_widen;
-  DualInterval zero() const {
-    return DualInterval::constant(Interval(0.0), nd);
-  }
-  DualInterval symmetric(double r) const {
-    return DualInterval::constant(Interval::symmetric(r), nd);
-  }
-
-  static const Poly& value(const DualPoly& p) { return p.val; }
-  static const Interval& value(const DualInterval& r) { return r.v; }
-  static bool tangents_equal(const DualPoly& a, const DualPoly& b) {
-    for (std::size_t k = 0; k < a.tan.size(); ++k) {
-      if (!(a.tan[k].terms() == b.tan[k].terms())) return false;
-    }
-    return true;
-  }
 
   void tape_record() { s.tape_record(); }
   void tape_replay() { s.tape_replay(); }
@@ -100,7 +60,7 @@ void dual_integrate_step(const DualTmEnv& env_set, const DualTmVec& state,
                          const TmReachOptions& opt, DualStepScratch& ss,
                          DualStepResult& res) {
   assert(fd.size() == state.size());
-  DualChannel c{fd, env_set.scratch(), ss, env_set.dirs};
+  DualChannel c{{}, fd, env_set.scratch(), ss};
   detail::picard_step(c, env_set, state, control, h, opt, res);
 }
 

@@ -1,21 +1,16 @@
 // The validated Taylor-model step, written once for both coefficient
 // channels (internal to src/reach). reach::tm_integrate_step instantiates
 // it with ScalarChannel (tm_flowpipe.cpp), reach::dual_integrate_step with
-// DualChannel (grad_flowpipe.cpp); the two differ only in their model and
-// interval types, so the dual step's value channel runs the scalar step's
-// operations one for one (DESIGN.md §12, §13).
-//
-// A channel C supplies:
-//  - types Env, Vec (vector of models with a `.rem` member), Rem (the
-//    remainder interval) and Box (the tube-range vector);
+// DualChannel (grad_flowpipe.cpp). Each derives from its kernels' channel
+// (taylor::detail::ScalarOps / DualOps, taylor/channel.hpp), which supplies
+// the types and every poly and remainder op the step uses, so the dual
+// step's value channel runs the scalar step's operations one for one
+// (DESIGN.md §12, §13). On top of those a step channel supplies:
 //  - `s`, the kernel scratch of the step env (env_time, env_time_init,
 //    integ, diff, poly_only, rem_tape), and `w`, the step workspace (x0,
 //    u, args, g, phi, picard_out, cand, pnext, validated, rem_j, d_range,
 //    diff_poly_range, conv_pred);
-//  - lift, eval (the dynamics), integrate_time, subst_last;
-//  - poly (a model's polynomial), poly_add, poly_sub, poly_range;
-//  - add, sub, hull, widen, zero, symmetric on remainders; value (the
-//    value channel of a polynomial or remainder) and tangents_equal;
+//  - eval (the dynamics), integrate_time, subst_last;
 //  - tape_record, tape_replay, tape_stop, and replay_safe.
 #pragma once
 
@@ -24,6 +19,7 @@
 #include <utility>
 
 #include "reach/tm_flowpipe.hpp"
+#include "taylor/channel.hpp"
 
 namespace dwv::reach::detail {
 
@@ -43,7 +39,7 @@ void picard_step(C& c, const typename C::Env& env_set,
   const std::size_t nv = env_set.nvars();
   auto& s = c.s;
   auto& w = c.w;
-  const typename C::Rem zero = c.zero();
+  const typename C::Rem zero = C::zero(env_set);
 
   // Time-extended environment: env_set's settings with tau in [0, h]
   // appended to the domain. Lives in the scratch so its domain vector (and
@@ -58,10 +54,20 @@ void picard_step(C& c, const typename C::Env& env_set,
   env.dom.resize(nv + 1, interval::Interval(0.0, h));
   const std::size_t tau = nv;
 
+  // Lifts a model over env_set into env (tau absent from every term).
+  const auto lift = [&](const typename C::Tm& in, typename C::Tm& out) {
+    C::size_dirs(env_set, C::poly(out));
+    C::each(
+        [&](bool, const poly::Poly& i, poly::Poly& o) {
+          i.lift_vars_into(nv + 1, o);
+        },
+        C::poly(in), C::poly(out));
+    out.rem = in.rem;
+  };
   w.x0.resize(n);
-  for (std::size_t i = 0; i < n; ++i) c.lift(state[i], nv + 1, w.x0[i]);
+  for (std::size_t i = 0; i < n; ++i) lift(state[i], w.x0[i]);
   w.u.resize(m);
-  for (std::size_t j = 0; j < m; ++j) c.lift(control[j], nv + 1, w.u[j]);
+  for (std::size_t j = 0; j < m; ++j) lift(control[j], w.u[j]);
 
   // Remainder-replay tape (taylor::RemTape), on for replay-safe dynamics.
   // When a Picard evaluation's polynomial channel is known to repeat
@@ -170,7 +176,7 @@ void picard_step(C& c, const typename C::Env& env_set,
   // Remainder validation: find J with P(poly + J) inside poly + J.
   w.rem_j.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    w.rem_j[i] = C::hull(w.x0[i].rem, c.symmetric(opt.rem_init));
+    w.rem_j[i] = C::hull(w.x0[i].rem, C::symmetric(env_set, opt.rem_init));
   }
 
   res.ok = false;

@@ -110,54 +110,19 @@ TmVec reinitialize(const TmEnv& env, const TmVec& x, const IVec& end_range) {
 }
 
 // The scalar channel of detail::picard_step: plain Taylor models with
-// interval remainders, dynamics through TmDynamics, the step workspace in
-// the env's own TmScratch.
-struct ScalarChannel {
-  using Env = TmEnv;
-  using Vec = TmVec;
-  using Rem = Interval;
-  using Box = IVec;
-
+// interval remainders (the kernels' ScalarOps), dynamics through
+// TmDynamics, the step workspace in the env's own TmScratch.
+struct ScalarChannel : taylor::detail::ScalarOps {
   const TmDynamics& f;
   taylor::TmScratch& s;  ///< kernel scratch of the step env
   taylor::TmScratch& w;  ///< step workspace (the same scratch)
 
   bool replay_safe() const { return f.replay_safe(); }
-  static void lift(const TaylorModel& in, std::size_t nvars,
-                   TaylorModel& out) {
-    in.poly.lift_vars_into(nvars, out.poly);
-    out.rem = in.rem;
-  }
   void eval(const TmEnv& env, const TmVec& args, TmVec& g) const {
     f.eval_into(env, args, g);
   }
   static constexpr auto integrate_time = &taylor::tm_integrate_time_into;
   static constexpr auto subst_last = &taylor::tm_subst_last_into;
-
-  static Poly& poly(TaylorModel& tm) { return tm.poly; }
-  static const Poly& poly(const TaylorModel& tm) { return tm.poly; }
-  static constexpr auto poly_add = &Poly::add_into;
-  static constexpr auto poly_sub = &Poly::sub_into;
-  static Interval poly_range(const TmEnv& env, const Poly& p) {
-    return env.poly_range(p);
-  }
-
-  static Interval add(const Interval& a, const Interval& b) { return a + b; }
-  static Interval sub(const Interval& a, const Interval& b) { return a - b; }
-  static Interval hull(const Interval& a, const Interval& b) {
-    return interval::hull(a, b);
-  }
-  static Interval widen(const Interval& v, double factor, double bump) {
-    const double r = v.rad() * factor + bump;
-    const double m = v.mid();
-    return Interval(m - r, m + r);
-  }
-  static Interval zero() { return Interval(0.0); }
-  static Interval symmetric(double r) { return Interval::symmetric(r); }
-
-  static const Poly& value(const Poly& p) { return p; }
-  static const Interval& value(const Interval& r) { return r; }
-  static bool tangents_equal(const Poly&, const Poly&) { return true; }
 
   void tape_record() { s.rem_tape.start_record(); }
   void tape_replay() { s.rem_tape.start_replay(); }
@@ -187,7 +152,7 @@ void tm_integrate_step(const TmEnv& env_set, const TmVec& state,
                        const TmReachOptions& opt, TmStepResult& res) {
   assert(f.state_dim() == state.size());
   taylor::TmScratch& s = env_set.scratch();
-  ScalarChannel c{f, s, s};
+  ScalarChannel c{{}, f, s, s};
   detail::picard_step(c, env_set, state, control, h, opt, res);
 }
 

@@ -1,18 +1,17 @@
 // Forward-mode dual-number Taylor models: DualPoly + DualInterval remainder.
 //
-// Each kernel here mirrors its scalar counterpart in taylor_model.cpp
-// OPERATION FOR OPERATION on the value channel — same Poly kernels, same
-// interval op sequence, same skip conditions — so a dual pipeline's value
-// bits are identical to the scalar pipeline's (tested bitwise in
-// tests/test_grad.cpp). Tangents ride along:
-//  - polynomial channel: exact product-rule arithmetic with the same
-//    truncating multiply and add kernels (d(ab) = (da)b + a(db));
-//  - remainder channel: DualInterval ops with the central-difference tie
-//    convention of dual_interval.hpp;
-//  - zero-coefficient skips the scalar code makes (assign_constant drops
-//    c == 0, tm_affine skips w_j == 0, sweep cutoffs): the value channel
-//    keeps skipping, tangent contributions are accumulated separately via
-//    the tangent-only paths (see dual_poly.hpp).
+// The truncate, multiply, power, range, time-integral and substitution
+// kernels are the scalar ones: one body each in taylor/tm_kernels.hpp,
+// instantiated over the dual channel (DualOps, taylor/channel.hpp), so a
+// dual pipeline's value bits are identical to the scalar pipeline's
+// (tested bitwise in tests/test_dual_kernels.cpp and tests/test_grad.cpp).
+// Tangents ride along: exact product-rule arithmetic on the polynomial
+// channel, DualInterval ops (central-difference tie convention of
+// dual_interval.hpp) on the remainder. The composition and affine kernels
+// below stay dual-only: they handle the zero-coefficient skips the scalar
+// code makes (assign_constant drops c == 0, tm_affine skips w_j == 0) by
+// keeping the skip on the value channel and accumulating the tangent
+// contributions separately (the tangent-only paths, see dual_poly.hpp).
 //
 // The value channel's range queries replicate Poly::eval_range directly
 // (dual_range), which matches TmEnv::poly_range bit for bit. The dual
@@ -162,37 +161,20 @@ inline void DualTmEnv::borrow_scratch(const DualTmEnv& owner) const {
                                             &owner.scratch());
 }
 
-/// dual_range of the model's polynomial through the env (value channel ==
-/// TmEnv::poly_range bits).
-interval::DualInterval dual_poly_range(const DualTmEnv& env,
-                                       const poly::DualPoly& p);
-
 DualTm dual_tm_add(const DualTm& a, const DualTm& b);
-DualTm dual_tm_sub(const DualTm& a, const DualTm& b);
-/// Scale by a parameter-independent scalar (mirrors tm_scale).
-DualTm dual_tm_scale(const DualTm& a, double s);
 /// Scale by scalar s whose derivative is e_dir (dir < dirs); pass
 /// dir = npos for a parameter-independent s.
 DualTm dual_tm_scale_dir(const DualTm& a, double s, std::size_t dir);
 
-/// Mirrors tm_truncate_inplace: value-channel degree split + cutoff sweep
-/// exactly as scalar; tangent polynomials are degree-split alongside
-/// (structural), but cutoff-pruned VALUE keys keep their tangent terms — a
-/// +-h perturbation re-introduces the coefficient far above the cutoff, so
-/// perturbed runs keep the term (central-difference consistency).
+/// tm_truncate_inplace, tm_mul_into, tm_pow_into and tm_range over the
+/// dual channel (taylor/tm_kernels.hpp): every channel is degree-split,
+/// only the value channel is cutoff-swept (the swept keys keep their
+/// tangent terms).
 void dual_tm_truncate_inplace(const DualTmEnv& env, DualTm& tm);
-
-/// Mirrors tm_mul_into (same remainder formula, left-associated): every
-/// channel's products above env.order go straight to the truncation tail
-/// (poly::dual_mul_trunc_into), no degree sweep.
 void dual_tm_mul_into(const DualTmEnv& env, const DualTm& a, const DualTm& b,
                       DualTm& out);
-
-/// Mirrors tm_pow_into (n <= 3 legacy chain, square-and-multiply above).
 void dual_tm_pow_into(const DualTmEnv& env, const DualTm& a, std::uint32_t n,
                       DualTm& out);
-
-/// Mirrors tm_range.
 interval::DualInterval dual_tm_range(const DualTmEnv& env, const DualTm& tm);
 
 /// Mirrors tm_eval_poly_into, with a DUAL coefficient polynomial `f` (the
@@ -204,13 +186,9 @@ interval::DualInterval dual_tm_range(const DualTmEnv& env, const DualTm& tm);
 void dual_tm_eval_poly_into(const DualTmEnv& env, const poly::DualPoly& f,
                             const DualTmVec& args, DualTm& out);
 
-/// Mirrors tm_integrate_time_into (per-channel antiderivative; the
-/// remainder transport hull(0, rem * tmax) in dual arithmetic). Terms the
-/// time lift raises past env.order go straight to the truncation tail.
+/// tm_integrate_time_into and tm_subst_last_into over the dual channel.
 void dual_tm_integrate_time_into(const DualTmEnv& env, const DualTm& tm,
                                  std::size_t time_var, DualTm& out);
-
-/// Mirrors tm_subst_last_into per channel.
 void dual_tm_subst_last_into(const DualTmEnv& env, const DualTm& tm, double c,
                              DualTm& out);
 
@@ -223,7 +201,7 @@ DualTm dual_tm_affine(const DualTmEnv& env, const DualTmVec& in,
                       const linalg::Vec& w,
                       const std::vector<std::size_t>& wdir, double b);
 
-/// Box hull of a dual TM vector's range (mirrors tm_vec_range).
+/// tm_vec_range over the dual channel.
 std::vector<interval::DualInterval> dual_tm_vec_range(const DualTmEnv& env,
                                                       const DualTmVec& v);
 

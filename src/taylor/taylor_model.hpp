@@ -147,7 +147,7 @@ struct RemTape {
 ///  - tm_mul_into: leaf — uses only the Poly-layer buffers.
 ///  - tm_pow_into: pow_base, pow_tmp (and the Poly layer via tm_mul_into).
 ///  - tm_eval_poly_into: acc, term, add_out, mul_out, pow_out (and tm_pow).
-///  - tm_subst_var_into: pscratch (as the term stream buffer).
+///  - tm_subst_last_into: pscratch (as the term stream buffer).
 ///  - Flowpipe step (reach/picard_step.hpp): the step workspace below.
 struct TmScratch {
   // Poly layer.
@@ -170,7 +170,6 @@ struct TmScratch {
   TaylorModel pow_tmp;
   TaylorModel integ;
   TaylorModel diff;
-  TaylorModel subst;
 
   /// Remainder-replay tape shared by the TM kernels (record/replay of the
   /// remainder-channel constants; see RemTape).
@@ -274,26 +273,15 @@ TaylorModel tm_integrate_time(const TmEnv& env, const TaylorModel& tm,
 void tm_integrate_time_into(const TmEnv& env, const TaylorModel& tm,
                             std::size_t time_var, TaylorModel& out);
 
-/// Partially evaluates variable `var` at scalar value `c` (e.g. advancing a
-/// flowpipe segment to the end of its step).
-TaylorModel tm_subst_var(const TmEnv& env, const TaylorModel& tm,
-                         std::size_t var, double c);
-/// In-place substitution: out must not alias tm.
-void tm_subst_var_into(const TmEnv& env, const TaylorModel& tm,
-                       std::size_t var, double c, TaylorModel& out);
-
-/// Fused tm_subst_var(last var, c) + Poly::drop_last_var_into: substitutes
-/// the last variable at `c` and re-encodes the result over nvars-1
-/// variables in one term walk. Bit-identical to the two-step sequence
-/// (clearing the least-significant field keeps the term stream sorted, and
-/// the re-pack to the wider per-field layout is order- and
-/// equality-preserving, so the coalesce sees the same adjacency). out must
-/// not alias tm; out's poly gets tm.poly.nvars() - 1 variables.
+/// Partially evaluates the last variable at `c` (advancing a flowpipe
+/// segment to the end of its step) and re-encodes the result over nvars-1
+/// variables in one term walk: clearing the least-significant field keeps
+/// the term stream sorted, and the re-pack to the wider per-field layout is
+/// order- and equality-preserving, so the coalesce sees the same adjacency
+/// as a substitution followed by Poly::drop_last_var_into. out must not
+/// alias tm; out's poly gets tm.poly.nvars() - 1 variables.
 void tm_subst_last_into(const TmEnv& env, const TaylorModel& tm, double c,
                         TaylorModel& out);
-
-/// Point evaluation of the polynomial part (center of the enclosure).
-double tm_eval_mid(const TaylorModel& tm, const linalg::Vec& x);
 
 /// Box hull of a TM vector's range.
 interval::IVec tm_vec_range(const TmEnv& env, const TmVec& v);

@@ -586,11 +586,6 @@ TEST(TmPacked, IntoKernelsMatchValueApi) {
     expect_tm_equal(out, dwv::taylor::tm_integrate_time(env, a, nvars - 1),
                     "tm_integrate_time");
 
-    dwv::taylor::tm_subst_var_into(env, a, iter % nvars, 0.25, out);
-    expect_tm_equal(
-        out, dwv::taylor::tm_subst_var(env, a, iter % nvars, 0.25),
-        "tm_subst_var");
-
     auto [fp, fr] = g.make(2, 4, 2);
     (void)fr;
     const TmVec args{a, b};

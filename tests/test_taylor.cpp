@@ -118,8 +118,8 @@ TEST(TaylorModel, IntegrateTimeAntiderivative) {
   env.order = 3;
   const TaylorModel c = TaylorModel::constant(env, 2.0);
   const TaylorModel r = tm_integrate_time(env, c, 1);
-  EXPECT_DOUBLE_EQ(tm_eval_mid(r, Vec{0.0, 0.25}), 0.5);
-  EXPECT_DOUBLE_EQ(tm_eval_mid(r, Vec{0.0, 0.5}), 1.0);
+  EXPECT_DOUBLE_EQ(r.poly.eval(Vec{0.0, 0.25}), 0.5);
+  EXPECT_DOUBLE_EQ(r.poly.eval(Vec{0.0, 0.5}), 1.0);
 }
 
 TEST(TaylorModel, IntegrateTimeRemainderScalesWithH) {
@@ -144,8 +144,11 @@ TEST(TaylorModel, SubstVarPartialEvaluation) {
   p.poly.add_term({1, 1}, 1.0);
   p.poly.add_term({0, 2}, 1.0);
   p.rem = Interval(-0.1, 0.1);
-  const TaylorModel q = tm_subst_var(env, p, 1, 0.5);
-  EXPECT_NEAR(tm_eval_mid(q, Vec{0.4, 0.0}), 0.4 * 0.5 + 0.25, 1e-12);
+  // t is the last variable: the result lives over x0 alone.
+  TaylorModel q;
+  tm_subst_last_into(env, p, 0.5, q);
+  ASSERT_EQ(q.poly.nvars(), 1u);
+  EXPECT_NEAR(q.poly.eval(Vec{0.4}), 0.4 * 0.5 + 0.25, 1e-12);
   EXPECT_DOUBLE_EQ(q.rem.rad(), p.rem.rad());
 }
 
@@ -233,7 +236,7 @@ TEST(Activations, AffineCombination) {
   const TmEnv env = make_env(2);
   TmVec in{TaylorModel::variable(env, 0), TaylorModel::variable(env, 1)};
   const TaylorModel a = tm_affine(env, in, Vec{2.0, -1.0}, 0.5);
-  EXPECT_NEAR(tm_eval_mid(a, Vec{0.3, 0.4}), 2.0 * 0.3 - 0.4 + 0.5, 1e-12);
+  EXPECT_NEAR(a.poly.eval(Vec{0.3, 0.4}), 2.0 * 0.3 - 0.4 + 0.5, 1e-12);
 }
 
 // --- tm_pow dispatch boundary --------------------------------------------
