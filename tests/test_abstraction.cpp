@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <random>
+#include <string>
+#include <vector>
 
 #include "reach/control_abstraction.hpp"
+#include "reach/serialize.hpp"
 
 namespace dwv::reach {
 namespace {
@@ -66,6 +70,112 @@ TEST(LinearAbstraction, ExactForLinearFeedback) {
   ASSERT_EQ(u.size(), 1u);
   EXPECT_NEAR(u[0].rem.rad(), 0.0, 1e-12);  // exact
   check_enclosure(env, state, u, ctrl);
+}
+
+std::uint64_t tm_digest(const TmVec& u) {
+  ser::Writer w;
+  ser::put(w, u);
+  return ser::checksum64(w.bytes().data(), w.bytes().size());
+}
+
+// A 2-6-1 network whose hidden neurons, over the state
+// x = (0.3 + 0.1 s1, -0.2 + 0.15 s2), put each activation in every regime
+// of its TM abstraction:
+//  0: pre-activation in [0.2025, 0.2375] (narrow: the Taylor expansion
+//     beats the secant; relu identity region),
+//  1: [-3.25, 5.25] (wide: the secant beats the Taylor expansion),
+//  2: zero weights, a point range (hi - lo < 1e-12),
+//  3: [-5.15, -4.65] (relu zero region),
+//  4: [-0.4, 0.6] (relu mixed region),
+//  5: a moderate mixed-sign neuron.
+// The output layer is the identity.
+nn::MlpController regime_net(nn::Activation hidden) {
+  nn::MlpController ctrl({2, 6, 1}, 1.5, hidden, nn::Activation::kIdentity);
+  ctrl.set_params(Vec{0.1, 0.05, 20.0, 15.0, 0.0, 0.0, 1.0, 1.0, 2.0, 2.0,
+                      -0.5, 0.3,  // layer 0 weights
+                      0.2, -2.0, 0.7, -5.0, -0.1, 0.1,  // layer 0 biases
+                      0.5, -0.3, 0.2, 0.1, -0.4, 0.25,  // layer 1 weights
+                      0.05});
+  return ctrl;
+}
+
+TEST(Abstraction, PolarBitsPinned) {
+  // Golden checksums of the serialized models PolarAbstraction and
+  // LinearAbstraction return, recorded while every TM op of the
+  // abstraction built its result as a fresh value (tm_affine, tm_tanh,
+  // ... over tm_add / tm_scale / tm_add_const copies). In-place kernels are
+  // pure speedups, so any moved bit is a regression. relu and identity
+  // ignore the activation order, so their two entries agree.
+  const TmEnv env = make_env(2);
+  const TmVec state = affine_state(env, Vec{0.3, -0.2}, Vec{0.1, 0.15});
+  struct Case {
+    std::string name;
+    std::uint64_t golden;
+    std::uint64_t got;
+  };
+  std::vector<Case> cases;
+  const auto pin = [&](std::string name, std::uint64_t golden,
+                       const TmVec& u) {
+    cases.push_back({std::move(name), golden, tm_digest(u)});
+  };
+  const std::pair<nn::Activation, const char*> acts[] = {
+      {nn::Activation::kTanh, "tanh"},
+      {nn::Activation::kSigmoid, "sigmoid"},
+      {nn::Activation::kRelu, "relu"},
+      {nn::Activation::kIdentity, "identity"}};
+  const std::uint64_t regime_golden[4][2] = {
+      {0x790faa4b3844d57cULL, 0x2df9c49aaa550dc4ULL},
+      {0xd3199a8b0fb9915cULL, 0xeff15e384c389f3eULL},
+      {0x817d3ec98525004bULL, 0x817d3ec98525004bULL},
+      {0x1b045220b97f1954ULL, 0x1b045220b97f1954ULL}};
+  for (std::size_t a = 0; a < 4; ++a) {
+    const nn::MlpController ctrl = regime_net(acts[a].first);
+    for (const taylor::ActOrder order :
+         {taylor::ActOrder::kLinear, taylor::ActOrder::kQuadratic}) {
+      const bool quad = order == taylor::ActOrder::kQuadratic;
+      const TmVec u = PolarAbstraction({order}).abstract(env, state, ctrl);
+      check_enclosure(env, state, u, ctrl);
+      pin(std::string(acts[a].second) + (quad ? " quadratic" : " linear"),
+          regime_golden[a][quad], u);
+    }
+  }
+  // Deeper nets: the second hidden layer's activations see nonlinear
+  // input models, and the tanh output layer a third one.
+  const std::uint64_t deep_golden[3] = {
+      0x9d239b1ea61f5b2eULL, 0x72e0cf436c76c1f2ULL, 0x884dcd80a058a8b5ULL};
+  for (std::size_t a = 0; a < 3; ++a) {
+    nn::MlpController ctrl({2, 5, 4, 1}, 2.0, acts[a].first,
+                           nn::Activation::kTanh);
+    std::mt19937_64 rng(31 + a);
+    ctrl.init_random(rng, 0.9);
+    const TmVec u = PolarAbstraction().abstract(env, state, ctrl);
+    check_enclosure(env, state, u, ctrl);
+    pin(std::string("deep ") + acts[a].second, deep_golden[a], u);
+  }
+  {
+    const nn::LinearController lin(Mat{{0.7, 0.0}, {-1.3, 0.4}});
+    const TmVec u = LinearAbstraction().abstract(env, state, lin);
+    check_enclosure(env, state, u, lin);
+    pin("linear, one zero gain", 0x5a5dfbce262f5424ULL, u);
+  }
+  for (const Case& c : cases) {
+    EXPECT_EQ(c.got, c.golden)
+        << c.name << ": got 0x" << std::hex << c.got << "ULL";
+  }
+
+  // The regime net covers both winners of the smooth activations: with the
+  // quadratic order the Taylor expansion keeps a degree-2 term, the secant
+  // only degree 1 (the first layer's pre-activations are affine).
+  const nn::MlpController net = regime_net(nn::Activation::kTanh);
+  const auto& l0 = net.mlp().layers()[0];
+  std::uint32_t degree[2];
+  for (std::size_t i = 0; i < 2; ++i) {
+    const TaylorModel pre =
+        taylor::tm_affine(env, state, l0.w.row(i), l0.b[i]);
+    degree[i] = taylor::tm_tanh(env, pre).poly.degree();
+  }
+  EXPECT_EQ(degree[0], 2u);
+  EXPECT_EQ(degree[1], 1u);
 }
 
 class NnAbstractionCase : public ::testing::TestWithParam<int> {};

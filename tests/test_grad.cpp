@@ -16,6 +16,7 @@
 #include "nn/controller.hpp"
 #include "nn/poly_controller.hpp"
 #include "ode/benchmarks.hpp"
+#include "ode/reachnn_suite.hpp"
 #include "reach/control_abstraction.hpp"
 #include "reach/grad_flowpipe.hpp"
 #include "reach/tm_flowpipe.hpp"
@@ -70,6 +71,23 @@ Scenario vdp_poly(const Vec& theta) {
   s.bench.spec.stop_at_goal = false;
   s.abs = std::make_shared<reach::PolynomialAbstraction>();
   auto ctrl = std::make_shared<nn::PolynomialController>(2, 1, 2);
+  ctrl->set_params(theta);
+  s.ctrl = ctrl;
+  return s;
+}
+
+// ReachNN B1 (x2' = u x2^2 - x1) under linear feedback. At theta = (0, 0)
+// u's value poly is empty while its tangents are x1 and x2, so the product
+// u x2^2 drops terms above the order in the tangents only. Not in
+// all_scenarios(): the gradient-check tool's output stays as it is.
+Scenario b1_linear(const Vec& theta) {
+  Scenario s;
+  s.name = "b1-linear";
+  s.bench = ode::make_b1_benchmark();
+  s.bench.spec.steps = 10;
+  s.bench.spec.stop_at_goal = false;
+  s.abs = std::make_shared<reach::LinearAbstraction>();
+  auto ctrl = std::make_shared<nn::LinearController>(2, 1);
   ctrl->set_params(theta);
   s.ctrl = ctrl;
   return s;
@@ -241,6 +259,10 @@ TEST(GradFlowpipeValue, ProfileBitsPinned) {
       {true, 20, 0, 0x6bd2d1fdffd3593aULL});
   add("acc-linear(0, 0) adaptive", acc_linear(Vec{0.0, 0.0}), true, 2, 60,
       1e-9, {true, 21, 0, 0xca51118c9f115474ULL});
+  // Truncation tails that only the tangents drop (u x2^2 with an empty
+  // value poly for u).
+  add("b1-linear(0, 0)", b1_linear(Vec{0.0, 0.0}), false, 2, 60, 1e-9,
+      {true, 20, 0, 0xcfbaffb74c812375ULL});
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     const TmVerifier v = make_verifier(c.s);
@@ -252,6 +274,18 @@ TEST(GradFlowpipeValue, ProfileBitsPinned) {
     EXPECT_EQ(gfp.fp.tm_stats.rejects, c.want.rejects);
     EXPECT_EQ(dual_bits_digest(gfp), c.want.golden)
         << std::hex << "0x" << dual_bits_digest(gfp);
+    // The value channel is the scalar verifier's pipe, bit for bit.
+    const reach::Flowpipe fp = v.compute(c.s.bench.spec.x0, *c.s.ctrl);
+    EXPECT_EQ(fp.valid, gfp.fp.valid);
+    ASSERT_EQ(fp.step_sets.size(), gfp.fp.step_sets.size());
+    ASSERT_EQ(fp.interval_hulls.size(), gfp.fp.interval_hulls.size());
+    for (std::size_t k = 0; k < fp.step_sets.size(); ++k) {
+      expect_box_bits(fp.step_sets[k], gfp.fp.step_sets[k], "step", k);
+    }
+    for (std::size_t k = 0; k < fp.interval_hulls.size(); ++k) {
+      expect_box_bits(fp.interval_hulls[k], gfp.fp.interval_hulls[k], "hull",
+                      k);
+    }
   }
 }
 

@@ -9,6 +9,7 @@
 //  * the binomial overflow guard and the hoisted bernstein_range_1d,
 //  * thread-privacy of per-scratch engines (run under TSan via the
 //    `parallel` label).
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -372,6 +373,90 @@ TEST(RangeEngine, StepDomainsMatchSeedBitForBit) {
   EXPECT_TRUE(bit_equal(normal.eval_range(p, IVec(3, Interval(0.5, 2.0))),
                         p.eval_range(IVec(3, Interval(0.5, 2.0)))));
   EXPECT_EQ(normal.stats().exact_products, 0u);
+}
+
+// The walk's product shapes — a point [c, c], symmetric [-M, M] or
+// general — at their edges: signed-zero, subnormal and near-DBL_MAX
+// coefficients (products overflow), zero-width variables ([0, 0], [c, c]),
+// a non-straddling domain, and the trivial polys (no terms, a lone
+// constant, -0.0 included). Classic, pinned, Poly::eval_range and RefPoly
+// must agree bit for bit, and derivative_range with the materialized
+// derivative.
+TEST(RangeEngine, WalkShapesMatchSeedBitForBit) {
+  constexpr double kDen = std::numeric_limits<double>::denorm_min();
+  constexpr double kMax = std::numeric_limits<double>::max();
+  constexpr double kMin = std::numeric_limits<double>::min();
+  const double special[] = {0.0,        -0.0,   kDen,        -kDen,
+                            3 * kDen,   kMin / 3, -kMin / 7, kMax,
+                            -kMax,      0.9 * kMax, 1e300,   -1e-300,
+                            1.5,        -0.75,  0.3};
+  const Interval comps[] = {Interval(-1.0, 1.0),  Interval(0.0, 0.0),
+                            Interval(0.7, 0.7),   Interval(-1.3, -1.3),
+                            Interval(0.5, 2.0),   Interval(0.0, 0.05),
+                            Interval(-3.0, 3.0),  Interval(-2.0, 0.25),
+                            Interval(-1e200, 1e200)};
+  std::mt19937_64 rng(20261020);
+  std::uniform_real_distribution<double> plain(-2.0, 2.0);
+  const auto pick = [&](auto& arr) -> decltype(arr[0]) {
+    return arr[rng() % std::size(arr)];
+  };
+  const auto check = [&](const Poly& p, const IVec& dom, RangeEngine& classic,
+                         RangeEngine& pinned, int iter) {
+    const Interval direct = p.eval_range(dom);
+    ASSERT_TRUE(
+        bit_equal(direct, dwv::poly::ref::to_ref(p).eval_range(dom)))
+        << "iter " << iter;
+    ASSERT_TRUE(bit_equal(classic.eval_range(p, dom), direct))
+        << "classic, iter " << iter << ": " << classic.eval_range(p, dom)
+        << " vs " << direct;
+    ASSERT_TRUE(bit_equal(pinned.eval_range(p, dom), direct))
+        << "pinned, iter " << iter << ": " << pinned.eval_range(p, dom)
+        << " vs " << direct;
+    for (std::size_t v = 0; v < p.nvars(); ++v) {
+      const Poly d = p.derivative(v);
+      const Interval expect = d.eval_range(dom);
+      ASSERT_TRUE(
+          bit_equal(expect, dwv::poly::ref::to_ref(d).eval_range(dom)));
+      ASSERT_TRUE(bit_equal(classic.derivative_range(p, v, dom), expect))
+          << "derivative " << v << ", iter " << iter;
+    }
+  };
+  for (std::size_t n = 1; n <= 3; ++n) {
+    std::vector<IVec> doms(24, IVec(n));
+    for (IVec& dom : doms)
+      for (std::size_t i = 0; i < n; ++i) dom[i] = pick(comps);
+    RangeEngine classic;
+    RangeEngine pinned;
+    for (const IVec& dom : doms) pinned.pin_domain(dom, 2);
+    int iter = 0;
+    for (const IVec& dom : doms) {
+      // Trivial polys: no terms, a lone constant.
+      check(Poly(n), dom, classic, pinned, iter++);
+      for (const double c : special)
+        check(Poly::from_sorted_terms(n, {{0, c}}), dom, classic, pinned,
+              iter++);
+      for (int rep = 0; rep < 12; ++rep) {
+        std::vector<dwv::poly::Term> terms;
+        for (std::size_t t = 0, nt = 1 + rng() % 6; t < nt; ++t) {
+          dwv::poly::Exponents e(n);
+          for (auto& x : e) x = static_cast<std::uint32_t>(rng() % 6);
+          const double c = rng() % 2 == 0 ? pick(special) : plain(rng);
+          terms.push_back({dwv::poly::encode_key(e), c});
+        }
+        std::sort(terms.begin(), terms.end(),
+                  [](const auto& a, const auto& b) { return a.key < b.key; });
+        terms.erase(std::unique(terms.begin(), terms.end(),
+                                [](const auto& a, const auto& b) {
+                                  return a.key == b.key;
+                                }),
+                    terms.end());
+        check(Poly::from_sorted_terms(n, std::move(terms)), dom, classic,
+              pinned, iter++);
+      }
+    }
+    EXPECT_GT(pinned.stats().pin_hits, 0u);
+    EXPECT_GT(classic.stats().exact_products, 0u);
+  }
 }
 
 // Pinned tables are exempt from MRU eviction: churning through many
