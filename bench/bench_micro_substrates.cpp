@@ -1,6 +1,7 @@
 // Micro-benchmarks of the computational substrates: Taylor-model
 // arithmetic, polygon clipping, optimal transport solvers, one TM flowpipe
-// step, and one linear flowpipe step. (google-benchmark)
+// step, one linear flowpipe step, and one POLAR controller abstraction.
+// (google-benchmark)
 #include <benchmark/benchmark.h>
 
 #include <random>
@@ -8,6 +9,7 @@
 #include "geom/polygon2d.hpp"
 #include "linalg/expm.hpp"
 #include "ode/benchmarks.hpp"
+#include "reach/control_abstraction.hpp"
 #include "reach/linear_reach.hpp"
 #include "reach/tm_flowpipe.hpp"
 #include "transport/emd.hpp"
@@ -104,6 +106,43 @@ void BM_TmStepOscillator(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TmStepOscillator);
+
+// PolarAbstraction::abstract, ns per call: the oscillator learner's 2-6-1
+// tanh MLP (scale 2) over initial TM states x_i = c_i + r_i s_i, set up
+// as TmVerifier::compute does (unit box pinned in the range engine). The
+// calls cycle through 64 shifted initial boxes, more range queries than
+// the engine's result memo holds, so the walks run as they do on a
+// learner's fresh states.
+void BM_PolarAbstract(benchmark::State& state) {
+  const auto bench = ode::make_oscillator_benchmark();
+  nn::MlpController ctrl({2, 6, 1}, 2.0, nn::Activation::kTanh,
+                         nn::Activation::kTanh);
+  std::mt19937_64 rng(8);
+  ctrl.init_random(rng, 0.4);
+  taylor::TmEnv env;
+  env.dom = interval::IVec(2, interval::Interval(-1.0, 1.0));
+  env.order = 3;
+  env.cutoff = 1e-12;
+  env.scratch().range.pin_domain(env.dom, 2 * env.order + 2);
+  const linalg::Vec c = bench.spec.x0.center();
+  const linalg::Vec r = bench.spec.x0.radius();
+  std::vector<taylor::TmVec> states(64, taylor::TmVec(2));
+  for (std::size_t k = 0; k < states.size(); ++k) {
+    for (std::size_t i = 0; i < 2; ++i) {
+      const double ci = c[i] + 1e-3 * static_cast<double>(k);
+      states[k][i] = {poly::Poly::constant(2, ci) +
+                          poly::Poly::variable(2, i) * r[i],
+                      interval::Interval(0.0)};
+    }
+  }
+  const reach::PolarAbstraction polar;
+  std::size_t k = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(polar.abstract(env, states[k], ctrl));
+    k = (k + 1) % states.size();
+  }
+}
+BENCHMARK(BM_PolarAbstract);
 
 }  // namespace
 

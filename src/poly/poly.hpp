@@ -194,11 +194,28 @@ class Poly {
   Poly& operator+=(const Poly& o);
   Poly& operator-=(const Poly& o);
   Poly& operator*=(double s);
-  friend Poly operator+(Poly a, const Poly& b) { return a += b; }
-  friend Poly operator-(Poly a, const Poly& b) { return a -= b; }
-  friend Poly operator*(Poly a, double s) { return a *= s; }
-  friend Poly operator*(double s, Poly a) { return a *= s; }
-  friend Poly operator-(Poly a) { return a *= -1.0; }
+  // The operand is returned by name, so it moves out (returning the
+  // compound assignment's reference would copy it).
+  friend Poly operator+(Poly a, const Poly& b) {
+    a += b;
+    return a;
+  }
+  friend Poly operator-(Poly a, const Poly& b) {
+    a -= b;
+    return a;
+  }
+  friend Poly operator*(Poly a, double s) {
+    a *= s;
+    return a;
+  }
+  friend Poly operator*(double s, Poly a) {
+    a *= s;
+    return a;
+  }
+  friend Poly operator-(Poly a) {
+    a *= -1.0;
+    return a;
+  }
   friend Poly operator*(const Poly& a, const Poly& b);
 
   /// out = a + b (merge; out must not alias a or b). Accumulation order

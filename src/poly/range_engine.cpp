@@ -143,46 +143,103 @@ const Interval& RangeEngine::power(DomainTable& t, std::size_t v,
   return row[e];
 }
 
-// Extends every power row of `t` to the exponents this poly uses and
-// returns raw row pointers, so the walk kernels below read `rows[i][e]`
-// with no growth checks or stats bookkeeping per multiply. The pointer
-// array is engine-owned scratch (engines are single-threaded by contract):
-// valid until the next prepare call on this engine, which is fine because
-// the kernels never nest.
-const Interval* const* RangeEngine::prepare_rows(const Poly& p,
-                                                 DomainTable& t) {
-  const std::size_t n = p.nvars();
-  const std::uint32_t bits = key_bits(n);
-  const std::uint64_t mask = key_field_mask(n);
-  for (const Term& term : p.terms()) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint32_t e = static_cast<std::uint32_t>(
-          (term.key >> (bits * (n - 1 - i))) & mask);
-      if (e >= t.powers[i].size()) (void)power(t, i, e);
-    }
+namespace {
+
+// RN(x * y) for non-negative x, y; mul_exact takes the subnormal operands
+// (same bits, no assist).
+double mul_rn(double x, double y, std::uint64_t& exact) {
+  if (interval::detail::is_subnormal(x) | interval::detail::is_subnormal(y))
+      [[unlikely]] {
+    ++exact;
+    return interval::mul_exact(x, y);
   }
-  row_ptrs_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) row_ptrs_[i] = t.powers[i].data();
-  return row_ptrs_.data();
+  return x * y;
 }
 
+// Zero-term and constant-only polys: the walk's result without the walk,
+// the hash or the memo (a derivative of either is zero-term).
+bool trivial_range(const Poly& p, bool deriv, Interval& out) {
+  const std::vector<Term>& ts = p.terms();
+  if (ts.empty() || (ts.size() == 1 && ts[0].key == 0 && deriv)) {
+    out = Interval(0.0);
+    return true;
+  }
+  if (ts.size() == 1 && ts[0].key == 0) {
+    out = Interval(0.0) + Interval(ts[0].coeff);
+    return true;
+  }
+  return false;
+}
+
+}  // namespace
+
 // The seed kernel: identical walk, multiply, and accumulation order as
-// Poly::eval_range, with pow_n values read from the table instead of being
-// recomputed per term. mul_assign_exact gives operator*='s bits without
-// the subnormal assists of the -denorm_min lower bounds (DESIGN.md §10).
-Interval RangeEngine::naive_range(const Poly& p, const Interval* const* rows) {
+// Poly::eval_range (and, for kDeriv, as derivative(var).eval_range: the
+// surviving terms in key order with coefficient coeff * e_var, exact zeros
+// skipped), with pow_n values read from the table instead of being
+// recomputed per term. Each term's running product m is the point [c, c]
+// before its first factor, symmetric [-M, M], or general. Once a factor is
+// symmetric, so is the product, and operator*='s min/max of four products
+// is +-RN(M * mag(row)) (or +-RN(mag(m) * a) for a row [-a, a]): RN is
+// sign-symmetric and monotone in magnitude, and outward() treats +-0
+// alike, so the product is [-ulp_up(R), ulp_up(R)] for that one rounded
+// R. Non-finite values take mul_assign_exact, which gives operator*='s
+// bits without the subnormal assists of the -denorm_min lower bounds
+// (DESIGN.md section 10), as does every other product.
+template <bool kDeriv>
+Interval RangeEngine::naive_range(const Poly& p, DomainTable& t,
+                                  std::size_t var) {
   const std::size_t n = p.nvars();
   const std::uint32_t bits = key_bits(n);
   const std::uint64_t mask = key_field_mask(n);
+  row_ptrs_.resize(n);
+  row_lens_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    row_ptrs_[i] = t.powers[i].data();
+    row_lens_[i] = t.powers[i].size();
+  }
   std::uint64_t exact = 0;
   Interval s(0.0);
   for (const Term& term : p.terms()) {
-    Interval m(term.coeff);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint32_t e = static_cast<std::uint32_t>(
-          (term.key >> (bits * (n - 1 - i))) & mask);
-      if (e > 0) exact += interval::mul_assign_exact(m, rows[i][e]);
+    double c = term.coeff;
+    if constexpr (kDeriv) {
+      const std::uint32_t ev = static_cast<std::uint32_t>(
+          (term.key >> (bits * (n - 1 - var))) & mask);
+      if (ev == 0) continue;
+      c *= static_cast<double>(ev);
+      if (c == 0.0) continue;
     }
+    Interval m(c);
+    bool sym = false;  // m is [-half, half]
+    double half = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      std::uint32_t e = static_cast<std::uint32_t>(
+          (term.key >> (bits * (n - 1 - i))) & mask);
+      if constexpr (kDeriv) {
+        if (i == var) --e;
+      }
+      if (e == 0) continue;
+      if (e >= row_lens_[i]) [[unlikely]] {
+        (void)power(t, i, e);
+        row_ptrs_[i] = t.powers[i].data();
+        row_lens_[i] = t.powers[i].size();
+      }
+      const Interval& r = row_ptrs_[i][e];
+      if (sym) {
+        if (std::isfinite(half) && r.is_finite()) {
+          half = interval::detail::ulp_up(mul_rn(half, r.mag(), exact));
+          continue;
+        }
+        m = Interval(-half, half);
+        sym = false;
+      } else if (r.lo() == -r.hi() && r.is_finite() && m.is_finite()) {
+        half = interval::detail::ulp_up(mul_rn(m.mag(), r.hi(), exact));
+        sym = true;
+        continue;
+      }
+      exact += interval::mul_assign_exact(m, r);
+    }
+    if (sym) m = Interval(-half, half);
     s += m;
   }
   stats_.exact_products += exact;
@@ -237,7 +294,7 @@ Interval RangeEngine::eval_range_pinned(const Poly& p, Pin& pin) {
       if (e.last_use < slot->last_use) slot = &e;
     }
   }
-  const Interval out = naive_range(p, prepare_rows(p, t));
+  const Interval out = naive_range<false>(p, t);
   if (memo) {
     ++stats_.memo_stores;
     slot->hash = h;
@@ -252,6 +309,8 @@ Interval RangeEngine::eval_range_pinned(const Poly& p, Pin& pin) {
 Interval RangeEngine::eval_range(const Poly& p, const IVec& dom) {
   assert(dom.size() == p.nvars());
   ++stats_.queries;
+  Interval trivial;
+  if (trivial_range(p, false, trivial)) return trivial;
   if (!pins_.empty()) {
     if (Pin* pin = find_pin(dom)) {
       assert(same_bits(*pin->dom, tables_[pin->slot].dom) &&
@@ -267,20 +326,18 @@ Interval RangeEngine::eval_range(const Poly& p, const IVec& dom) {
     h = hash_terms(p, kind);
     if (const Interval* r = memo_find(t, p, kind, h)) return *r;
   }
-  const Interval out = naive_range(p, prepare_rows(p, t));
+  const Interval out = naive_range<false>(p, t);
   if (memo) memo_store(t, p, kind, h, out);
   return out;
 }
 
-// Identical to p.derivative(var).eval_range(dom): derivative_into appends
-// the surviving terms in key order with coefficient coeff * e_var (skipping
-// exact zeros), and eval_range then walks them in that same order — which
-// is exactly the filtered walk below.
 Interval RangeEngine::derivative_range(const Poly& p, std::size_t var,
                                        const IVec& dom) {
   assert(var < p.nvars());
   assert(dom.size() == p.nvars());
   ++stats_.queries;
+  Interval trivial;
+  if (trivial_range(p, true, trivial)) return trivial;
   DomainTable& t = table_for(dom);
   const std::uint32_t kind = 2u + static_cast<std::uint32_t>(var);
   const bool memo = memo_enabled_ && p.terms().size() <= kMaxMemoTerms;
@@ -289,28 +346,7 @@ Interval RangeEngine::derivative_range(const Poly& p, std::size_t var,
     h = hash_terms(p, kind);
     if (const Interval* r = memo_find(t, p, kind, h)) return *r;
   }
-  const std::size_t n = p.nvars();
-  const std::uint32_t bits = key_bits(n);
-  const std::uint64_t mask = key_field_mask(n);
-  const Interval* const* rows = prepare_rows(p, t);
-  std::uint64_t exact = 0;
-  Interval s(0.0);
-  for (const Term& term : p.terms()) {
-    const std::uint32_t ev = static_cast<std::uint32_t>(
-        (term.key >> (bits * (n - 1 - var))) & mask);
-    if (ev == 0) continue;
-    const double dc = term.coeff * static_cast<double>(ev);
-    if (dc == 0.0) continue;
-    Interval m(dc);
-    for (std::size_t i = 0; i < n; ++i) {
-      std::uint32_t e = static_cast<std::uint32_t>(
-          (term.key >> (bits * (n - 1 - i))) & mask);
-      if (i == var) --e;
-      if (e > 0) exact += interval::mul_assign_exact(m, rows[i][e]);
-    }
-    s += m;
-  }
-  stats_.exact_products += exact;
+  const Interval s = naive_range<true>(p, t, var);
   if (memo) memo_store(t, p, kind, h, s);
   return s;
 }

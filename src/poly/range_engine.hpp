@@ -152,17 +152,16 @@ class RangeEngine {
   const interval::Interval& power(DomainTable& t, std::size_t v,
                                   std::uint32_t e);
 
-  /// Extends t's power rows to the exponents p uses and returns
-  /// raw row pointers (engine-owned scratch; valid until the next call) so
-  /// the kernels index powers with no growth checks per multiply.
-  const interval::Interval* const* prepare_rows(const Poly& p,
-                                                DomainTable& t);
-
   /// The seed-identical kernel over packed terms: the seed's term walk,
-  /// multiply and accumulation order, with dom[i]^e read from rows[i][e]
-  /// (prepare_rows). Both the classic and the pinned paths run it.
-  interval::Interval naive_range(const Poly& p,
-                                 const interval::Interval* const* rows);
+  /// multiply and accumulation order, with dom[i]^e read from t's power
+  /// rows (grown in the walk when a term exceeds them). kDeriv = false is
+  /// eval_range's walk (the classic and the pinned path), kDeriv = true
+  /// derivative_range's in variable `var`. Each term's running product is
+  /// tracked by shape; a symmetric product costs one rounded multiply per
+  /// factor (DESIGN.md section 10).
+  template <bool kDeriv>
+  interval::Interval naive_range(const Poly& p, DomainTable& t,
+                                 std::size_t var = 0);
   /// The pinned fast path of eval_range (same result bits).
   interval::Interval eval_range_pinned(const Poly& p, Pin& pin);
   Pin* find_pin(const interval::IVec& dom) {
@@ -192,8 +191,9 @@ class RangeEngine {
   std::uint64_t clock_ = 0;
   bool memo_enabled_ = true;
   RangeStats stats_;
-  // prepare_rows scratch, reused across queries to avoid reallocation.
+  // naive_range's row pointers and lengths, reused across queries.
   std::vector<const interval::Interval*> row_ptrs_;
+  std::vector<std::size_t> row_lens_;
 };
 
 /// SoA lane-batched range bounder: evaluates one polynomial over

@@ -1,6 +1,7 @@
 #include "reach/control_abstraction.hpp"
 
 #include <cassert>
+#include <span>
 
 #include "nn/poly_controller.hpp"
 #include "poly/bernstein.hpp"
@@ -18,44 +19,56 @@ TmVec LinearAbstraction::abstract(const TmEnv& env, const TmVec& state,
   const auto* lin = dynamic_cast<const nn::LinearController*>(&ctrl);
   assert(lin && "LinearAbstraction requires a LinearController");
   const linalg::Mat& k = lin->gain();
-  TmVec u;
-  u.reserve(k.rows());
+  TmVec u(k.rows());
   for (std::size_t i = 0; i < k.rows(); ++i) {
-    u.push_back(taylor::tm_affine(env, state, k.row(i), 0.0));
+    taylor::tm_affine_into(env, state, {k.data() + i * k.cols(), k.cols()},
+                           0.0, u[i]);
   }
   return u;
 }
 
+// Layer by layer through the scratch's two layer buffers, reading weight
+// rows in place; only the returned models allocate once the scratch is
+// warm.
 TmVec PolarAbstraction::abstract(const TmEnv& env, const TmVec& state,
                                  const nn::Controller& ctrl) const {
   const auto* mc = dynamic_cast<const nn::MlpController*>(&ctrl);
   assert(mc && "PolarAbstraction requires an MlpController");
 
-  TmVec h = state;
+  taylor::TmScratch& s = env.scratch();
+  std::span<const TaylorModel> h = state;
+  std::size_t k = 0;
   for (const auto& layer : mc->mlp().layers()) {
-    TmVec next;
-    next.reserve(layer.out_dim());
+    TmVec& next = s.ctrl_layers[k];
+    k ^= 1;
+    // Never shrunk: a dropped model would take its storage with it.
+    if (next.size() < layer.out_dim()) next.resize(layer.out_dim());
     for (std::size_t i = 0; i < layer.out_dim(); ++i) {
-      TaylorModel pre = taylor::tm_affine(env, h, layer.w.row(i), layer.b[i]);
+      const std::span<const double> w(layer.w.data() + i * layer.in_dim(),
+                                      layer.in_dim());
+      TaylorModel& pre =
+          layer.act == nn::Activation::kIdentity ? next[i] : s.ctrl_pre;
+      taylor::tm_affine_into(env, h, w, layer.b[i], pre);
       switch (layer.act) {
         case nn::Activation::kIdentity:
-          next.push_back(std::move(pre));
           break;
         case nn::Activation::kRelu:
-          next.push_back(taylor::tm_relu(env, pre));
+          taylor::tm_relu_into(env, pre, next[i]);
           break;
         case nn::Activation::kTanh:
-          next.push_back(taylor::tm_tanh(env, pre, opt_.act_order));
+          taylor::tm_tanh_into(env, pre, opt_.act_order, next[i]);
           break;
         case nn::Activation::kSigmoid:
-          next.push_back(taylor::tm_sigmoid(env, pre, opt_.act_order));
+          taylor::tm_sigmoid_into(env, pre, opt_.act_order, next[i]);
           break;
       }
     }
-    h = std::move(next);
+    h = std::span<const TaylorModel>(next.data(), layer.out_dim());
   }
-  for (auto& tm : h) tm = taylor::tm_scale(tm, mc->scale());
-  return h;
+  TmVec u;
+  u.reserve(h.size());
+  for (const TaylorModel& tm : h) u.push_back(taylor::tm_scale(tm, mc->scale()));
+  return u;
 }
 
 std::vector<IVec> interval_jacobian(const nn::Mlp& mlp, const IVec& in) {

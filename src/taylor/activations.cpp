@@ -1,10 +1,14 @@
 #include "taylor/activations.hpp"
 
+#include <array>
+#include <cassert>
 #include <cmath>
+#include <utility>
 
 namespace dwv::taylor {
 
 using interval::Interval;
+using poly::Poly;
 
 namespace {
 
@@ -15,56 +19,101 @@ struct SmoothAbstraction {
   Interval rem_hi;  // Lagrange remainder bound (already divided by k!)
 };
 
-// Shared expansion driver: result = f0 + f1*(t-c) [+ f2/2 (t-c)^2] + rem.
-TaylorModel expand(const TmEnv& env, const TaylorModel& in, double c,
-                   const SmoothAbstraction& s, ActOrder order) {
-  TaylorModel dt = tm_add_const(in, -c);
-  TaylorModel r = tm_scale(dt, s.f1);
-  r = tm_add_const(r, s.f0);
-  if (order == ActOrder::kQuadratic) {
-    r = tm_add(r, tm_scale(tm_mul(env, dt, dt), 0.5 * s.f2));
-  }
-  r.rem += s.rem_hi;
-  return tm_truncate(env, r);
+// tm_scale(a, s) into out: a copy plus Poly::operator*= (which keeps zero
+// products and clears on s == 0), remainder rem * s.
+void scale_into(const TaylorModel& a, double s, TaylorModel& out) {
+  out.poly = a.poly;
+  out.poly *= s;
+  out.rem = a.rem * Interval(s);
 }
+
+// tm_add_const(tm, c) in place: add_term_key(0, c) skips c == 0 and erases
+// an exact-zero sum.
+void add_const(TaylorModel& tm, double c) { tm.poly.add_term_key(0, c); }
+
+// Shared expansion driver: out = f0 + f1*(t-c) [+ f2/2 (t-c)^2] + rem.
+void expand_into(const TmEnv& env, const TaylorModel& in, double c,
+                 const SmoothAbstraction& s, ActOrder order,
+                 TaylorModel& out) {
+  TmScratch& sc = env.scratch();
+  TaylorModel& dt = sc.act_dt;
+  dt = in;
+  add_const(dt, -c);
+  const bool quad = order == ActOrder::kQuadratic;
+  // The quadratic order adds the square term to the linear part, writing
+  // the sum into out.
+  TaylorModel& lin = quad ? sc.act_lin : out;
+  scale_into(dt, s.f1, lin);
+  add_const(lin, s.f0);
+  if (quad) {
+    TaylorModel& sq = sc.act_sq;
+    tm_mul_into(env, dt, dt, sq);
+    const double h = 0.5 * s.f2;
+    sq.poly *= h;
+    sq.rem = sq.rem * Interval(h);
+    Poly::add_into(lin.poly, sq.poly, out.poly);
+    out.rem = lin.rem + sq.rem;
+  }
+  out.rem += s.rem_hi;
+  tm_truncate_inplace(env, out);
+}
+
+// Interior points where a sigmoidal f' equals the secant slope (at most
+// two).
+struct Extrema {
+  std::array<double, 2> x{};
+  std::size_t n = 0;
+};
 
 // Secant (chord) relaxation for a bounded sigmoidal function: the line
 // through the endpoints plus an interval covering the deviation. Unlike
 // the Taylor expansion its remainder is globally bounded by the function's
 // range, so it cannot blow up on wide inputs; used whenever it is tighter.
 template <class F, class DInv>
-TaylorModel secant_sigmoidal(const TmEnv& env, const TaylorModel& in,
-                             const Interval& range, F f, DInv extrema_at) {
+void secant_sigmoidal_into(const TmEnv& env, const TaylorModel& in,
+                           const Interval& range, F f, DInv extrema_at,
+                           TaylorModel& out) {
   const double lo = range.lo();
   const double hi = range.hi();
   const double flo = f(lo);
   const double fhi = f(hi);
   if (hi - lo < 1e-12) {
-    TaylorModel r = TaylorModel::constant(env, 0.5 * (flo + fhi));
-    r.rem += Interval::symmetric(std::abs(fhi - flo));
-    return r;
+    out.assign_constant(env.nvars(), 0.5 * (flo + fhi));
+    out.rem += Interval::symmetric(std::abs(fhi - flo));
+    return;
   }
   const double a = (fhi - flo) / (hi - lo);
   const double b = flo - a * lo;
   // Deviation extrema: endpoints (0) and interior points where f' = a.
   double dmin = 0.0;
   double dmax = 0.0;
-  for (double xs : extrema_at(a)) {
-    if (xs > lo && xs < hi) {
-      const double d = f(xs) - (a * xs + b);
+  const Extrema xs = extrema_at(a);
+  for (std::size_t k = 0; k < xs.n; ++k) {
+    const double x = xs.x[k];
+    if (x > lo && x < hi) {
+      const double d = f(x) - (a * x + b);
       dmin = std::min(dmin, d);
       dmax = std::max(dmax, d);
     }
   }
-  TaylorModel r = tm_scale(in, a);
-  r = tm_add_const(r, b + 0.5 * (dmin + dmax));
-  r.rem += Interval::symmetric(0.5 * (dmax - dmin) + 1e-12);
-  return tm_truncate(env, r);
+  scale_into(in, a, out);
+  add_const(out, b + 0.5 * (dmin + dmax));
+  out.rem += Interval::symmetric(0.5 * (dmax - dmin) + 1e-12);
+  tm_truncate_inplace(env, out);
+}
+
+// The Taylor expansion in out against the secant: keeps whichever
+// remainder is narrower (the Taylor one on ties). A copy, so both buffers
+// keep their storage.
+void keep_tighter(TaylorModel& out, const TaylorModel& secant) {
+  if (!(out.rem.width() <= secant.rem.width())) out = secant;
 }
 
 }  // namespace
 
-TaylorModel tm_tanh(const TmEnv& env, const TaylorModel& in, ActOrder order) {
+void tm_tanh_into(const TmEnv& env, const TaylorModel& in, ActOrder order,
+                  TaylorModel& out) {
+  assert(&out != &in);
   const Interval range = tm_range(env, in);
   const double c = range.mid();
   const double y = std::tanh(c);
@@ -89,29 +138,37 @@ TaylorModel tm_tanh(const TmEnv& env, const TaylorModel& in, ActOrder order) {
   }
   // The remainder must contain 0 (the expansion is exact at t = c).
   s.rem_hi = interval::hull(Interval(0.0), s.rem_hi);
-  TaylorModel taylor_tm = expand(env, in, c, s, order);
+  expand_into(env, in, c, s, order, out);
 
   // The Taylor remainder grows like dev^3 and is useless on wide inputs;
   // the secant relaxation is bounded by the function range. Keep whichever
   // is tighter.
-  TaylorModel secant_tm = secant_sigmoidal(
+  TaylorModel& secant = env.scratch().act_secant;
+  secant_sigmoidal_into(
       env, in, range, [](double x) { return std::tanh(x); },
       [](double a) {
-        std::vector<double> xs;
+        Extrema xs;
         if (a > 0.0 && a < 1.0) {
           const double t = std::sqrt(1.0 - a);
           const double x = 0.5 * std::log((1.0 + t) / (1.0 - t));  // atanh
-          xs.push_back(x);
-          xs.push_back(-x);
+          xs.x = {x, -x};
+          xs.n = 2;
         }
         return xs;
-      });
-  return taylor_tm.rem.width() <= secant_tm.rem.width() ? taylor_tm
-                                                        : secant_tm;
+      },
+      secant);
+  keep_tighter(out, secant);
 }
 
-TaylorModel tm_sigmoid(const TmEnv& env, const TaylorModel& in,
-                       ActOrder order) {
+TaylorModel tm_tanh(const TmEnv& env, const TaylorModel& in, ActOrder order) {
+  TaylorModel r;
+  tm_tanh_into(env, in, order, r);
+  return r;
+}
+
+void tm_sigmoid_into(const TmEnv& env, const TaylorModel& in, ActOrder order,
+                     TaylorModel& out) {
+  assert(&out != &in);
   const Interval range = tm_range(env, in);
   const double c = range.mid();
   const double y = 1.0 / (1.0 + std::exp(-c));
@@ -135,40 +192,61 @@ TaylorModel tm_sigmoid(const TmEnv& env, const TaylorModel& in,
     s.rem_hi = f3r * interval::pow_n(dev, 3) / 6.0;
   }
   s.rem_hi = interval::hull(Interval(0.0), s.rem_hi);
-  TaylorModel taylor_tm = expand(env, in, c, s, order);
+  expand_into(env, in, c, s, order, out);
 
-  TaylorModel secant_tm = secant_sigmoidal(
+  TaylorModel& secant = env.scratch().act_secant;
+  secant_sigmoidal_into(
       env, in, range, [](double x) { return 1.0 / (1.0 + std::exp(-x)); },
       [](double a) {
-        std::vector<double> xs;
+        Extrema xs;
         if (a > 0.0 && a < 0.25) {
           // s' = s(1-s) = a  =>  s = (1 +- sqrt(1-4a))/2.
           const double t = std::sqrt(1.0 - 4.0 * a);
           const double s1 = 0.5 * (1.0 + t);
           const double s2 = 0.5 * (1.0 - t);
-          xs.push_back(std::log(s1 / (1.0 - s1)));
-          xs.push_back(std::log(s2 / (1.0 - s2)));
+          xs.x = {std::log(s1 / (1.0 - s1)), std::log(s2 / (1.0 - s2))};
+          xs.n = 2;
         }
         return xs;
-      });
-  return taylor_tm.rem.width() <= secant_tm.rem.width() ? taylor_tm
-                                                        : secant_tm;
+      },
+      secant);
+  keep_tighter(out, secant);
 }
 
-TaylorModel tm_relu(const TmEnv& env, const TaylorModel& in) {
+TaylorModel tm_sigmoid(const TmEnv& env, const TaylorModel& in,
+                       ActOrder order) {
+  TaylorModel r;
+  tm_sigmoid_into(env, in, order, r);
+  return r;
+}
+
+void tm_relu_into(const TmEnv& env, const TaylorModel& in, TaylorModel& out) {
+  assert(&out != &in);
   const Interval range = tm_range(env, in);
   const double lo = range.lo();
   const double hi = range.hi();
-  if (lo >= 0.0) return in;  // Identity region.
-  if (hi <= 0.0) return TaylorModel::constant(env, 0.0);
+  if (lo >= 0.0) {  // Identity region.
+    out = in;
+    return;
+  }
+  if (hi <= 0.0) {
+    out.assign_constant(env.nvars(), 0.0);
+    return;
+  }
   // Mixed region: relu(t) in lambda*t + [0, mu] with the optimal (tightest)
   // single-slope relaxation lambda = hi/(hi-lo), mu = -hi*lo/(hi-lo).
   const double lambda = hi / (hi - lo);
   const double mu = -hi * lo / (hi - lo);
-  TaylorModel r = tm_scale(in, lambda);
-  r = tm_add_const(r, 0.5 * mu);
-  r.rem += Interval(-0.5 * mu, 0.5 * mu);
-  return tm_truncate(env, r);
+  scale_into(in, lambda, out);
+  add_const(out, 0.5 * mu);
+  out.rem += Interval(-0.5 * mu, 0.5 * mu);
+  tm_truncate_inplace(env, out);
+}
+
+TaylorModel tm_relu(const TmEnv& env, const TaylorModel& in) {
+  TaylorModel r;
+  tm_relu_into(env, in, r);
+  return r;
 }
 
 namespace {
@@ -223,14 +301,41 @@ TaylorModel tm_exp(const TmEnv& env, const TaylorModel& in) {
                             interval::exp(range), c);
 }
 
+
+void tm_affine_into(const TmEnv& env, std::span<const TaylorModel> in,
+                    std::span<const double> w, double b, TaylorModel& out) {
+  assert(in.size() == w.size());
+  TmScratch& s = env.scratch();
+  // b + sum_j w_j in_j over the nonzero weights, left to right. The sum
+  // builds in the scratch pair; the last nonzero weight's add writes into
+  // out.
+  std::size_t last = w.size();
+  for (std::size_t j = 0; j < w.size(); ++j) {
+    if (w[j] != 0.0) last = j;
+  }
+  TaylorModel& acc = last == w.size() ? out : s.aff_acc;
+  acc.assign_constant(env.nvars(), b);
+  for (std::size_t j = 0; j < w.size(); ++j) {
+    if (w[j] == 0.0) continue;
+    TaylorModel& term = s.aff_term;
+    scale_into(in[j], w[j], term);
+    if (j == last) {
+      Poly::add_into(acc.poly, term.poly, out.poly);
+      out.rem = acc.rem + term.rem;
+      break;
+    }
+    Poly::add_into(acc.poly, term.poly, s.aff_sum);
+    std::swap(acc.poly, s.aff_sum);
+    acc.rem = acc.rem + term.rem;
+  }
+  tm_truncate_inplace(env, out);
+}
+
 TaylorModel tm_affine(const TmEnv& env, const TmVec& in, const linalg::Vec& w,
                       double b) {
-  assert(in.size() == w.size());
-  TaylorModel acc = TaylorModel::constant(env, b);
-  for (std::size_t j = 0; j < in.size(); ++j) {
-    if (w[j] != 0.0) acc = tm_add(acc, tm_scale(in[j], w[j]));
-  }
-  return tm_truncate(env, acc);
+  TaylorModel r;
+  tm_affine_into(env, in, std::span<const double>(w.data(), w.size()), b, r);
+  return r;
 }
 
 }  // namespace dwv::taylor

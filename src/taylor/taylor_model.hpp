@@ -148,6 +148,11 @@ struct RemTape {
 ///  - tm_pow_into: pow_base, pow_tmp (and the Poly layer via tm_mul_into).
 ///  - tm_eval_poly_into: acc, term, add_out, mul_out, pow_out (and tm_pow).
 ///  - tm_subst_last_into: pscratch (as the term stream buffer).
+///  - tm_affine_into: aff_acc, aff_term, aff_sum.
+///  - tm_tanh_into / tm_sigmoid_into: act_dt, act_lin, act_sq, act_secant
+///    (and the Poly layer via tm_mul_into); tm_relu_into: none.
+///  - Controller abstraction (reach/control_abstraction.cpp): ctrl_layers,
+///    ctrl_pre (and the affine and activation kernels).
 ///  - Flowpipe step (reach/picard_step.hpp): the step workspace below.
 struct TmScratch {
   // Poly layer.
@@ -170,6 +175,21 @@ struct TmScratch {
   TaylorModel pow_tmp;
   TaylorModel integ;
   TaylorModel diff;
+
+  // Affine and activation kernels (taylor/activations.cpp).
+  TaylorModel aff_acc;
+  TaylorModel aff_term;
+  poly::Poly aff_sum;
+  TaylorModel act_dt;
+  TaylorModel act_lin;
+  TaylorModel act_sq;
+  TaylorModel act_secant;
+
+  /// Controller abstraction: the two layer buffers PolarAbstraction
+  /// alternates (never shrunk, so their models keep their storage) and
+  /// one neuron's pre-activation.
+  TmVec ctrl_layers[2];
+  TaylorModel ctrl_pre;
 
   /// Remainder-replay tape shared by the TM kernels (record/replay of the
   /// remainder-channel constants; see RemTape).

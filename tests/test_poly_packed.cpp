@@ -19,8 +19,11 @@
 #include <gtest/gtest.h>
 
 #include "interval/ivec.hpp"
+#include "nn/controller.hpp"
+#include "ode/benchmarks.hpp"
 #include "poly/poly.hpp"
 #include "poly/poly_ref.hpp"
+#include "reach/control_abstraction.hpp"
 #include "reach/tm_dynamics.hpp"
 #include "reach/tm_flowpipe.hpp"
 #include "taylor/taylor_model.hpp"
@@ -811,6 +814,43 @@ TEST(TmPacked, SteadyStateStepIsAllocationFree) {
   EXPECT_EQ(after - before, 0u)
       << "steady-state flowpipe step performed heap allocations";
   ASSERT_TRUE(res.ok) << res.failure;
+}
+
+TEST(TmPacked, WarmPolarAbstractIsAllocationFree) {
+  // The oscillator learner's 2-6-1 tanh MLP over the initial TM state, as
+  // TmVerifier::compute sets it up (unit box pinned in the range engine).
+  // Once the scratch and the range memo are warm, abstract allocates only
+  // the returned TmVec: its buffer and the output model's terms.
+  const auto bench = dwv::ode::make_oscillator_benchmark();
+  dwv::nn::MlpController ctrl({2, 6, 1}, 2.0, dwv::nn::Activation::kTanh,
+                              dwv::nn::Activation::kTanh);
+  std::mt19937_64 rng(8);
+  ctrl.init_random(rng, 0.4);
+  TmEnv env;
+  env.dom = IVec(2, Interval(-1.0, 1.0));
+  env.order = 3;
+  env.cutoff = 1e-12;
+  env.scratch().range.pin_domain(env.dom, 2 * env.order + 2);
+  const dwv::linalg::Vec c = bench.spec.x0.center();
+  const dwv::linalg::Vec r = bench.spec.x0.radius();
+  TmVec state(2);
+  for (std::size_t i = 0; i < 2; ++i) {
+    state[i] = {Poly::constant(2, c[i]) + Poly::variable(2, i) * r[i],
+                Interval(0.0)};
+  }
+  const dwv::reach::PolarAbstraction polar;
+  const TmVec first = polar.abstract(env, state, ctrl);
+  for (int i = 0; i < 3; ++i) (void)polar.abstract(env, state, ctrl);
+  for (int i = 0; i < 10; ++i) {
+    const std::size_t before = g_alloc_count.load(std::memory_order_relaxed);
+    const TmVec u = polar.abstract(env, state, ctrl);
+    const std::size_t after = g_alloc_count.load(std::memory_order_relaxed);
+    ASSERT_EQ(u.size(), 1u);
+    ASSERT_FALSE(u[0].poly.is_zero());
+    EXPECT_EQ(after - before, 2u)
+        << "warm PolarAbstraction::abstract allocated beyond its result";
+    expect_tm_equal(u[0], first[0], "warm abstract");
+  }
 }
 
 }  // namespace taylor_tests
