@@ -160,11 +160,12 @@ double mul_rn(double x, double y, std::uint64_t& exact) {
 // the hash or the memo (a derivative of either is zero-term).
 bool trivial_range(const Poly& p, bool deriv, Interval& out) {
   const std::vector<Term>& ts = p.terms();
-  if (ts.empty() || (ts.size() == 1 && ts[0].key == 0 && deriv)) {
+  const bool constant = ts.size() == 1 && ts[0].key == 0;
+  if (ts.empty() || (constant && deriv)) {
     out = Interval(0.0);
     return true;
   }
-  if (ts.size() == 1 && ts[0].key == 0) {
+  if (constant) {
     out = Interval(0.0) + Interval(ts[0].coeff);
     return true;
   }

@@ -67,7 +67,9 @@ TmVec PolarAbstraction::abstract(const TmEnv& env, const TmVec& state,
   }
   TmVec u;
   u.reserve(h.size());
-  for (const TaylorModel& tm : h) u.push_back(taylor::tm_scale(tm, mc->scale()));
+  for (const TaylorModel& tm : h) {
+    u.push_back(taylor::tm_scale(tm, mc->scale()));
+  }
   return u;
 }
 
