@@ -301,7 +301,6 @@ TaylorModel tm_exp(const TmEnv& env, const TaylorModel& in) {
                             interval::exp(range), c);
 }
 
-
 void tm_affine_into(const TmEnv& env, std::span<const TaylorModel> in,
                     std::span<const double> w, double b, TaylorModel& out) {
   assert(in.size() == w.size());
