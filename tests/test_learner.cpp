@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <random>
 
 #include "core/learner.hpp"
 #include "ode/benchmarks.hpp"
+#include "reach/control_abstraction.hpp"
 #include "reach/linear_reach.hpp"
+#include "reach/serialize.hpp"
+#include "reach/tm_flowpipe.hpp"
 #include "sim/monte_carlo.hpp"
 
 namespace dwv::core {
@@ -261,6 +267,132 @@ TEST(Learner, UnconvergedRunReportsLastRealFlowpipe) {
   ASSERT_FALSE(res.history.empty());
   EXPECT_FALSE(res.final_flowpipe.step_sets.empty());
   EXPECT_EQ(res.final_flowpipe.steps(), bench.spec.steps);
+}
+
+// Digest of everything a run decides: the final parameter bits, every
+// recorded metric bit and feasibility flag, the iteration and verifier-call
+// counts, and the success flag.
+std::uint64_t run_digest(const nn::Controller& ctrl, const LearnResult& res) {
+  reach::ser::Writer w;
+  for (const double v : ctrl.params()) w.f64(v);
+  for (const IterationRecord& rec : res.history) {
+    w.u64(rec.iter);
+    if (rec.geo) {
+      w.f64(rec.geo->d_u);
+      w.f64(rec.geo->d_g);
+    }
+    if (rec.wass) {
+      w.f64(rec.wass->w_goal);
+      w.f64(rec.wass->w_unsafe);
+    }
+    w.u8(rec.feasible ? 1 : 0);
+  }
+  w.u64(res.iterations);
+  w.u64(res.verifier_calls);
+  w.u8(res.success ? 1 : 0);
+  return reach::ser::checksum64(w.bytes().data(), w.bytes().size());
+}
+
+TEST(Learner, RunBitsPinned) {
+  // Golden digests of short Algorithm-1 runs over every direction source:
+  // SPSA, averaged SPSA (with the 0-sample clamp) and coordinate probes
+  // through the LinearVerifier; the dual gradient pass on the ACC linear
+  // controller under both metric families, with and without containment
+  // (the margin / SQP march); and the MLP run that asks for the gradient
+  // and falls back to SPSA. Budgets cross restart boundaries and end on
+  // max_iters, except the converging runs. A refactor of the learner loop
+  // must keep every digest.
+  const auto bench = ode::make_acc_benchmark();
+  const auto linear = acc_verifier(bench);
+  const auto tm = std::make_shared<reach::TmVerifier>(
+      bench.system, bench.spec, std::make_shared<reach::LinearAbstraction>(),
+      reach::TmReachOptions{});
+  const auto polar = std::make_shared<reach::TmVerifier>(
+      bench.system, bench.spec, std::make_shared<reach::PolarAbstraction>(),
+      reach::TmReachOptions{});
+  const auto base = [] {
+    LearnerOptions o;
+    o.threads = 1;
+    o.seed = 5;
+    return o;
+  };
+  const auto spsa = [&](GradientMode mode, std::size_t samples,
+                        std::size_t iters, std::size_t restarts) {
+    LearnerOptions o = base();
+    o.gradient = mode;
+    o.spsa_samples = samples;
+    o.max_iters = iters;
+    o.restarts = restarts;
+    return o;
+  };
+  const auto grad = [&](MetricKind metric, bool contain) {
+    LearnerOptions o = base();
+    o.metric = metric;
+    o.alpha = metric == MetricKind::kWasserstein ? 0.2 : 1.0;
+    o.step_size = 0.5;
+    o.max_iters = 9;
+    o.restarts = 2;
+    o.require_containment = contain;
+    o.grad = true;
+    return o;
+  };
+  LearnerOptions wass_spsa = spsa(GradientMode::kSpsa, 2, 7, 2);
+  wass_spsa.metric = MetricKind::kWasserstein;
+  LearnerOptions converging = spsa(GradientMode::kSpsaAveraged, 2, 400, 4);
+  converging.step_size = 0.5;
+  converging.perturbation = 0.05;
+  converging.require_containment = true;
+  converging.seed = 1;
+  LearnerOptions fallback = spsa(GradientMode::kSpsaAveraged, 2, 4, 2);
+  fallback.grad = true;
+
+  const struct {
+    const char* name;
+    reach::VerifierPtr verifier;
+    LearnerOptions opt;
+    bool mlp;
+    std::uint64_t digest;
+  } cases[] = {
+      {"spsa", linear, spsa(GradientMode::kSpsa, 2, 10, 3), false,
+       0x11517f578f73e7a3ull},
+      {"spsa_wass", linear, wass_spsa, false, 0x227b091c3649681eull},
+      {"averaged", linear, spsa(GradientMode::kSpsaAveraged, 3, 7, 2), false,
+       0x6b7f73449db2f00bull},
+      {"averaged_0", linear, spsa(GradientMode::kSpsaAveraged, 0, 6, 1),
+       false, 0x4542170898b7334full},
+      {"coordinate", linear, spsa(GradientMode::kCoordinate, 2, 8, 3), false,
+       0x7f21d23e2564868bull},
+      {"converging", linear, converging, false, 0xceda02e5badcaafbull},
+      {"grad_geo", tm, grad(MetricKind::kGeometric, false), false,
+       0xac4b97fe4d06f564ull},
+      {"grad_geo_contain", tm, grad(MetricKind::kGeometric, true), false,
+       0x1b066c39fc16e330ull},
+      // Under the Wasserstein family the goal score -w_goal never turns
+      // positive, so the margin march cannot start and containment changes
+      // nothing before feasibility: both runs share one digest.
+      {"grad_wass", tm, grad(MetricKind::kWasserstein, false), false,
+       0x9ab080f9b6370d20ull},
+      {"grad_wass_contain", tm, grad(MetricKind::kWasserstein, true), false,
+       0x9ab080f9b6370d20ull},
+      {"mlp_fallback", polar, fallback, true, 0x32846a69b5f91538ull},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    Learner learner(c.verifier, bench.spec, c.opt);
+    nn::ControllerPtr ctrl;
+    if (c.mlp) {
+      std::mt19937_64 rng(7);
+      auto mlp = std::make_unique<nn::MlpController>(
+          std::vector<std::size_t>{2, 4, 1}, 1.0, nn::Activation::kTanh,
+          nn::Activation::kTanh);
+      mlp->init_random(rng, 0.3);
+      ctrl = std::move(mlp);
+    } else {
+      ctrl = std::make_unique<nn::LinearController>(Mat{{0.0, 0.0}});
+    }
+    const LearnResult res = learner.learn(*ctrl);
+    EXPECT_EQ(run_digest(*ctrl, res), c.digest);
+  }
 }
 
 TEST(Learner, MetricKindNames) {
