@@ -1,10 +1,11 @@
 // Algorithm 1: verification-in-the-loop control learning.
 //
-// Each iteration queries the verifier for the reachable set under SPSA
-// perturbations of the controller parameters, approximates the metric
-// gradients with the paper's difference method (Eq. 5, Fig. 2), and ascends
-// until the reach-avoid feedback metrics certify feasibility or the
-// iteration budget is exhausted.
+// One loop verifies the iterate, scores it with the reach-avoid feedback
+// metrics, ascends, and re-initializes when an attempt's budget runs out,
+// until the metrics certify feasibility or the iteration budget is
+// exhausted. The ascent direction comes from one of two sources, picked
+// once per run: the paper's difference method (SPSA or coordinate probes,
+// Eq. 5, Fig. 2), or one analytic dual pass through a TmVerifier (`grad`).
 #pragma once
 
 #include <functional>
@@ -16,10 +17,6 @@
 #include "nn/controller.hpp"
 #include "reach/cache.hpp"
 #include "reach/verifier.hpp"
-
-namespace dwv::reach {
-class TmVerifier;
-}
 
 namespace dwv::core {
 
@@ -47,12 +44,8 @@ struct LearnerOptions {
   double alpha = 1.0;
   double beta = 1.0;
   double perturbation = 0.02;      ///< SPSA perturbation magnitude p
-  /// Step: theta += step_size * g / |g|_inf, decayed by 1/(1 + decay * t).
+  /// Step: theta += step_size * g / |g|_inf.
   double step_size = 0.1;
-  double step_decay = 0.0;
-  /// Use Adam on the (raw) SPSA gradient instead of the normalized step.
-  bool use_adam = false;
-  double adam_lr = 0.05;
   /// Stop only when, additionally, some step set is fully inside the goal
   /// (full-X0 certification instead of metric positivity).
   bool require_containment = false;
@@ -91,8 +84,6 @@ struct LearnerOptions {
   /// is folded into the keys via Verifier::cache_salt, so probes cached
   /// under one mode can never answer the other.
   bool cache = false;
-  std::size_t cache_capacity = 4096;  ///< resident flowpipes when caching
-  std::size_t cache_shards = 16;      ///< lock stripes (contention knob)
   /// Persistent cache directory (DESIGN.md §15): non-empty adds the
   /// on-disk tier behind the memory tier, so a second learn of the same
   /// configuration warm-starts from the previous run's flowpipes (same
@@ -101,24 +92,23 @@ struct LearnerOptions {
   /// Analytic forward-mode gradients (reach::TmGradient): one dual verifier
   /// pass per iteration yields the flowpipe AND the exact metric gradient
   /// w.r.t. the controller parameters, replacing the 2 * spsa_samples probe
-  /// calls of the difference method. The non-Adam ascent exploits the two
-  /// separate metric gradients: it climbs d_u until the pipe is safe, then
-  /// climbs d_g with the safety-eroding gradient component projected out,
+  /// calls of the difference method. The ascent exploits the two separate
+  /// metric gradients: it climbs d_u until the pipe is safe, then climbs
+  /// d_g with the safety-eroding gradient component projected out,
   /// line-searching and then marching along each direction with cheap
   /// scalar probe evaluations (counted as verifier calls) so one dual pass
-  /// serves several parameter updates. Requires a TmVerifier in its default
-  /// range mode with polynomial dynamics and a linear or polynomial
-  /// controller (and exact EMD for the Wasserstein metric); unsupported
-  /// combinations print a warning to stderr and fall back to the configured
-  /// SPSA mode. When false, the SPSA path runs exactly as before.
+  /// serves several parameter updates. Requires a TmVerifier with
+  /// polynomial dynamics and a linear or polynomial controller (and exact
+  /// EMD for the Wasserstein metric). Otherwise the run is the configured
+  /// SPSA run bit for bit, and LearnResult::grad_unavailable says why.
   bool grad = false;
   WassersteinOptions wopt;
 
-  /// Returns a copy with out-of-range fields clamped into their documented
-  /// domains (spsa_samples >= 1 — 0 would divide the averaged gradient by
-  /// zero and poison theta with NaNs) and asserts on nonsensical settings
-  /// (non-positive perturbation or step size). The Learner constructor
-  /// applies this automatically.
+  /// Returns a copy with spsa_samples clamped to >= 1 (0 would divide the
+  /// averaged gradient by zero and poison theta with NaNs). Throws
+  /// std::invalid_argument on nonsensical settings: a non-finite or
+  /// non-positive perturbation or step size, or a non-finite or negative
+  /// restart_scale. The Learner constructor applies this automatically.
   LearnerOptions validated() const;
 };
 
@@ -150,6 +140,10 @@ struct LearnResult {
   /// supplied). `verifier_seconds` already reflects the savings; this
   /// explains them (hits, misses, per-phase overhead/compute split).
   reach::CacheStats cache_stats;
+  /// Why the analytic gradient could not be used, so the run took the SPSA
+  /// source instead; empty when `LearnerOptions::grad` was not asked for or
+  /// was honoured.
+  std::string grad_unavailable;
 };
 
 class Learner {
@@ -181,17 +175,16 @@ class Learner {
   /// and m.feasible.
   IterationRecord to_record(std::size_t iter, const MetricPair& m) const;
 
-  /// The TmVerifier the gradient engine would differentiate through (the
-  /// inner verifier when wrapped in a CachingVerifier); null when the
-  /// verifier is not a TmVerifier.
-  const reach::TmVerifier* grad_target() const;
+  /// One verifier call on `c`, counted and timed into `res`.
+  reach::Flowpipe call(const nn::Controller& c, LearnResult& res) const;
 
-  /// Analytic-gradient variant of learn() (opt_.grad with a supported
-  /// configuration): same restart/ascent/bookkeeping structure, but each
-  /// iteration's gradient comes from one dual flowpipe pass instead of
-  /// SPSA probe pairs.
-  LearnResult learn_grad(nn::Controller& ctrl,
-                         const reach::TmVerifier& tv) const;
+  /// The two direction sources (learner.cpp): each evaluates the iterate
+  /// and ascends theta from it.
+  struct SpsaSource;
+  struct DualSource;
+  /// Algorithm 1's restart/budget/record/exit loop over a direction source.
+  template <class Source>
+  LearnResult run(nn::Controller& ctrl, Source& src) const;
 
   reach::VerifierPtr verifier_;
   ode::ReachAvoidSpec spec_;

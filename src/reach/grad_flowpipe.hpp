@@ -84,7 +84,7 @@ class TmGradient {
   explicit TmGradient(const TmVerifier& v);
 
   /// Null when (verifier, controller) is supported; otherwise a static
-  /// human-readable reason (used for the SPSA-fallback warning).
+  /// human-readable reason (core::LearnResult::grad_unavailable).
   static const char* unsupported_reason(const TmVerifier& v,
                                         const nn::Controller& ctrl);
 

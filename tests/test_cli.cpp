@@ -4,7 +4,8 @@
 // negative values wrapping through size_t, unchecked narrowing, strtod
 // garbage -> 0.0, sscanf ignoring trailing characters). An unknown or
 // misspelled option fails the same way instead of being ignored. Its
-// --cache-stats line counts the hits of both cache tiers.
+// --cache-stats line counts the hits of both cache tiers, and `learn
+// --grad` says once why it ran SPSA when the gradient is unavailable.
 #include <sys/wait.h>
 
 #include <cstdio>
@@ -134,6 +135,30 @@ TEST(Cli, AcceptsWellFormedIntegerOptions) {
       run_cli("search acc --depth 1 --threads 1 --batch 1 --shards 1");
   EXPECT_EQ(run.status, 0) << run.output;
   EXPECT_NE(run.output.find("X_I search:"), std::string::npos) << run.output;
+}
+
+std::size_t count_of(const std::string& text, const std::string& needle) {
+  std::size_t n = 0;
+  for (std::size_t pos = text.find(needle); pos != std::string::npos;
+       pos = text.find(needle, pos + needle.size())) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(Cli, LearnReportsGradFallback) {
+  // The oscillator's default MLP controller is outside the gradient
+  // engine's support: the run falls back to SPSA and prints the reason
+  // once. The ACC linear controller under linctrl is supported: no reason.
+  const std::string notice = "analytic gradient unavailable (";
+  const CliRun mlp = run_cli("learn oscillator --grad --iters 1");
+  EXPECT_NE(mlp.output.find("after 1 iterations"), std::string::npos)
+      << mlp.output;
+  EXPECT_EQ(count_of(mlp.output, notice), 1u) << mlp.output;
+  const CliRun acc = run_cli("learn acc --verifier linctrl --grad --iters 1");
+  EXPECT_NE(acc.output.find("after 1 iterations"), std::string::npos)
+      << acc.output;
+  EXPECT_EQ(count_of(acc.output, notice), 0u) << acc.output;
 }
 
 // The "cache:" line of --cache-stats: total hits over both tiers, their

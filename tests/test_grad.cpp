@@ -19,6 +19,7 @@
 #include "ode/reachnn_suite.hpp"
 #include "reach/control_abstraction.hpp"
 #include "reach/grad_flowpipe.hpp"
+#include "reach/linear_reach.hpp"
 #include "reach/tm_flowpipe.hpp"
 #include "taylor/dual_tm.hpp"
 
@@ -868,35 +869,97 @@ TEST(GradLearner, ConvergesOnAccWithFiveTimesFewerCallsThanSpsa) {
 
 TEST(GradLearner, SpsaFallsBackUnchangedForUnsupportedController) {
   // An MLP controller is outside the gradient engine's support; opt.grad
-  // must warn and reproduce the SPSA run bit for bit. (The verifier uses
-  // the polar abstraction — the one the MLP family is verified with.)
+  // must report TmGradient's reason in the result and reproduce the SPSA
+  // run bit for bit. (The verifier uses the polar abstraction — the one the
+  // MLP family is verified with.)
   const auto bench = ode::make_acc_benchmark();
   core::LearnerOptions opt = grad_learn_options();
   opt.max_iters = 6;
   opt.restarts = 1;
   opt.require_containment = false;
 
-  const auto run = [&](bool grad) {
-    core::LearnerOptions o = opt;
-    o.grad = grad;
-    const auto verifier = std::make_shared<TmVerifier>(
-        bench.system, bench.spec, std::make_shared<reach::PolarAbstraction>(),
-        reach::TmReachOptions{});
-    core::Learner learner(verifier, bench.spec, o);
+  const auto verifier = std::make_shared<TmVerifier>(
+      bench.system, bench.spec, std::make_shared<reach::PolarAbstraction>(),
+      reach::TmReachOptions{});
+  const auto mlp = [] {
     std::mt19937_64 rng(7);
     nn::MlpController ctrl({2, 4, 1}, 1.0, nn::Activation::kTanh,
                            nn::Activation::kTanh);
     ctrl.init_random(rng, 0.3);
-    const core::LearnResult res = learner.learn(ctrl);
-    return std::pair<Vec, std::size_t>{ctrl.params(), res.verifier_calls};
+    return ctrl;
   };
-  const auto [p_spsa, c_spsa] = run(false);
-  const auto [p_grad, c_grad] = run(true);
+  const auto run = [&](bool grad) {
+    core::LearnerOptions o = opt;
+    o.grad = grad;
+    core::Learner learner(verifier, bench.spec, o);
+    nn::MlpController ctrl = mlp();
+    const core::LearnResult res = learner.learn(ctrl);
+    return std::tuple<Vec, std::size_t, std::string>{
+        ctrl.params(), res.verifier_calls, res.grad_unavailable};
+  };
+  const auto [p_spsa, c_spsa, why_spsa] = run(false);
+  const auto [p_grad, c_grad, why_grad] = run(true);
   ASSERT_EQ(p_spsa.size(), p_grad.size());
   for (std::size_t i = 0; i < p_spsa.size(); ++i) {
     EXPECT_EQ(p_spsa[i], p_grad[i]) << "param " << i;
   }
   EXPECT_EQ(c_spsa, c_grad);
+  const char* reason = TmGradient::unsupported_reason(*verifier, mlp());
+  ASSERT_NE(reason, nullptr);
+  EXPECT_EQ(why_grad, reason);
+  EXPECT_TRUE(why_spsa.empty()) << why_spsa;
+
+  // A supported configuration honours the request and reports nothing.
+  core::LearnerOptions supported = opt;
+  supported.max_iters = 2;
+  core::Learner learner(acc_tm_verifier(bench), bench.spec, supported);
+  nn::LinearController ctrl(Mat{{0.0, 0.0}});
+  const core::LearnResult res = learner.learn(ctrl);
+  EXPECT_TRUE(res.grad_unavailable.empty()) << res.grad_unavailable;
+}
+
+TEST(GradLearner, FallbackReasonNamesTheCause) {
+  // Each unusable configuration reports its own reason and runs the SPSA
+  // source exactly as grad = false does.
+  const auto bench = ode::make_acc_benchmark();
+  core::LearnerOptions sinkhorn = grad_learn_options();
+  sinkhorn.metric = core::MetricKind::kWasserstein;
+  sinkhorn.wopt.use_sinkhorn = true;
+  const struct {
+    const char* name;
+    reach::VerifierPtr verifier;
+    core::LearnerOptions opt;
+    const char* reason;
+  } cases[] = {
+      {"sinkhorn", acc_tm_verifier(bench), sinkhorn,
+       "Sinkhorn Wasserstein provides no exact transport plan"},
+      {"not_tm",
+       std::make_shared<reach::LinearVerifier>(bench.system, bench.spec),
+       grad_learn_options(), "verifier is not a Taylor-model verifier"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    const auto run = [&](bool grad) {
+      core::LearnerOptions o = c.opt;
+      o.max_iters = 4;
+      o.restarts = 2;
+      o.grad = grad;
+      core::Learner learner(c.verifier, bench.spec, o);
+      nn::LinearController ctrl(Mat{{0.0, 0.0}});
+      const core::LearnResult res = learner.learn(ctrl);
+      return std::tuple<Vec, std::size_t, std::string>{
+          ctrl.params(), res.verifier_calls, res.grad_unavailable};
+    };
+    const auto [p_spsa, c_spsa, why_spsa] = run(false);
+    const auto [p_grad, c_grad, why_grad] = run(true);
+    EXPECT_EQ(why_grad, c.reason);
+    EXPECT_TRUE(why_spsa.empty()) << why_spsa;
+    EXPECT_EQ(c_spsa, c_grad);
+    ASSERT_EQ(p_spsa.size(), p_grad.size());
+    for (std::size_t i = 0; i < p_spsa.size(); ++i) {
+      EXPECT_EQ(p_spsa[i], p_grad[i]) << "param " << i;
+    }
+  }
 }
 
 TEST(GradLearner, CacheCompositionIsBitIdentical) {

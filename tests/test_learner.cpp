@@ -1,10 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <random>
+#include <stdexcept>
 
 #include "core/learner.hpp"
 #include "ode/benchmarks.hpp"
@@ -248,6 +249,44 @@ TEST(Learner, SpsaAveragedWithZeroSamplesIsClamped) {
   for (std::size_t i = 0; i < theta.size(); ++i) {
     EXPECT_TRUE(std::isfinite(theta[i]));
   }
+}
+
+TEST(Learner, RejectsNonsensicalOptions) {
+  // A zero perturbation divides the SPSA quotient by zero and fills theta
+  // with NaNs; validation must refuse it (and its kin) in every build type,
+  // not only where asserts are compiled in.
+  const auto bench = ode::make_acc_benchmark();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const struct {
+    const char* name;
+    double LearnerOptions::*field;
+    double value;
+  } cases[] = {
+      {"perturbation 0", &LearnerOptions::perturbation, 0.0},
+      {"perturbation -1", &LearnerOptions::perturbation, -1.0},
+      {"perturbation inf", &LearnerOptions::perturbation, inf},
+      {"perturbation nan", &LearnerOptions::perturbation, nan},
+      {"step_size 0", &LearnerOptions::step_size, 0.0},
+      {"step_size -0.1", &LearnerOptions::step_size, -0.1},
+      {"step_size inf", &LearnerOptions::step_size, inf},
+      {"step_size nan", &LearnerOptions::step_size, nan},
+      {"restart_scale -1", &LearnerOptions::restart_scale, -1.0},
+      {"restart_scale inf", &LearnerOptions::restart_scale, inf},
+      {"restart_scale nan", &LearnerOptions::restart_scale, nan},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    LearnerOptions opt;
+    opt.*c.field = c.value;
+    EXPECT_THROW((void)opt.validated(), std::invalid_argument);
+    EXPECT_THROW(Learner(acc_verifier(bench), bench.spec, opt),
+                 std::invalid_argument);
+  }
+  // A zero restart scale (re-initialize at the origin) is allowed.
+  LearnerOptions zero_scale;
+  zero_scale.restart_scale = 0.0;
+  EXPECT_NO_THROW((void)zero_scale.validated());
 }
 
 TEST(Learner, UnconvergedRunReportsLastRealFlowpipe) {

@@ -78,8 +78,8 @@
 //   --grad                    (learn) analytic forward-mode gradients
 //                             through the TM verifier (one dual pass per
 //                             iteration instead of SPSA probe pairs);
-//                             unsupported configurations warn on stderr
-//                             and fall back to SPSA unchanged
+//                             unsupported configurations run SPSA
+//                             unchanged and print why on stderr
 // Search options (dwv search; results are bit-identical at any sharding):
 //   --depth N                 maximum bisection depth (default 7; <= 62)
 //   --shards K                run K subtree shards in this process, each
@@ -496,6 +496,11 @@ int cmd_learn(const Args& args) {
               static_cast<unsigned long long>(opt.seed));
   core::Learner learner(verifier, bench.spec, opt);
   const core::LearnResult res = learner.learn(*ctrl);
+  if (!res.grad_unavailable.empty()) {
+    std::fprintf(stderr,
+                 "dwv: analytic gradient unavailable (%s); ran SPSA instead\n",
+                 res.grad_unavailable.c_str());
+  }
   std::printf("%s after %zu iterations (%zu verifier calls, %.1fs)\n",
               res.success ? "CONVERGED" : "did not converge",
               res.iterations, res.verifier_calls, res.verifier_seconds);
