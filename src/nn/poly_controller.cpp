@@ -106,12 +106,18 @@ std::unique_ptr<Controller> PolynomialController::clone() const {
 }
 
 poly::Poly PolynomialController::output_poly(std::size_t k) const {
-  assert(k < input_dim_);
   poly::Poly p(state_dim_);
+  output_poly_into(k, p);
+  return p;
+}
+
+void PolynomialController::output_poly_into(std::size_t k,
+                                            poly::Poly& p) const {
+  assert(k < input_dim_);
+  p.reset(state_dim_);
   for (std::size_t j = 0; j < basis_.size(); ++j) {
     p.add_term(basis_[j], coeffs_[k][j]);
   }
-  return p;
 }
 
 void PolynomialController::init_random(std::mt19937_64& rng, double scale) {

@@ -32,6 +32,8 @@ class PolynomialController final : public Controller {
   const std::vector<poly::Exponents>& basis() const { return basis_; }
   /// Output k as a polynomial over the state variables.
   poly::Poly output_poly(std::size_t k) const;
+  /// output_poly(k) written into `p`, reusing its term buffer.
+  void output_poly_into(std::size_t k, poly::Poly& p) const;
 
   /// Random initialization with the given coefficient scale.
   void init_random(std::mt19937_64& rng, double scale);

@@ -248,10 +248,14 @@ TmVec PolynomialAbstraction::abstract(const TmEnv& env, const TmVec& state,
                                       const nn::Controller& ctrl) const {
   const auto* pc = dynamic_cast<const nn::PolynomialController*>(&ctrl);
   assert(pc && "PolynomialAbstraction requires a PolynomialController");
+  // Each output polynomial is rebuilt in the abstraction's scratch slot,
+  // so a warm call allocates only the returned models.
+  poly::Poly& out = env.scratch().ctrl_pre.poly;
   TmVec u;
   u.reserve(pc->input_dim());
   for (std::size_t k = 0; k < pc->input_dim(); ++k) {
-    u.push_back(taylor::tm_eval_poly(env, pc->output_poly(k), state));
+    pc->output_poly_into(k, out);
+    u.push_back(taylor::tm_eval_poly(env, out, state));
   }
   return u;
 }

@@ -20,6 +20,7 @@
 
 #include "interval/ivec.hpp"
 #include "nn/controller.hpp"
+#include "nn/poly_controller.hpp"
 #include "ode/benchmarks.hpp"
 #include "poly/poly.hpp"
 #include "poly/poly_ref.hpp"
@@ -849,6 +850,42 @@ TEST(TmPacked, WarmPolarAbstractIsAllocationFree) {
     ASSERT_FALSE(u[0].poly.is_zero());
     EXPECT_EQ(after - before, 2u)
         << "warm PolarAbstraction::abstract allocated beyond its result";
+    expect_tm_equal(u[0], first[0], "warm abstract");
+  }
+}
+
+TEST(TmPacked, WarmPolynomialAbstractIsAllocationFree) {
+  // A cubic polynomial controller over the oscillator's initial TM state.
+  // Once the scratch is warm, tm_eval_poly keeps its accumulator buffers,
+  // so abstract allocates only the returned TmVec: its buffer and the
+  // output model's terms.
+  const auto bench = dwv::ode::make_oscillator_benchmark();
+  dwv::nn::PolynomialController ctrl(2, 1, 3);
+  std::mt19937_64 rng(8);
+  ctrl.init_random(rng, 0.4);
+  TmEnv env;
+  env.dom = IVec(2, Interval(-1.0, 1.0));
+  env.order = 3;
+  env.cutoff = 1e-12;
+  env.scratch().range.pin_domain(env.dom, 2 * env.order + 2);
+  const dwv::linalg::Vec c = bench.spec.x0.center();
+  const dwv::linalg::Vec r = bench.spec.x0.radius();
+  TmVec state(2);
+  for (std::size_t i = 0; i < 2; ++i) {
+    state[i] = {Poly::constant(2, c[i]) + Poly::variable(2, i) * r[i],
+                Interval(0.0)};
+  }
+  const dwv::reach::PolynomialAbstraction abs;
+  const TmVec first = abs.abstract(env, state, ctrl);
+  for (int i = 0; i < 3; ++i) (void)abs.abstract(env, state, ctrl);
+  for (int i = 0; i < 10; ++i) {
+    const std::size_t before = g_alloc_count.load(std::memory_order_relaxed);
+    const TmVec u = abs.abstract(env, state, ctrl);
+    const std::size_t after = g_alloc_count.load(std::memory_order_relaxed);
+    ASSERT_EQ(u.size(), 1u);
+    ASSERT_FALSE(u[0].poly.is_zero());
+    EXPECT_EQ(after - before, 2u)
+        << "warm PolynomialAbstraction::abstract allocated beyond its result";
     expect_tm_equal(u[0], first[0], "warm abstract");
   }
 }
