@@ -44,9 +44,10 @@ LearnerOptions LearnerOptions::validated() const {
     throw std::invalid_argument(
         "LearnerOptions: step_size must be finite and positive");
   }
-  if (!std::isfinite(restart_scale) || restart_scale < 0.0) {
+  // std::normal_distribution requires a positive standard deviation.
+  if (!std::isfinite(restart_scale) || restart_scale <= 0.0) {
     throw std::invalid_argument(
-        "LearnerOptions: restart_scale must be finite and non-negative");
+        "LearnerOptions: restart_scale must be finite and positive");
   }
   LearnerOptions v = *this;
   v.spsa_samples = std::max<std::size_t>(1, v.spsa_samples);

@@ -107,8 +107,8 @@ struct LearnerOptions {
   /// Returns a copy with spsa_samples clamped to >= 1 (0 would divide the
   /// averaged gradient by zero and poison theta with NaNs). Throws
   /// std::invalid_argument on nonsensical settings: a non-finite or
-  /// non-positive perturbation or step size, or a non-finite or negative
-  /// restart_scale. The Learner constructor applies this automatically.
+  /// non-positive perturbation, step size or restart_scale. The Learner
+  /// constructor applies this automatically.
   LearnerOptions validated() const;
 };
 
