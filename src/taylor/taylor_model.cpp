@@ -103,9 +103,9 @@ TaylorModel tm_eval_poly(const TmEnv& env, const poly::Poly& f,
                          const TmVec& args) {
   TaylorModel r;
   tm_eval_poly_into(env, f, args, r);
-  // The result left in the scratch accumulator's buffer; hand that buffer
-  // back and return an exact-size copy, so a warm call allocates only the
-  // result's terms.
+  // tm_eval_poly_into swapped the scratch accumulator's buffer into r: hand
+  // it back and return an exact-size copy, so a warm call allocates only
+  // the result's terms.
   TaylorModel out = r;
   std::swap(env.scratch().acc, r);
   return out;

@@ -152,7 +152,8 @@ struct RemTape {
 ///  - tm_tanh_into / tm_sigmoid_into: act_dt, act_lin, act_sq, act_secant
 ///    (and the Poly layer via tm_mul_into); tm_relu_into: none.
 ///  - Controller abstraction (reach/control_abstraction.cpp): ctrl_layers,
-///    ctrl_pre (and the affine and activation kernels).
+///    ctrl_pre (and the affine and activation kernels); the polynomial
+///    abstraction keeps its output polynomial in ctrl_pre.poly.
 ///  - Flowpipe step (reach/picard_step.hpp): the step workspace below.
 struct TmScratch {
   // Poly layer.

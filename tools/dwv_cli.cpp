@@ -497,6 +497,7 @@ int cmd_learn(const Args& args) {
   core::Learner learner(verifier, bench.spec, opt);
   const core::LearnResult res = learner.learn(*ctrl);
   if (!res.grad_unavailable.empty()) {
+    std::fflush(stdout);  // keep the banner above the notice when piped
     std::fprintf(stderr,
                  "dwv: analytic gradient unavailable (%s); ran SPSA instead\n",
                  res.grad_unavailable.c_str());
