@@ -10,6 +10,7 @@
 #include "parallel/pool.hpp"
 #include "reach/batch.hpp"
 #include "reach/grad_flowpipe.hpp"
+#include "reach/serialize.hpp"
 #include "reach/tm_flowpipe.hpp"
 
 namespace dwv::core {
@@ -288,9 +289,9 @@ struct Learner::DualSource {
 
   const Learner& l;
   const reach::TmGradient engine;
-  /// Key id of the memo below: the verifier's cache salt XOR a gradient
-  /// tag, so dual results can never alias the scalar flowpipe entries
-  /// sharing the process-wide cache.
+  /// Key id of the per-run memo below: the verifier's cache salt XOR the
+  /// record kind. It leaves out the controller's structure, which is fixed
+  /// within a run; persistent records are keyed by key_for instead.
   const std::uint64_t grad_id;
   /// Per-run memo of dual passes: restarts and stalled ascent revisit
   /// parameter vectors exactly, and the dual pass is deterministic.
@@ -306,12 +307,40 @@ struct Learner::DualSource {
              const reach::TmVerifier& tv)
       : l(learner),
         engine(tv),
-        grad_id(tv.cache_salt() ^ 0x6477762d67726164ull),
+        grad_id(tv.cache_salt() ^ reach::kGradRecordKind),
         cv(dynamic_cast<const reach::CachingVerifier*>(
             learner.verifier_.get())),
         probe(ctrl.clone()) {}
 
   const reach::Flowpipe& pipe() const { return g->fp; }
+
+  // The dual pass of `c`: read from the persistent tier when it holds
+  // one, otherwise computed and appended there.
+  reach::GradFlowpipe pass(const nn::Controller& c) const {
+    if (cv == nullptr) return engine.compute(l.spec_.x0, c);
+    reach::FlowpipeCache& cache = *cv->cache();
+    reach::GradFlowpipe out;
+    if (cache.has_disk_tier()) {
+      const auto key = cv->key_for(l.spec_.x0, c, reach::kGradRecordKind);
+      const auto parse = [&](reach::ser::Reader& r) {
+        return reach::ser::get(r, out, c.param_count());
+      };
+      if (!cache.lookup_record(key, parse)) {
+        double s = 0.0;
+        out = timed(s, [&] { return engine.compute(l.spec_.x0, c); });
+        cache.add_miss_compute_seconds(s);
+        reach::ser::Writer w;
+        reach::ser::put(w, out);
+        cache.insert_record(key, w.bytes());
+      }
+    } else {
+      out = engine.compute(l.spec_.x0, c);
+    }
+    // The value channel is bit-identical to tv.compute, so the shared
+    // flowpipe cache can serve it to scalar callers.
+    cache.insert(cv->key_for(l.spec_.x0, c), out.fp);
+    return out;
+  }
 
   // The metric values equal measure(fp)'s bit for bit (negation is exact),
   // so the record is filled from the dual pass without a scalar
@@ -321,13 +350,8 @@ struct Learner::DualSource {
         reach::FlowpipeCache::make_key(grad_id, l.spec_.x0, c.params());
     auto it = memo.find(key);
     if (it == memo.end()) {
-      reach::GradFlowpipe fresh = timed(
-          res.verifier_seconds, [&] { return engine.compute(l.spec_.x0, c); });
-      // The value channel is bit-identical to tv.compute, so the shared
-      // flowpipe cache can serve it to scalar callers.
-      if (l.cache_ && cv != nullptr) {
-        l.cache_->insert(cv->key_for(l.spec_.x0, c), fresh.fp);
-      }
+      reach::GradFlowpipe fresh =
+          timed(res.verifier_seconds, [&] { return pass(c); });
       it = memo.emplace(key, std::move(fresh)).first;
     }
     ++res.verifier_calls;  // one dual pass is the iterate's verifier call

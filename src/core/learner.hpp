@@ -86,8 +86,9 @@ struct LearnerOptions {
   bool cache = false;
   /// Persistent cache directory (DESIGN.md §15): non-empty adds the
   /// on-disk tier behind the memory tier, so a second learn of the same
-  /// configuration warm-starts from the previous run's flowpipes (same
-  /// bit-identity contract as the memory tier). Implies `cache`.
+  /// configuration warm-starts from the previous run's flowpipes and,
+  /// with `grad`, its dual gradient passes (same bit-identity contract as
+  /// the memory tier). Implies `cache`.
   std::string cache_dir;
   /// Analytic forward-mode gradients (reach::TmGradient): one dual verifier
   /// pass per iteration yields the flowpipe AND the exact metric gradient

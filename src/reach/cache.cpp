@@ -100,6 +100,13 @@ bool parse_payload_key(ser::Reader& r, FlowpipeCache::Key& key) {
   return true;
 }
 
+/// Body of a flowpipe record.
+ser::Bytes pipe_bytes(const Flowpipe& fp) {
+  ser::Writer w;
+  ser::put(w, fp);
+  return w.take();
+}
+
 /// One scanned record: its frame bounds within the file and its key.
 struct ScannedRecord {
   FlowpipeCache::Key key;
@@ -329,15 +336,16 @@ std::uint64_t FlowpipeCache::mem_insert(const Key& key, const Flowpipe& fp) {
   return evicted;
 }
 
-std::optional<Flowpipe> FlowpipeCache::disk_fetch(const Key& key) {
-  if (!disk_) return std::nullopt;
+bool FlowpipeCache::disk_read(
+    const Key& key, const std::function<bool(ser::Reader&)>& parse) {
+  if (!disk_) return false;
   DiskTier::Loc loc;
   const std::uint8_t* mapped = nullptr;
   int fd = -1;
   {
     std::lock_guard<std::mutex> lock(disk_->mu);
     const auto it = disk_->index.find(key);
-    if (it == disk_->index.end()) return std::nullopt;
+    if (it == disk_->index.end()) return false;
     loc = it->second;
     const DiskTier::ShardFile& f = disk_->files[loc.file];
     if (loc.payload_off + loc.payload_len <= f.map_len) {
@@ -352,28 +360,38 @@ std::optional<Flowpipe> FlowpipeCache::disk_fetch(const Key& key) {
     buf.resize(static_cast<std::size_t>(loc.payload_len));
     const ssize_t got = ::pread(fd, buf.data(), buf.size(),
                                 static_cast<off_t>(loc.payload_off));
-    if (got != static_cast<ssize_t>(buf.size())) return std::nullopt;
+    if (got != static_cast<ssize_t>(buf.size())) return false;
     payload = buf.data();
   }
   // The index only holds checksum-verified records, but verify structure
   // anyway: a parse failure is a miss, never an error.
   ser::Reader r(payload, static_cast<std::size_t>(loc.payload_len));
   Key stored;
-  if (!parse_payload_key(r, stored) || !(stored == key)) return std::nullopt;
-  Flowpipe fp;
-  if (!ser::get(r, fp)) return std::nullopt;
+  if (!parse_payload_key(r, stored) || !(stored == key) || !parse(r) ||
+      !r.ok() || r.remaining() != 0) {
+    return false;
+  }
   disk_bytes_read_.fetch_add(loc.payload_len, std::memory_order_relaxed);
+  return true;
+}
+
+std::optional<Flowpipe> FlowpipeCache::disk_fetch(const Key& key) {
+  Flowpipe fp;
+  if (!disk_read(key, [&](ser::Reader& r) { return ser::get(r, fp); })) {
+    return std::nullopt;
+  }
   return fp;
 }
 
-void FlowpipeCache::disk_append(const Key& key, const Flowpipe& fp) {
+void FlowpipeCache::disk_append(const Key& key,
+                                const std::vector<std::uint8_t>& body) {
   if (!disk_) return;
   ser::Writer w;
   w.u64(key.id);
   w.u64(key.words.size());
   for (std::uint64_t word : key.words) w.u64(word);
-  ser::put(w, fp);
-  const ser::Bytes payload = w.take();
+  ser::Bytes payload = w.take();
+  payload.insert(payload.end(), body.begin(), body.end());
   ser::Writer frame;
   frame.u64(payload.size());
   frame.u64(ser::checksum64(payload.data(), payload.size()));
@@ -396,6 +414,22 @@ void FlowpipeCache::disk_append(const Key& key, const Flowpipe& fp) {
                                     static_cast<std::uint64_t>(payload.size())};
   f.size += bytes.size();
   disk_bytes_written_.fetch_add(bytes.size(), std::memory_order_relaxed);
+}
+
+bool FlowpipeCache::lookup_record(
+    const Key& key, const std::function<bool(ser::Reader&)>& parse) {
+  const std::uint64_t t0 = now_ns();
+  const bool hit = disk_read(key, parse);
+  (hit ? disk_hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
+  overhead_ns_.fetch_add(now_ns() - t0, std::memory_order_relaxed);
+  return hit;
+}
+
+void FlowpipeCache::insert_record(const Key& key,
+                                  const std::vector<std::uint8_t>& body) {
+  const std::uint64_t t0 = now_ns();
+  disk_append(key, body);
+  overhead_ns_.fetch_add(now_ns() - t0, std::memory_order_relaxed);
 }
 
 std::optional<Flowpipe> FlowpipeCache::lookup(const Key& key) {
@@ -471,7 +505,7 @@ void FlowpipeCache::insert(const Key& key, const Flowpipe& fp) {
   // the same (deterministic) pipe; refresh rather than duplicate. Also
   // fills a pending placeholder a racing reader recomputed around.
   const std::uint64_t evicted = mem_insert(key, fp);
-  disk_append(key, fp);
+  if (disk_) disk_append(key, pipe_bytes(fp));
   insertions_.fetch_add(1, std::memory_order_relaxed);
   if (evicted) evictions_.fetch_add(evicted, std::memory_order_relaxed);
   overhead_ns_.fetch_add(now_ns() - t0, std::memory_order_relaxed);
@@ -518,7 +552,7 @@ void FlowpipeCache::replace(const Key& key, const Flowpipe& fp) {
   // The scalar sequence persisted this value at its insert(); the batched
   // backfill persists it here — whether or not the placeholder survived
   // in RAM, so both paths leave the same records on disk.
-  disk_append(key, fp);
+  if (disk_) disk_append(key, pipe_bytes(fp));
 }
 
 CacheStats FlowpipeCache::stats() const {
@@ -612,11 +646,12 @@ CachingVerifier::CachingVerifier(VerifierPtr inner, FlowpipeCache::Config cfg)
   cache_ = std::make_shared<FlowpipeCache>(salted(std::move(cfg), *inner_));
 }
 
-FlowpipeCache::Key CachingVerifier::key_for(
-    const geom::Box& x0, const nn::Controller& ctrl) const {
+FlowpipeCache::Key CachingVerifier::key_for(const geom::Box& x0,
+                                            const nn::Controller& ctrl,
+                                            std::uint64_t kind) const {
   // The controller's architecture string keeps two different controller
   // families with coincidentally equal flat parameter vectors apart.
-  const std::uint64_t id = hash_string(name_seed_, ctrl.describe());
+  const std::uint64_t id = hash_string(name_seed_ ^ kind, ctrl.describe());
   return FlowpipeCache::make_key(id, x0, ctrl.params());
 }
 
@@ -638,7 +673,17 @@ Flowpipe CachingVerifier::compute(const geom::Box& x0,
 CacheCompactionStats compact_cache_dir(const std::string& dir) {
   CacheCompactionStats stats;
   std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+  // A missing directory is an error, not an empty cache: the caller named
+  // a cache that is not there.
+  if (!std::filesystem::is_directory(dir, ec)) {
+    throw std::runtime_error("cache-dir '" + dir + "' is not a directory");
+  }
+  std::filesystem::directory_iterator files(dir, ec);
+  if (ec) {
+    throw std::runtime_error("cache-dir open failed for '" + dir +
+                             "': " + ec.message());
+  }
+  for (const auto& entry : files) {
     if (!entry.is_regular_file()) continue;
     const std::string path = entry.path().string();
     if (entry.path().extension() != ".dwvfc") continue;

@@ -17,6 +17,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -29,17 +30,23 @@
 
 namespace dwv::reach {
 
+namespace ser {
+class Reader;
+}
+
 /// Plain-value snapshot of the cache counters (see FlowpipeCache::stats).
 struct CacheStats {
   /// In-memory tier hits (the value was resident).
   std::uint64_t hits = 0;
-  /// Misses of BOTH tiers (the verifier had to compute).
+  /// Misses of BOTH tiers (the verifier had to compute), including
+  /// lookup_record misses.
   std::uint64_t misses = 0;
   std::uint64_t evictions = 0;
   std::uint64_t insertions = 0;
   /// Persistent-tier counters (all zero without a --cache-dir tier).
-  /// A disk hit deserializes the record and backfills the memory tier, so
-  /// later lookups of the same key count under `hits`.
+  /// A flowpipe disk hit deserializes the record and backfills the memory
+  /// tier, so later lookups of the same key count under `hits`; a
+  /// lookup_record hit backfills nothing.
   std::uint64_t disk_hits = 0;
   std::uint64_t disk_bytes_read = 0;
   std::uint64_t disk_bytes_written = 0;
@@ -158,6 +165,24 @@ class FlowpipeCache {
   /// absent (e.g. the placeholder was already evicted).
   void replace(const Key& key, const Flowpipe& fp);
 
+  // --- Raw records (DESIGN.md §15) ---------------------------------------
+  // A second record kind beside the flowpipe: a body the caller
+  // serializes, framed, checksummed, indexed and compacted like a flowpipe
+  // record in the same shard logs. The caller keeps its key ids apart from
+  // the flowpipe keys (CachingVerifier::key_for's `kind`). Records live on
+  // disk only: they get no memory-tier copy.
+
+  /// Hands the body stored under `key` to `parse`. Returns true, counting
+  /// a disk hit, when `parse` accepts the whole body; otherwise (no disk
+  /// tier, no record, or a body `parse` rejects) counts a miss. Never
+  /// throws.
+  bool lookup_record(const Key& key,
+                     const std::function<bool(ser::Reader&)>& parse);
+  /// Appends `body` under `key` unless the key is already on disk; a
+  /// no-op without a disk tier. Throws std::runtime_error on write
+  /// failure.
+  void insert_record(const Key& key, const std::vector<std::uint8_t>& body);
+
   CacheStats stats() const;
   void reset_stats();
   /// Drops the MEMORY tier only; the persistent tier keeps its records
@@ -191,12 +216,16 @@ class FlowpipeCache {
   /// Inserts `fp` into the memory tier under the shard lock (the shared
   /// tail of insert() and the disk-hit backfill), returning evictions.
   std::uint64_t mem_insert(const Key& key, const Flowpipe& fp);
-  /// Probes the persistent tier; deserializes on hit. Never throws —
+  /// Probes the persistent tier and hands the body of the record under
+  /// `key` to `parse`; true when it accepts the whole body. Never throws —
   /// corrupt or unreadable records are a miss.
+  bool disk_read(const Key& key,
+                 const std::function<bool(ser::Reader&)>& parse);
+  /// disk_read of a flowpipe record.
   std::optional<Flowpipe> disk_fetch(const Key& key);
-  /// Appends (key, fp) to the persistent tier unless the key is already
+  /// Appends (key, body) to the persistent tier unless the key is already
   /// on disk; throws std::runtime_error on write failure.
-  void disk_append(const Key& key, const Flowpipe& fp);
+  void disk_append(const Key& key, const std::vector<std::uint8_t>& body);
 
   Config cfg_;
   std::size_t per_shard_capacity_;
@@ -223,6 +252,8 @@ class FlowpipeCache {
 /// rewritten log is published by atomic rename, so a crash mid-compaction
 /// leaves the original file intact. Run it offline — a concurrently
 /// appending process would lose appends made after the rewrite's snapshot.
+/// Throws std::runtime_error when `dir` is missing, is not a directory, or
+/// a log cannot be read or rewritten.
 struct CacheCompactionStats {
   std::size_t files = 0;            ///< shard logs rewritten
   std::size_t stale_files_deleted = 0;
@@ -273,9 +304,12 @@ class CachingVerifier final : public Verifier {
 
   /// The exact key compute() would use for this job — exposed so the
   /// batched engine (reach::BatchVerifier) can reproduce the same
-  /// lookup/insert sequence around its lane-group computations.
-  FlowpipeCache::Key key_for(const geom::Box& x0,
-                             const nn::Controller& ctrl) const;
+  /// lookup/insert sequence around its lane-group computations. A nonzero
+  /// `kind` gives the key of another record kind about the same job (the
+  /// same material under its own id), e.g. the learner's dual gradient
+  /// pass (FlowpipeCache::lookup_record).
+  FlowpipeCache::Key key_for(const geom::Box& x0, const nn::Controller& ctrl,
+                             std::uint64_t kind = 0) const;
 
   const std::shared_ptr<FlowpipeCache>& cache() const { return cache_; }
   const VerifierPtr& inner() const { return inner_; }

@@ -22,6 +22,7 @@
 //  - at most interval::DualInterval::kMaxDirs parameters.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "reach/tm_flowpipe.hpp"
@@ -42,6 +43,10 @@ struct GradFlowpipe {
   /// Dual bounds of fp.interval_hulls[s][i].
   std::vector<std::vector<interval::DualInterval>> interval_hulls_d;
 };
+
+/// Record kind ("dwv-grad") of a GradFlowpipe in a persistent flowpipe
+/// cache (CachingVerifier::key_for's `kind`, FlowpipeCache::lookup_record).
+inline constexpr std::uint64_t kGradRecordKind = 0x6477762d67726164ull;
 
 /// One dual-validated integration step: TmStepResult's fields over dual
 /// models and dual tube bounds (the signals come from the value channel).

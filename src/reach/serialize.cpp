@@ -3,6 +3,8 @@
 #include <bit>
 #include <cstring>
 
+#include "reach/grad_flowpipe.hpp"
+
 namespace dwv::reach::ser {
 
 // --- Writer -------------------------------------------------------------
@@ -283,6 +285,61 @@ bool get(Reader& r, Flowpipe& out) {
   out.valid = r.u8() != 0;
   out.failure = r.str();
   return get(r, out.tm_stats) && r.ok();
+}
+
+namespace {
+
+using DualRows = std::vector<std::vector<interval::DualInterval>>;
+
+void put_tangents(Writer& w, const DualRows& rows, std::size_t dirs) {
+  w.u64(rows.size());
+  for (const std::vector<interval::DualInterval>& row : rows) {
+    w.u64(row.size());
+    for (const interval::DualInterval& d : row) {
+      for (std::size_t k = 0; k < dirs; ++k) w.f64(d.dlo[k]);
+      for (std::size_t k = 0; k < dirs; ++k) w.f64(d.dhi[k]);
+    }
+  }
+}
+
+// Rebuilds dual rows over `boxes`, whose bits are the value channel.
+bool get_tangents(Reader& r, const std::vector<geom::Box>& boxes,
+                  std::size_t dirs, DualRows& out) {
+  if (r.u64() != boxes.size()) r.fail();
+  if (!r.ok()) return false;
+  out.assign(boxes.size(), {});
+  for (std::size_t s = 0; s < boxes.size(); ++s) {
+    const geom::Box& b = boxes[s];
+    if (r.u64() != b.dim()) r.fail();
+    if (!r.ok()) return false;
+    out[s].resize(b.dim());
+    for (std::size_t i = 0; i < b.dim(); ++i) {
+      interval::DualInterval& d = out[s][i];
+      d.v = b[i];
+      d.nd = dirs;
+      for (std::size_t k = 0; k < dirs; ++k) d.dlo[k] = r.f64();
+      for (std::size_t k = 0; k < dirs; ++k) d.dhi[k] = r.f64();
+    }
+  }
+  return r.ok();
+}
+
+}  // namespace
+
+void put(Writer& w, const GradFlowpipe& v) {
+  put(w, v.fp);
+  w.u64(v.dirs);
+  put_tangents(w, v.step_sets_d, v.dirs);
+  put_tangents(w, v.interval_hulls_d, v.dirs);
+}
+
+bool get(Reader& r, GradFlowpipe& out, std::size_t dirs) {
+  if (!get(r, out.fp)) return false;
+  if (r.u64() != dirs || dirs > interval::DualInterval::kMaxDirs) r.fail();
+  if (!r.ok()) return false;
+  out.dirs = dirs;
+  return get_tangents(r, out.fp.step_sets, dirs, out.step_sets_d) &&
+         get_tangents(r, out.fp.interval_hulls, dirs, out.interval_hulls_d);
 }
 
 }  // namespace dwv::reach::ser

@@ -26,6 +26,10 @@
 #include "reach/flowpipe.hpp"
 #include "taylor/taylor_model.hpp"
 
+namespace dwv::reach {
+struct GradFlowpipe;
+}
+
 namespace dwv::reach::ser {
 
 using Bytes = std::vector<std::uint8_t>;
@@ -114,5 +118,15 @@ bool get(Reader& r, TmReachStats& out);
 
 void put(Writer& w, const Flowpipe& v);
 bool get(Reader& r, Flowpipe& out);
+
+/// A dual gradient pass: `fp`, then `dirs`, then only the `dirs` tangent
+/// columns (lo, then hi) of each step_sets_d and interval_hulls_d bound,
+/// each row set behind its row count and each row behind its dimension.
+/// The value channel is not stored twice: get() rebuilds it from fp's
+/// bits. get() rejects a record whose dirs differs from `dirs` (the
+/// parameter count) or exceeds DualInterval::kMaxDirs, and one whose row
+/// counts or dimensions differ from fp's.
+void put(Writer& w, const GradFlowpipe& v);
+bool get(Reader& r, GradFlowpipe& out, std::size_t dirs);
 
 }  // namespace dwv::reach::ser

@@ -246,6 +246,26 @@ std::uint64_t TmVerifier::cache_salt() const {
     w.push_back(opt_.adaptive_order_max);
     w.push_back(opt_.adaptive_reject_budget);
   }
+  // The step and integration knobs change every pipe too. They are pushed
+  // only when one differs from its default, so default salts keep their
+  // historical bits.
+  const auto knobs = [](const TmReachOptions& o) {
+    const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+    std::vector<std::uint64_t> k;
+    k.push_back(bits(o.cutoff));
+    k.push_back(o.picard_iters);
+    k.push_back(bits(o.rem_init));
+    k.push_back(bits(o.rem_inflate));
+    k.push_back(o.max_inflations);
+    k.push_back(bits(o.divergence_bound));
+    k.push_back(bits(o.reinit_rem_fraction));
+    return k;
+  };
+  const std::vector<std::uint64_t> k = knobs(opt_);
+  if (k != knobs(TmReachOptions{})) {
+    w.push_back(0x57e9c0b5ull);
+    w.insert(w.end(), k.begin(), k.end());
+  }
   push_spec_words(w, spec_);
   if (const auto* pd =
           dynamic_cast<const PolyTmDynamics*>(dynamics_.get())) {

@@ -6,10 +6,12 @@
 // misspelled option fails the same way instead of being ignored. Its
 // --cache-stats line counts the hits of both cache tiers, and `learn
 // --grad` says once why it ran SPSA when the gradient is unavailable.
+// `cache-compact` fails loudly on a directory that is not there.
 #include <sys/wait.h>
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -203,6 +205,24 @@ TEST(Cli, CacheStatsCountHitsOfBothTiers) {
   EXPECT_EQ(w.lookups, c.lookups);
   EXPECT_GT(w.disk, 0u);
   EXPECT_NE(warm.output.find("(100.0%)"), std::string::npos) << warm.output;
+}
+
+TEST(Cli, CacheCompactRejectsAMissingDirectory) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "dwv_cli_no_cache_dir";
+  std::filesystem::remove_all(dir);
+  const std::string cmd = "cache-compact --cache-dir '" + dir.string() + "'";
+  const CliRun missing = run_cli(cmd);
+  EXPECT_EQ(missing.status, 1) << missing.output;
+  EXPECT_NE(missing.output.find("error: cache-dir"), std::string::npos)
+      << missing.output;
+  // A plain file where the directory should be fails the same way.
+  { std::ofstream(dir) << "not a directory"; }
+  const CliRun file = run_cli(cmd);
+  std::filesystem::remove(dir);
+  EXPECT_EQ(file.status, 1) << file.output;
+  EXPECT_NE(file.output.find("error: cache-dir"), std::string::npos)
+      << file.output;
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <random>
 #include <vector>
 
@@ -20,6 +21,7 @@
 #include "reach/control_abstraction.hpp"
 #include "reach/grad_flowpipe.hpp"
 #include "reach/linear_reach.hpp"
+#include "reach/serialize.hpp"
 #include "reach/tm_flowpipe.hpp"
 #include "taylor/dual_tm.hpp"
 
@@ -981,6 +983,57 @@ TEST(GradLearner, CacheCompositionIsBitIdentical) {
   for (std::size_t i = 0; i < p0.size(); ++i) {
     EXPECT_EQ(p0[i], p1[i]) << "param " << i;
   }
+}
+
+TEST(GradLearner, WarmRelearnComputesNoDualPass) {
+  // A fresh Learner over the directory a cold learn filled replays every
+  // dual pass and every scalar probe from disk: same parameters, history
+  // and final pipe bits, and no lookup misses. Each verifier call, dual
+  // pass or probe, is one lookup here (the run revisits no iterate).
+  const auto bench = ode::make_acc_benchmark();
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "dwv_grad_warm";
+  std::filesystem::remove_all(dir);
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  const auto pipe_bytes = [](const reach::Flowpipe& fp) {
+    reach::ser::Writer w;
+    reach::ser::put(w, fp);
+    return w.take();
+  };
+  const auto run = [&] {
+    core::LearnerOptions opt = grad_learn_options();
+    opt.cache_dir = dir.string();
+    core::Learner learner(acc_tm_verifier(bench), bench.spec, opt);
+    nn::LinearController ctrl(Mat{{0.0, 0.0}});
+    core::LearnResult res = learner.learn(ctrl);
+    return std::pair<Vec, core::LearnResult>{ctrl.params(), std::move(res)};
+  };
+  const auto [p_cold, cold] = run();
+  const auto [p_warm, warm] = run();
+  std::filesystem::remove_all(dir);
+
+  ASSERT_TRUE(cold.success);
+  ASSERT_EQ(p_cold.size(), p_warm.size());
+  for (std::size_t i = 0; i < p_cold.size(); ++i) {
+    EXPECT_EQ(bits(p_cold[i]), bits(p_warm[i])) << "param " << i;
+  }
+  ASSERT_EQ(cold.history.size(), warm.history.size());
+  for (std::size_t i = 0; i < cold.history.size(); ++i) {
+    EXPECT_EQ(cold.history[i].iter, warm.history[i].iter);
+    EXPECT_EQ(cold.history[i].feasible, warm.history[i].feasible);
+    EXPECT_EQ(bits(cold.history[i].geo->d_u), bits(warm.history[i].geo->d_u));
+    EXPECT_EQ(bits(cold.history[i].geo->d_g), bits(warm.history[i].geo->d_g));
+  }
+  EXPECT_EQ(pipe_bytes(cold.final_flowpipe), pipe_bytes(warm.final_flowpipe));
+  EXPECT_EQ(cold.verifier_calls, warm.verifier_calls);
+
+  EXPECT_EQ(cold.cache_stats.lookups(), cold.verifier_calls);
+  EXPECT_EQ(cold.cache_stats.misses, cold.verifier_calls);
+  EXPECT_EQ(warm.cache_stats.lookups(), warm.verifier_calls);
+  EXPECT_EQ(warm.cache_stats.misses, 0u);
+  EXPECT_EQ(warm.cache_stats.disk_hits, warm.verifier_calls);
+  EXPECT_EQ(warm.cache_stats.disk_bytes_written, 0u);
+  EXPECT_EQ(warm.cache_stats.miss_compute_seconds, 0.0);
 }
 
 TEST(GradLearner, RecordsTheDualPassMetricValues) {

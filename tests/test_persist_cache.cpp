@@ -11,8 +11,12 @@
 //  3. Corruption degrades to cold, never to an error: truncated shard
 //     logs, flipped checksum bytes, bumped format versions, and mismatched
 //     header salts all behave like an empty cache with correct stats.
+//
+// The learner's dual gradient pass records (GradFlowpipe) get the same
+// three checks.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -21,10 +25,12 @@
 #include <thread>
 #include <vector>
 
+#include "core/learner.hpp"
 #include "core/verdict.hpp"
 #include "nn/controller.hpp"
 #include "ode/benchmarks.hpp"
 #include "reach/cache.hpp"
+#include "reach/grad_flowpipe.hpp"
 #include "reach/serialize.hpp"
 #include "reach/tm_flowpipe.hpp"
 
@@ -572,6 +578,146 @@ TEST(PersistCache, CachingVerifierWarmStartServesExactBits) {
   EXPECT_EQ(other.cache()->stats().misses, 1u);
   EXPECT_EQ(other.cache()->stats().disk_hits, 0u);
   EXPECT_NE(to_bytes(other_fp), to_bytes(cold_fp));
+}
+
+// --- Dual gradient pass records -------------------------------------------
+
+std::shared_ptr<const reach::TmVerifier> acc_linctrl_verifier(
+    const ode::Benchmark& bench, bool adaptive) {
+  reach::TmReachOptions opt;
+  opt.adaptive = adaptive;
+  return std::make_shared<const reach::TmVerifier>(
+      bench.system, bench.spec, std::make_shared<reach::LinearAbstraction>(),
+      opt);
+}
+
+using DualRows = std::vector<std::vector<interval::DualInterval>>;
+
+void expect_dual_rows_identical(const DualRows& a, const DualRows& b) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t s = 0; s < a.size(); ++s) {
+    ASSERT_EQ(a[s].size(), b[s].size());
+    for (std::size_t i = 0; i < a[s].size(); ++i) {
+      const interval::DualInterval& x = a[s][i];
+      const interval::DualInterval& y = b[s][i];
+      EXPECT_EQ(bits(x.v.lo()), bits(y.v.lo()));
+      EXPECT_EQ(bits(x.v.hi()), bits(y.v.hi()));
+      EXPECT_EQ(x.nd, y.nd);
+      for (std::size_t k = 0; k < interval::DualInterval::kMaxDirs; ++k) {
+        EXPECT_EQ(bits(x.dlo[k]), bits(y.dlo[k])) << s << "," << i << "," << k;
+        EXPECT_EQ(bits(x.dhi[k]), bits(y.dhi[k])) << s << "," << i << "," << k;
+      }
+    }
+  }
+}
+
+TEST(PersistCache, GradRecordRoundTripIsBitExact) {
+  const ode::Benchmark bench = ode::make_acc_benchmark();
+  const nn::LinearController ctrl(linalg::Mat{{0.5, -1.2}});
+  for (const bool adaptive : {false, true}) {
+    SCOPED_TRACE(adaptive ? "adaptive" : "fixed");
+    const reach::TmGradient engine(*acc_linctrl_verifier(bench, adaptive));
+    const reach::GradFlowpipe g = engine.compute(bench.spec.x0, ctrl);
+    ASSERT_GT(g.step_sets_d.size(), 1u);
+    const ser::Bytes bytes = to_bytes(g);
+    ser::Reader r(bytes);
+    reach::GradFlowpipe back;
+    ASSERT_TRUE(ser::get(r, back, ctrl.param_count()));
+    EXPECT_EQ(r.remaining(), 0u);
+    EXPECT_EQ(to_bytes(back), bytes);
+    EXPECT_EQ(back.dirs, g.dirs);
+    EXPECT_EQ(to_bytes(back.fp), to_bytes(g.fp));
+    expect_dual_rows_identical(back.step_sets_d, g.step_sets_d);
+    expect_dual_rows_identical(back.interval_hulls_d, g.interval_hulls_d);
+  }
+}
+
+/// Overwrites the little-endian u64 at `off`.
+void patch_u64(ser::Bytes& b, std::size_t off, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) b[off + i] = std::uint8_t(v >> (8 * i));
+}
+
+TEST(PersistCache, CorruptGradRecordIsAMiss) {
+  // A grad --learn whose first dual pass finds a corrupt record under its
+  // key must recompute that pass, count a miss and give the bits of a
+  // learn into an empty directory.
+  const ode::Benchmark bench = ode::make_acc_benchmark();
+  const auto tv = acc_linctrl_verifier(bench, false);
+  const nn::LinearController start(linalg::Mat{{0.0, 0.0}});
+  core::LearnerOptions opt;
+  opt.grad = true;
+  opt.max_iters = 3;
+  opt.restarts = 1;
+
+  struct Run {
+    linalg::Vec params;
+    std::vector<std::uint64_t> history;
+    ser::Bytes pipe;
+    reach::CacheStats stats;
+  };
+  const auto learn = [&](const fs::path& dir) {
+    const auto cache = std::make_shared<reach::FlowpipeCache>(disk_config(dir));
+    core::Learner learner(std::make_shared<reach::CachingVerifier>(tv, cache),
+                          bench.spec, opt);
+    nn::LinearController ctrl = start;
+    const core::LearnResult res = learner.learn(ctrl);
+    Run run{ctrl.params(), {}, to_bytes(res.final_flowpipe), res.cache_stats};
+    for (const core::IterationRecord& rec : res.history) {
+      run.history.push_back(rec.iter);
+      run.history.push_back(std::bit_cast<std::uint64_t>(rec.geo->d_u));
+      run.history.push_back(std::bit_cast<std::uint64_t>(rec.geo->d_g));
+    }
+    return run;
+  };
+  const Run ref = learn(cache_dir("grad_ref"));
+  ASSERT_GT(ref.stats.misses, 0u);
+  EXPECT_EQ(ref.stats.disk_hits, 0u);
+
+  const reach::GradFlowpipe g =
+      reach::TmGradient(*tv).compute(bench.spec.x0, start);
+  const ser::Bytes good = to_bytes(g);
+  // Offsets into the record body: fp, dirs, step-set row count, first
+  // row's dimension, then its tangent columns.
+  const std::size_t dirs_off = to_bytes(g.fp).size();
+  const std::size_t rows_off = dirs_off + 8;
+  const std::size_t dim_off = rows_off + 8;
+  const std::uint64_t rows = g.step_sets_d.size();
+  const auto patched = [&](std::size_t off, std::uint64_t v) {
+    ser::Bytes b = good;
+    patch_u64(b, off, v);
+    return b;
+  };
+  const struct {
+    const char* name;
+    ser::Bytes body;
+    bool flip;  ///< flip a tangent byte in the shard log after writing
+  } cases[] = {
+      {"flipped_byte", good, true},
+      {"dirs_above_max", patched(dirs_off, 17), false},
+      {"dirs_not_param_count", patched(dirs_off, 1), false},
+      {"row_count_mismatch", patched(rows_off, rows + 1), false},
+      {"dimension_mismatch", patched(dim_off, 3), false},
+      {"truncated_tangents", ser::Bytes(good.begin(), good.end() - 8), false},
+  };
+  const reach::CachingVerifier keyer(tv);
+  const auto key = keyer.key_for(bench.spec.x0, start, reach::kGradRecordKind);
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    const fs::path dir = cache_dir(std::string("grad_") + c.name);
+    {
+      reach::FlowpipeCache cache(disk_config(dir));
+      cache.insert_record(key, c.body);
+    }
+    if (c.flip) flip_byte(shard_path(dir), fs::file_size(shard_path(dir)) - 5);
+    const Run got = learn(dir);
+    EXPECT_EQ(got.params[0], ref.params[0]);
+    EXPECT_EQ(got.params[1], ref.params[1]);
+    EXPECT_EQ(got.history, ref.history);
+    EXPECT_EQ(got.pipe, ref.pipe);
+    EXPECT_EQ(got.stats.misses, ref.stats.misses);
+    EXPECT_EQ(got.stats.disk_hits, 0u);
+  }
 }
 
 }  // namespace

@@ -142,6 +142,40 @@ TEST(FlowpipeCache, IntervalVerifiersOverDifferentSpecsDoNotAlias) {
   EXPECT_EQ(s.insertions, 2u);
 }
 
+TEST(FlowpipeCache, TmVerifiersOverDifferentOptionsDoNotAlias) {
+  // Same name and spec; only reinit_rem_fraction differs, which changes
+  // the pipe. The salt must tell the two apart in a shared cache, while
+  // default options keep the salt they always had.
+  const auto bench = ode::make_acc_benchmark();
+  reach::TmReachOptions no_reinit;
+  no_reinit.reinit_rem_fraction = 0.0;
+  const auto make = [&](const reach::TmReachOptions& opt) {
+    return std::make_shared<const reach::TmVerifier>(
+        bench.system, bench.spec, std::make_shared<reach::LinearAbstraction>(),
+        opt);
+  };
+  const auto base = make(reach::TmReachOptions{});
+  const auto other = make(no_reinit);
+  EXPECT_EQ(base->name(), other->name());
+  EXPECT_NE(base->cache_salt(), other->cache_salt());
+  EXPECT_EQ(base->cache_salt(), make(reach::TmReachOptions{})->cache_salt());
+
+  const auto cache = std::make_shared<reach::FlowpipeCache>();
+  const reach::CachingVerifier base_cv(base, cache);
+  const reach::CachingVerifier other_cv(other, cache);
+  const nn::LinearController ctrl(Mat{{0.5, -1.2}});
+  const reach::Flowpipe base_cold = base->compute(bench.spec.x0, ctrl);
+  const reach::Flowpipe other_cold = other->compute(bench.spec.x0, ctrl);
+  // The options give different pipes, so an aliased hit would show.
+  ASSERT_NE(base_cold.tm_stats.reinits, other_cold.tm_stats.reinits);
+  expect_flowpipes_identical(base_cv.compute(bench.spec.x0, ctrl), base_cold);
+  const reach::Flowpipe got = other_cv.compute(bench.spec.x0, ctrl);
+  expect_flowpipes_identical(got, other_cold);
+  EXPECT_EQ(got.tm_stats.reinits, other_cold.tm_stats.reinits);
+  EXPECT_EQ(cache->stats().misses, 2u);
+  EXPECT_EQ(cache->stats().hits, 0u);
+}
+
 TEST(FlowpipeCache, EvictsLeastRecentlyUsedUnderSmallBudget) {
   const auto bench = ode::make_acc_benchmark();
   const auto inner = std::make_shared<const reach::LinearVerifier>(
